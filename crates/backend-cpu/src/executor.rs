@@ -6,16 +6,14 @@ use std::time::Instant;
 
 use ugc_graph::Csr;
 use ugc_graphir::ir::{EdgeSetIteratorData, Stmt};
-use ugc_graphir::keys;
-use ugc_graphir::types::{Direction, VertexSetRepr};
-use ugc_runtime::eval::{BufferedOutput, EdgeCtx, Evaluator, NullMemory, NullOutput};
+use ugc_graphir::types::Direction;
+use ugc_runtime::eval::{BufferedOutput, Evaluator, NullMemory, NullOutput};
 use ugc_runtime::interp::{ExecError, OperatorExecutor, ProgramState};
 use ugc_runtime::parallel::{default_threads, parallel_for_with_local};
 use ugc_runtime::pool::parallel_for_chunks_with_local;
-use ugc_runtime::value::Value;
 use ugc_runtime::vertexset::VertexSet;
-use ugc_runtime::UdfId;
-use ugc_schedule::{schedule_of, SchedulePoint};
+use ugc_runtime::EdgeOp;
+use ugc_schedule::{schedule_as, SchedulePoint};
 
 use ugc_telemetry::{Counter, Span};
 
@@ -148,15 +146,8 @@ impl Default for CpuExecutor {
     }
 }
 
-/// Everything a traversal needs, resolved once per operator.
+/// The CPU schedule knobs of one edge operator.
 struct OpPlan {
-    udf: UdfId,
-    takes_weight: bool,
-    src_filter: Option<UdfId>,
-    dst_filter: Option<UdfId>,
-    requires_output: bool,
-    dedup: bool,
-    out_repr: VertexSetRepr,
     serial_threshold: usize,
     edge_aware: bool,
     cache_blocking: bool,
@@ -180,23 +171,23 @@ impl CpuExecutor {
         &self,
         state: &ProgramState<'_>,
         stmt: &Stmt,
-        plan: &OpPlan,
+        op: &EdgeOp<'_>,
     ) -> Option<std::sync::Arc<dyn EdgeKernel>> {
         let kernel = if self.use_kernels {
             let key = KernelKey {
                 point: SchedulePoint::of_stmt(stmt),
-                udf: plan.udf,
-                src_filter: plan.src_filter,
-                dst_filter: plan.dst_filter,
-                weighted: plan.takes_weight,
+                udf: op.udf,
+                src_filter: op.src_filter,
+                dst_filter: op.dst_filter,
+                weighted: op.takes_weight,
             };
             self.kernels.resolve(key, || {
                 kernels::recognize(
                     &state.udfs,
                     &state.props,
-                    plan.udf,
-                    plan.src_filter,
-                    plan.dst_filter,
+                    op.udf,
+                    op.src_filter,
+                    op.dst_filter,
                 )
             })
         } else {
@@ -232,50 +223,16 @@ impl CpuExecutor {
         attr
     }
 
-    fn plan(
-        state: &ProgramState<'_>,
-        stmt: &Stmt,
-        data: &EdgeSetIteratorData,
-    ) -> Result<OpPlan, ExecError> {
-        let udf = state
-            .udfs
-            .id_of(&data.apply)
-            .ok_or_else(|| ExecError::new(format!("unknown UDF `{}`", data.apply)))?;
-        let lookup = |name: &Option<String>| -> Result<Option<UdfId>, ExecError> {
-            match name {
-                None => Ok(None),
-                Some(n) => state
-                    .udfs
-                    .id_of(n)
-                    .map(Some)
-                    .ok_or_else(|| ExecError::new(format!("unknown filter `{n}`"))),
-            }
-        };
-        let sched = schedule_of(stmt);
-        let cpu_sched = sched
-            .as_ref()
-            .and_then(|r| r.as_simple().cloned())
-            .and_then(|s| s.as_any().downcast_ref::<CpuSchedule>().cloned());
-        let parallelization = stmt
-            .meta
-            .get_str("parallelization")
-            .unwrap_or("VERTEX_BASED")
-            .to_string();
-        Ok(OpPlan {
-            udf,
-            takes_weight: state.udfs.get(udf).num_params == 3,
-            src_filter: lookup(&data.src_filter)?,
-            dst_filter: lookup(&data.dst_filter)?,
-            requires_output: data.output.is_some(),
-            dedup: stmt.meta.flag(keys::APPLY_DEDUPLICATION),
-            out_repr: stmt
+    fn plan(stmt: &Stmt) -> OpPlan {
+        let sched = schedule_as::<CpuSchedule>(stmt);
+        OpPlan {
+            serial_threshold: sched.as_ref().map_or(512, |s| s.serial_threshold()),
+            edge_aware: stmt
                 .meta
-                .get_repr(keys::OUTPUT_REPRESENTATION)
-                .unwrap_or(VertexSetRepr::Sparse),
-            serial_threshold: cpu_sched.as_ref().map_or(512, |s| s.serial_threshold()),
-            edge_aware: parallelization != "VERTEX_BASED",
-            cache_blocking: cpu_sched.as_ref().is_some_and(|s| s.cache_blocking()),
-        })
+                .get_str("parallelization")
+                .is_some_and(|p| p != "VERTEX_BASED"),
+            cache_blocking: sched.is_some_and(|s| s.cache_blocking()),
+        }
     }
 
     /// Splits `members` into chunks of roughly `grain` out-edges each.
@@ -296,88 +253,42 @@ impl CpuExecutor {
         }
         chunks
     }
-
-    fn finish(
-        state: &mut ProgramState<'_>,
-        plan: &OpPlan,
-        locals: Vec<BufferedOutput>,
-    ) -> Option<VertexSet> {
-        let mut enqueued = Vec::new();
-        for l in locals {
-            for (q, v, p) in l.priority_updates {
-                state.queues[q].push(v, p);
-            }
-            enqueued.extend(l.enqueued);
-        }
-        if plan.requires_output {
-            let mut out = VertexSet::from_members(state.graph.num_vertices(), enqueued);
-            if plan.dedup {
-                out.dedup();
-            }
-            if out.repr() != plan.out_repr {
-                out = out.to_repr(plan.out_repr);
-            }
-            Some(out)
-        } else {
-            None
-        }
-    }
 }
 
-fn passes(ev: &Evaluator<'_>, f: Option<UdfId>, v: u32) -> bool {
-    match f {
-        None => true,
-        Some(id) => ev
-            .call(
-                id,
-                &[Value::Int(v as i64)],
-                EdgeCtx::default(),
-                &mut NullOutput,
-                &mut NullMemory,
-            )
-            .is_none_or(|r| r.as_bool()),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn push_range(
     ev: &Evaluator<'_>,
-    csr: &Csr,
+    op: &EdgeOp<'_>,
     members: &[u32],
     range: std::ops::Range<usize>,
-    plan: &OpPlan,
     out: &mut BufferedOutput,
 ) {
+    let csr = op.fwd;
     for &src in &members[range] {
-        if !passes(ev, plan.src_filter, src) {
+        if !ev.passes(op.src_filter, src, &mut NullMemory) {
             continue;
         }
         let weights = csr.neighbor_weights(src);
         for (k, &dst) in csr.neighbors(src).iter().enumerate() {
-            if !passes(ev, plan.dst_filter, dst) {
+            if !ev.passes(op.dst_filter, dst, &mut NullMemory) {
                 continue;
             }
             let w = weights.map_or(1, |ws| ws[k]) as i64;
-            let mut args = vec![Value::Int(src as i64), Value::Int(dst as i64)];
-            if plan.takes_weight {
-                args.push(Value::Int(w));
-            }
-            ev.call(plan.udf, &args, EdgeCtx { weight: w }, out, &mut NullMemory);
+            ev.apply_edge(op, src, dst, w, out, &mut NullMemory);
         }
     }
 }
 
 fn pull_range(
     ev: &Evaluator<'_>,
-    in_csr: &Csr,
-    membership: Option<&VertexSet>,
+    op: &EdgeOp<'_>,
     range: std::ops::Range<usize>,
-    plan: &OpPlan,
     out: &mut BufferedOutput,
 ) {
+    let in_csr = op.bwd;
+    let membership = op.pull_membership.as_ref();
     for dst in range {
         let dst = dst as u32;
-        if !passes(ev, plan.dst_filter, dst) {
+        if !ev.passes(op.dst_filter, dst, &mut NullMemory) {
             continue;
         }
         let weights = in_csr.neighbor_weights(dst);
@@ -387,19 +298,15 @@ fn pull_range(
                     continue;
                 }
             }
-            if !passes(ev, plan.src_filter, src) {
+            if !ev.passes(op.src_filter, src, &mut NullMemory) {
                 continue;
             }
             let w = weights.map_or(1, |ws| ws[k]) as i64;
-            let mut args = vec![Value::Int(src as i64), Value::Int(dst as i64)];
-            if plan.takes_weight {
-                args.push(Value::Int(w));
-            }
-            ev.call(plan.udf, &args, EdgeCtx { weight: w }, out, &mut NullMemory);
+            ev.apply_edge(op, src, dst, w, out, &mut NullMemory);
             // Direction-optimizing early exit: once the destination no
             // longer passes its filter (e.g. BFS parent now set), stop
             // scanning its in-edges.
-            if plan.dst_filter.is_some() && !passes(ev, plan.dst_filter, dst) {
+            if !ev.passes(op.dst_filter, dst, &mut NullMemory) {
                 break;
             }
         }
@@ -413,41 +320,26 @@ impl OperatorExecutor for CpuExecutor {
         stmt: &Stmt,
         data: &EdgeSetIteratorData,
     ) -> Result<Option<VertexSet>, ExecError> {
-        let plan = Self::plan(state, stmt, data)?;
-        let direction = stmt
-            .meta
-            .get_direction(keys::DIRECTION)
-            .unwrap_or(Direction::Push);
         let t0 = ugc_telemetry::enabled().then(Instant::now);
+        let op = EdgeOp::resolve(state, stmt, data)?;
+        let plan = Self::plan(stmt);
+        let direction = op.direction;
         note_direction(direction);
-        let input = state.input_set(&data.input)?;
 
-        // Resolve traversal CSRs honoring the `transposed` flag.
-        let fwd: &Csr = if data.transposed {
-            state.graph.in_csr()
-        } else {
-            state.graph.out_csr()
-        };
-        let bwd: &Csr = if data.transposed {
-            state.graph.out_csr()
-        } else {
-            state.graph.in_csr()
-        };
-
-        let ev = Evaluator::new(&state.udfs, &state.props, &state.globals, state.graph);
-        let kernel = self.resolve_kernel(state, stmt, &plan);
+        let ev = state.evaluator();
+        let kernel = self.resolve_kernel(state, stmt, &op);
         let locals: Vec<BufferedOutput> = match direction {
             Direction::Push => {
-                let members = input.iter();
+                let members = state.input_set(&data.input)?.iter();
                 let io = Io {
                     props: &state.props,
-                    csr: fwd,
+                    csr: op.fwd,
                 };
                 // One range-level dispatch: the specialized kernel body or
                 // the interpreter, chosen once per operator, never per edge.
                 let run = |range: std::ops::Range<usize>, out: &mut BufferedOutput| match &kernel {
                     Some(k) => k.run_push(&io, &members, range, out),
-                    None => push_range(&ev, fwd, &members, range, &plan, out),
+                    None => push_range(&ev, &op, &members, range, out),
                 };
                 if plan.cache_blocking && data.input.is_none() {
                     // EdgeBlocking: iterate destination blocks for locality.
@@ -455,7 +347,7 @@ impl OperatorExecutor for CpuExecutor {
                         Some(k) => {
                             cache_blocked_push_kernel(k.as_ref(), &io, &members, self.num_threads)
                         }
-                        None => cache_blocked_push(&ev, fwd, &members, &plan, self.num_threads),
+                        None => cache_blocked_push(&ev, &op, &members, self.num_threads),
                     }
                 } else if members.len() < plan.serial_threshold {
                     let mut out = BufferedOutput::default();
@@ -464,7 +356,7 @@ impl OperatorExecutor for CpuExecutor {
                 } else if plan.edge_aware {
                     // Degree-balanced chunks go straight into per-worker
                     // queues; idle workers steal whole chunks.
-                    let chunks = Self::degree_chunks(fwd, &members, 2048);
+                    let chunks = Self::degree_chunks(op.fwd, &members, 2048);
                     parallel_for_chunks_with_local(
                         self.num_threads,
                         chunks,
@@ -481,23 +373,13 @@ impl OperatorExecutor for CpuExecutor {
             }
             Direction::Pull => {
                 let n = state.graph.num_vertices();
-                let membership = if data.input.is_none() {
-                    None
-                } else {
-                    let repr = stmt
-                        .meta
-                        .get_repr(keys::PULL_INPUT_FRONTIER)
-                        .unwrap_or(VertexSetRepr::Boolmap);
-                    Some(input.to_repr(repr))
-                };
-                let membership = membership.as_ref();
                 let io = Io {
                     props: &state.props,
-                    csr: bwd,
+                    csr: op.bwd,
                 };
                 let run = |range: std::ops::Range<usize>, out: &mut BufferedOutput| match &kernel {
-                    Some(k) => k.run_pull(&io, membership, range, out),
-                    None => pull_range(&ev, bwd, membership, range, &plan, out),
+                    Some(k) => k.run_pull(&io, op.pull_membership.as_ref(), range, out),
+                    None => pull_range(&ev, &op, range, out),
                 };
                 if n < plan.serial_threshold {
                     let mut out = BufferedOutput::default();
@@ -513,7 +395,7 @@ impl OperatorExecutor for CpuExecutor {
                 }
             }
         };
-        let out = CpuExecutor::finish(state, &plan, locals);
+        let out = state.finish_edge_op(&op, locals);
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             let c = counters();
@@ -539,29 +421,13 @@ impl OperatorExecutor for CpuExecutor {
         apply: &str,
     ) -> Result<(), ExecError> {
         let t0 = ugc_telemetry::enabled().then(Instant::now);
-        let udf = state
-            .udfs
-            .id_of(apply)
-            .ok_or_else(|| ExecError::new(format!("unknown UDF `{apply}`")))?;
-        let members = match set {
-            None => VertexSet::all(state.graph.num_vertices()).iter(),
-            Some(n) => state
-                .env
-                .set(n)
-                .ok_or_else(|| ExecError::new(format!("set `{n}` is not bound")))?
-                .iter(),
-        };
-        let ev = Evaluator::new(&state.udfs, &state.props, &state.globals, state.graph);
+        let udf = state.udf_id(apply)?;
+        let members = state.members(set)?;
+        let ev = state.evaluator();
         let locals: Vec<BufferedOutput> = if members.len() < 512 {
             let mut out = BufferedOutput::default();
             for &v in &members {
-                ev.call(
-                    udf,
-                    &[Value::Int(v as i64)],
-                    EdgeCtx::default(),
-                    &mut out,
-                    &mut NullMemory,
-                );
+                ev.apply_vertex(udf, v, &mut out, &mut NullMemory);
             }
             vec![out]
         } else {
@@ -571,21 +437,13 @@ impl OperatorExecutor for CpuExecutor {
                 256,
                 |_tid, range, local: &mut BufferedOutput| {
                     for &v in &members[range] {
-                        ev.call(
-                            udf,
-                            &[Value::Int(v as i64)],
-                            EdgeCtx::default(),
-                            local,
-                            &mut NullMemory,
-                        );
+                        ev.apply_vertex(udf, v, local, &mut NullMemory);
                     }
                 },
             )
         };
         for l in locals {
-            for (q, v, p) in l.priority_updates {
-                state.queues[q].push(v, p);
-            }
+            state.push_priorities(l.priority_updates);
         }
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
@@ -603,30 +461,11 @@ impl OperatorExecutor for CpuExecutor {
         filter: &str,
     ) -> Result<VertexSet, ExecError> {
         let t0 = ugc_telemetry::enabled().then(Instant::now);
-        let udf = state
-            .udfs
-            .id_of(filter)
-            .ok_or_else(|| ExecError::new(format!("unknown filter function `{filter}`")))?;
-        let n = state.graph.num_vertices();
-        let candidates: Vec<u32> = match input {
-            None => (0..n as u32).collect(),
-            Some(name) => state
-                .env
-                .set(name)
-                .ok_or_else(|| ExecError::new(format!("set `{name}` is not bound")))?
-                .members_in_order(),
-        };
-        let ev = Evaluator::new(&state.udfs, &state.props, &state.globals, state.graph);
+        let (udf, candidates) = state.filter_candidates(input, filter)?;
+        let ev = state.evaluator();
         let keep = |v: u32| {
-            ev.call(
-                udf,
-                &[Value::Int(v as i64)],
-                EdgeCtx::default(),
-                &mut NullOutput,
-                &mut NullMemory,
-            )
-            .map(|r| r.as_bool())
-            .unwrap_or(false)
+            ev.apply_vertex(udf, v, &mut NullOutput, &mut NullMemory)
+                .is_some_and(|r| r.as_bool())
         };
         let members: Vec<u32> = if candidates.len() < 512 {
             candidates.iter().copied().filter(|&v| keep(v)).collect()
@@ -645,7 +484,7 @@ impl OperatorExecutor for CpuExecutor {
             all.sort_unstable();
             all
         };
-        let out = VertexSet::from_members(n, members);
+        let out = VertexSet::from_members(state.graph.num_vertices(), members);
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             self.phase_ns.apply += ns;
@@ -660,12 +499,12 @@ impl OperatorExecutor for CpuExecutor {
 /// resident (GraphIt's EdgeBlocking / NUMA optimization for PageRank).
 fn cache_blocked_push(
     ev: &Evaluator<'_>,
-    csr: &Csr,
+    op: &EdgeOp<'_>,
     members: &[u32],
-    plan: &OpPlan,
     num_threads: usize,
 ) -> Vec<BufferedOutput> {
     const BLOCK: u32 = 1 << 14;
+    let csr = op.fwd;
     let n = csr.num_vertices() as u32;
     let mut all = Vec::new();
     let mut lo = 0u32;
@@ -677,7 +516,7 @@ fn cache_blocked_push(
             64,
             |_tid, range, local: &mut BufferedOutput| {
                 for &src in &members[range] {
-                    if !passes(ev, plan.src_filter, src) {
+                    if !ev.passes(op.src_filter, src, &mut NullMemory) {
                         continue;
                     }
                     let neigh = csr.neighbors(src);
@@ -688,21 +527,11 @@ fn cache_blocked_push(
                         if dst >= hi {
                             break;
                         }
-                        if !passes(ev, plan.dst_filter, dst) {
+                        if !ev.passes(op.dst_filter, dst, &mut NullMemory) {
                             continue;
                         }
                         let w = weights.map_or(1, |ws| ws[k]) as i64;
-                        let mut args = vec![Value::Int(src as i64), Value::Int(dst as i64)];
-                        if plan.takes_weight {
-                            args.push(Value::Int(w));
-                        }
-                        ev.call(
-                            plan.udf,
-                            &args,
-                            EdgeCtx { weight: w },
-                            local,
-                            &mut NullMemory,
-                        );
+                        ev.apply_edge(op, src, dst, w, local, &mut NullMemory);
                     }
                 }
             },
@@ -746,6 +575,7 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
     use ugc_runtime::interp::run_main;
+    use ugc_runtime::value::Value;
 
     const BFS: &str = r#"
 element Vertex end

@@ -44,13 +44,7 @@ impl Execution<'_> {
     /// Panics if the property does not exist (a compile bug, not a data
     /// error).
     pub fn property_ints(&self, name: &str) -> Vec<i64> {
-        let id = self.state.props.id_of(name).expect("property exists");
-        self.state
-            .props
-            .snapshot(id)
-            .into_iter()
-            .map(|v| v.as_int())
-            .collect()
+        self.state.property_ints(name)
     }
 
     /// Snapshot of a property by name as floats.
@@ -59,13 +53,7 @@ impl Execution<'_> {
     ///
     /// Panics if the property does not exist.
     pub fn property_floats(&self, name: &str) -> Vec<f64> {
-        let id = self.state.props.id_of(name).expect("property exists");
-        self.state
-            .props
-            .snapshot(id)
-            .into_iter()
-            .map(|v| v.as_float())
-            .collect()
+        self.state.property_floats(name)
     }
 }
 

@@ -2,17 +2,15 @@
 
 use std::cell::RefCell;
 
-use ugc_graph::Csr;
 use ugc_graphir::ir::{EdgeSetIteratorData, Stmt, StmtKind};
 use ugc_graphir::keys;
 use ugc_graphir::types::{Direction, VertexSetRepr};
-use ugc_runtime::eval::{BufferedOutput, EdgeCtx, Evaluator, MemoryModel, NullOutput};
+use ugc_runtime::eval::{BufferedOutput, MemoryModel};
 use ugc_runtime::interp::{run_block, ExecError, OperatorExecutor, ProgramState};
 use ugc_runtime::properties::PropId;
-use ugc_runtime::value::Value;
 use ugc_runtime::vertexset::VertexSet;
-use ugc_runtime::UdfId;
-use ugc_schedule::schedule_of;
+use ugc_runtime::EdgeOp;
+use ugc_schedule::schedule_as;
 use ugc_sim_gpu::{AccessKind, GpuSim, LaneTrace, MemAccess, WarpTrace};
 
 use crate::load_balance::{self, LoadBalance, WarpAssignment};
@@ -98,99 +96,50 @@ impl GpuExecutor {
     }
 }
 
+/// The GPU schedule knobs of one edge operator.
 struct GpuPlan {
-    udf: UdfId,
-    takes_weight: bool,
-    src_filter: Option<UdfId>,
-    dst_filter: Option<UdfId>,
-    requires_output: bool,
-    dedup: bool,
-    out_repr: VertexSetRepr,
     load_balance: LoadBalance,
     frontier_creation: FrontierCreation,
     edge_blocking: Option<u32>,
-    pull_bitmap: bool,
 }
 
-fn plan(
-    state: &ProgramState<'_>,
+/// Resolves the operator and its GPU plan. Unfused frontier creation
+/// marks a map and compacts it, so its output is deduplicated whatever
+/// the schedule says.
+fn plan<'g>(
+    state: &ProgramState<'g>,
     stmt: &Stmt,
     data: &EdgeSetIteratorData,
-) -> Result<GpuPlan, ExecError> {
-    let udf = state
-        .udfs
-        .id_of(&data.apply)
-        .ok_or_else(|| ExecError::new(format!("unknown UDF `{}`", data.apply)))?;
-    let lookup = |name: &Option<String>| -> Result<Option<UdfId>, ExecError> {
-        match name {
-            None => Ok(None),
-            Some(n) => state
-                .udfs
-                .id_of(n)
-                .map(Some)
-                .ok_or_else(|| ExecError::new(format!("unknown filter `{n}`"))),
-        }
-    };
-    let gpu_sched = schedule_of(stmt)
-        .and_then(|r| r.as_simple().cloned())
-        .and_then(|s| s.as_any().downcast_ref::<GpuSchedule>().cloned())
-        .unwrap_or_default();
-    Ok(GpuPlan {
-        udf,
-        takes_weight: state.udfs.get(udf).num_params == 3,
-        src_filter: lookup(&data.src_filter)?,
-        dst_filter: lookup(&data.dst_filter)?,
-        requires_output: data.output.is_some(),
-        dedup: stmt.meta.flag(keys::APPLY_DEDUPLICATION)
-            || !matches!(gpu_sched.frontier_creation(), FrontierCreation::Fused),
-        out_repr: stmt
-            .meta
-            .get_repr(keys::OUTPUT_REPRESENTATION)
-            .unwrap_or(VertexSetRepr::Sparse),
-        load_balance: gpu_sched.load_balance(),
-        frontier_creation: gpu_sched.frontier_creation(),
-        edge_blocking: gpu_sched.edge_blocking(),
-        pull_bitmap: stmt.meta.get_repr(keys::PULL_INPUT_FRONTIER) == Some(VertexSetRepr::Bitmap),
-    })
-}
-
-fn passes_filter(ev: &Evaluator<'_>, f: Option<UdfId>, v: u32, rec: &mut LaneRecorder) -> bool {
-    match f {
-        None => true,
-        Some(id) => ev
-            .call(
-                id,
-                &[Value::Int(v as i64)],
-                EdgeCtx::default(),
-                &mut NullOutput,
-                rec,
-            )
-            .is_none_or(|r| r.as_bool()),
-    }
+) -> Result<(EdgeOp<'g>, GpuPlan), ExecError> {
+    let mut op = EdgeOp::resolve(state, stmt, data)?;
+    let sched = schedule_as::<GpuSchedule>(stmt).unwrap_or_default();
+    op.dedup |= !matches!(sched.frontier_creation(), FrontierCreation::Fused);
+    Ok((
+        op,
+        GpuPlan {
+            load_balance: sched.load_balance(),
+            frontier_creation: sched.frontier_creation(),
+            edge_blocking: sched.edge_blocking(),
+        },
+    ))
 }
 
 impl GpuExecutor {
     /// Runs a traversal kernel from pre-computed warp assignments (push
     /// direction), returning enqueued vertices and priority updates.
-    #[allow(clippy::too_many_arguments)]
     fn traversal_kernel(
         &mut self,
         state: &ProgramState<'_>,
-        csr: &Csr,
+        op: &EdgeOp<'_>,
         warps: &[WarpAssignment],
         plan: &GpuPlan,
         name: &str,
     ) -> BufferedOutput {
-        let ev = Evaluator {
-            udfs: &state.udfs,
-            props: &state.props,
-            globals: &state.globals,
-            graph: state.graph,
-            really_atomic: false,
-        };
+        let ev = state.relaxed_evaluator();
+        let csr = op.fwd;
         let output = RefCell::new(BufferedOutput::default());
         let fused = self.fused();
-        let weighted = csr.is_weighted() || plan.takes_weight;
+        let weighted = csr.is_weighted() || op.takes_weight;
         let trace_iter = warps.iter().enumerate().map(|(wi, warp)| {
             let mut lanes = Vec::with_capacity(warp.len());
             for (li, lane_work) in warp.iter().enumerate() {
@@ -201,7 +150,7 @@ impl GpuExecutor {
                     rec.raw(AccessKind::Load, arrays::FRONTIER_IN, (wi * 32 + li) as u32);
                     rec.raw(AccessKind::Load, arrays::GRAPH_OFFSETS, lw.src);
                     rec.trace.computes += lw.overhead + 4;
-                    if !passes_filter(&ev, plan.src_filter, lw.src, &mut rec) {
+                    if !ev.passes(op.src_filter, lw.src, &mut rec) {
                         continue;
                     }
                     let weights = csr.neighbor_weights(lw.src);
@@ -209,19 +158,15 @@ impl GpuExecutor {
                     for k in lw.edges.clone() {
                         rec.raw(AccessKind::Load, arrays::GRAPH_TARGETS, k as u32);
                         let dst = csr.targets()[k];
-                        if !passes_filter(&ev, plan.dst_filter, dst, &mut rec) {
+                        if !ev.passes(op.dst_filter, dst, &mut rec) {
                             continue;
                         }
                         let w = weights.map_or(1, |ws| ws[k - base]) as i64;
                         if weighted {
                             rec.raw(AccessKind::Load, arrays::GRAPH_WEIGHTS, k as u32);
                         }
-                        let mut args = vec![Value::Int(lw.src as i64), Value::Int(dst as i64)];
-                        if plan.takes_weight {
-                            args.push(Value::Int(w));
-                        }
                         let before = out.enqueued.len();
-                        ev.call(plan.udf, &args, EdgeCtx { weight: w }, &mut *out, &mut rec);
+                        ev.apply_edge(op, lw.src, dst, w, &mut *out, &mut rec);
                         charge_enqueues(&mut rec, plan, &out.enqueued[before..]);
                     }
                 }
@@ -238,24 +183,21 @@ impl GpuExecutor {
     fn pull_kernel(
         &mut self,
         state: &ProgramState<'_>,
-        in_csr: &Csr,
-        membership: Option<&VertexSet>,
+        op: &EdgeOp<'_>,
         plan: &GpuPlan,
         name: &str,
     ) -> BufferedOutput {
-        let ev = Evaluator {
-            udfs: &state.udfs,
-            props: &state.props,
-            globals: &state.globals,
-            graph: state.graph,
-            really_atomic: false,
-        };
+        let ev = state.relaxed_evaluator();
+        let in_csr = op.bwd;
+        let membership = op.pull_membership.as_ref();
         let n = state.graph.num_vertices();
         let all: Vec<u32> = (0..n as u32).collect();
         let warps = load_balance::assign(in_csr, &all, plan.load_balance);
         let output = RefCell::new(BufferedOutput::default());
         let fused = self.fused();
-        let div = if plan.pull_bitmap { 8 } else { 4 };
+        // Vertices per map word: a bitmap packs eight to the boolmap's four.
+        let bitmap = membership.is_some_and(|m| m.repr() == VertexSetRepr::Bitmap);
+        let div = if bitmap { 8 } else { 4 };
         let trace_iter = warps.iter().map(|warp| {
             let mut lanes = Vec::with_capacity(warp.len());
             for lane_work in warp {
@@ -265,7 +207,7 @@ impl GpuExecutor {
                     let dst = lw.src; // lanes own destinations in pull
                     rec.raw(AccessKind::Load, arrays::GRAPH_OFFSETS, dst);
                     rec.trace.computes += lw.overhead + 4;
-                    if !passes_filter(&ev, plan.dst_filter, dst, &mut rec) {
+                    if !ev.passes(op.dst_filter, dst, &mut rec) {
                         continue;
                     }
                     let weights = in_csr.neighbor_weights(dst);
@@ -279,20 +221,14 @@ impl GpuExecutor {
                                 continue;
                             }
                         }
-                        if !passes_filter(&ev, plan.src_filter, src, &mut rec) {
+                        if !ev.passes(op.src_filter, src, &mut rec) {
                             continue;
                         }
                         let w = weights.map_or(1, |ws| ws[k - base]) as i64;
-                        let mut args = vec![Value::Int(src as i64), Value::Int(dst as i64)];
-                        if plan.takes_weight {
-                            args.push(Value::Int(w));
-                        }
                         let before = out.enqueued.len();
-                        ev.call(plan.udf, &args, EdgeCtx { weight: w }, &mut *out, &mut rec);
+                        ev.apply_edge(op, src, dst, w, &mut *out, &mut rec);
                         charge_enqueues(&mut rec, plan, &out.enqueued[before..]);
-                        if plan.dst_filter.is_some()
-                            && !passes_filter(&ev, plan.dst_filter, dst, &mut rec)
-                        {
+                        if !ev.passes(op.dst_filter, dst, &mut rec) {
                             continue 'work;
                         }
                     }
@@ -343,11 +279,12 @@ impl GpuExecutor {
     fn edge_blocked_kernel(
         &mut self,
         state: &ProgramState<'_>,
-        csr: &Csr,
+        op: &EdgeOp<'_>,
         members: &[u32],
         plan: &GpuPlan,
         block: u32,
     ) -> BufferedOutput {
+        let csr = op.fwd;
         let n = state.graph.num_vertices() as u32;
         let mut merged = BufferedOutput::default();
         let mut lo = 0u32;
@@ -372,7 +309,7 @@ impl GpuExecutor {
                 .chunks(32)
                 .map(|c| c.iter().map(|w| vec![w.clone()]).collect())
                 .collect();
-            let part = self.traversal_kernel(state, csr, &warps, plan, "edge_blocked");
+            let part = self.traversal_kernel(state, op, &warps, plan, "edge_blocked");
             merged.enqueued.extend(part.enqueued);
             merged.priority_updates.extend(part.priority_updates);
             lo = hi;
@@ -406,70 +343,29 @@ impl OperatorExecutor for GpuExecutor {
         stmt: &Stmt,
         data: &EdgeSetIteratorData,
     ) -> Result<Option<VertexSet>, ExecError> {
-        let plan = plan(state, stmt, data)?;
-        let direction = stmt
-            .meta
-            .get_direction(keys::DIRECTION)
-            .unwrap_or(Direction::Push);
-        let input = state.input_set(&data.input)?;
-        let fwd: &Csr = if data.transposed {
-            state.graph.in_csr()
-        } else {
-            state.graph.out_csr()
-        };
-        let bwd: &Csr = if data.transposed {
-            state.graph.out_csr()
-        } else {
-            state.graph.in_csr()
-        };
-
-        let out = match direction {
+        let (op, plan) = plan(state, stmt, data)?;
+        let out = match op.direction {
             Direction::Push => {
-                let members = input.iter();
-                if let Some(block) = plan.edge_blocking {
-                    if data.input.is_none() {
-                        self.edge_blocked_kernel(state, fwd, &members, &plan, block)
-                    } else {
-                        let warps = load_balance::assign(fwd, &members, plan.load_balance);
-                        self.traversal_kernel(state, fwd, &warps, &plan, "push")
+                let members = state.input_set(&data.input)?.iter();
+                match plan.edge_blocking {
+                    Some(block) if data.input.is_none() => {
+                        self.edge_blocked_kernel(state, &op, &members, &plan, block)
                     }
-                } else {
-                    let warps = load_balance::assign(fwd, &members, plan.load_balance);
-                    self.traversal_kernel(state, fwd, &warps, &plan, "push")
+                    _ => {
+                        let warps = load_balance::assign(op.fwd, &members, plan.load_balance);
+                        self.traversal_kernel(state, &op, &warps, &plan, "push")
+                    }
                 }
             }
-            Direction::Pull => {
-                let membership = if data.input.is_none() {
-                    None
-                } else {
-                    let repr = stmt
-                        .meta
-                        .get_repr(keys::PULL_INPUT_FRONTIER)
-                        .unwrap_or(VertexSetRepr::Boolmap);
-                    Some(input.to_repr(repr))
-                };
-                self.pull_kernel(state, bwd, membership.as_ref(), &plan, "pull")
-            }
+            Direction::Pull => self.pull_kernel(state, &op, &plan, "pull"),
         };
-
-        for (q, v, p) in out.priority_updates {
-            state.queues[q].push(v, p);
-        }
-        if plan.requires_output {
-            let mut set = VertexSet::from_members(state.graph.num_vertices(), out.enqueued);
-            if plan.dedup {
-                set.dedup();
-            }
-            if !matches!(plan.frontier_creation, FrontierCreation::Fused) {
+        let set = state.finish_edge_op(&op, [out]);
+        if !matches!(plan.frontier_creation, FrontierCreation::Fused) {
+            if let Some(set) = &set {
                 self.compaction_kernel(state.graph.num_vertices(), set.len());
             }
-            if set.repr() != plan.out_repr {
-                set = set.to_repr(plan.out_repr);
-            }
-            Ok(Some(set))
-        } else {
-            Ok(None)
         }
+        Ok(set)
     }
 
     fn vertex_iterator(
@@ -479,25 +375,9 @@ impl OperatorExecutor for GpuExecutor {
         set: Option<&str>,
         apply: &str,
     ) -> Result<(), ExecError> {
-        let udf = state
-            .udfs
-            .id_of(apply)
-            .ok_or_else(|| ExecError::new(format!("unknown UDF `{apply}`")))?;
-        let members = match set {
-            None => VertexSet::all(state.graph.num_vertices()).iter(),
-            Some(n) => state
-                .env
-                .set(n)
-                .ok_or_else(|| ExecError::new(format!("set `{n}` is not bound")))?
-                .iter(),
-        };
-        let ev = Evaluator {
-            udfs: &state.udfs,
-            props: &state.props,
-            globals: &state.globals,
-            graph: state.graph,
-            really_atomic: false,
-        };
+        let udf = state.udf_id(apply)?;
+        let members = state.members(set)?;
+        let ev = state.relaxed_evaluator();
         let output = RefCell::new(BufferedOutput::default());
         let fused = self.fused();
         let warps = members.chunks(32).enumerate().map(|(wi, chunk)| WarpTrace {
@@ -507,23 +387,13 @@ impl OperatorExecutor for GpuExecutor {
                 .map(|(li, &v)| {
                     let mut rec = LaneRecorder::default();
                     rec.raw(AccessKind::Load, arrays::FRONTIER_IN, (wi * 32 + li) as u32);
-                    let mut out = output.borrow_mut();
-                    ev.call(
-                        udf,
-                        &[Value::Int(v as i64)],
-                        EdgeCtx::default(),
-                        &mut *out,
-                        &mut rec,
-                    );
+                    ev.apply_vertex(udf, v, &mut *output.borrow_mut(), &mut rec);
                     rec.trace
                 })
                 .collect(),
         });
         self.sim.run_kernel("vertex_apply", warps, fused);
-        let out = output.into_inner();
-        for (q, v, p) in out.priority_updates {
-            state.queues[q].push(v, p);
-        }
+        state.push_priorities(output.into_inner().priority_updates);
         Ok(())
     }
 
@@ -563,6 +433,7 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
     use ugc_runtime::interp::run_main;
+    use ugc_runtime::value::Value;
     use ugc_sim_gpu::GpuConfig;
 
     const BFS: &str = r#"

@@ -10,7 +10,7 @@
 use ugc_graphir::ir::{Program, Stmt, StmtKind};
 use ugc_graphir::keys;
 use ugc_graphir::visit::{walk_stmts, walk_stmts_mut};
-use ugc_schedule::schedule_of;
+use ugc_schedule::schedule_as;
 
 use crate::schedule::GpuSchedule;
 
@@ -31,13 +31,9 @@ pub fn mark_fusion(prog: &mut Program) {
                     inner.kind,
                     StmtKind::EdgeSetIterator(_) | StmtKind::VertexSetIterator { .. }
                 ) {
-                    if let Some(sched) = schedule_of(inner) {
-                        if let Some(simple) = sched.as_simple() {
-                            if let Some(g) = simple.as_any().downcast_ref::<GpuSchedule>() {
-                                wants_fusion |= g.kernel_fusion();
-                                wants_async |= g.async_execution();
-                            }
-                        }
+                    if let Some(g) = schedule_as::<GpuSchedule>(inner) {
+                        wants_fusion |= g.kernel_fusion();
+                        wants_async |= g.async_execution();
                     }
                 }
                 match &inner.kind {

@@ -5,16 +5,14 @@ use std::collections::HashSet;
 
 use ugc_graph::Csr;
 use ugc_graphir::ir::{EdgeSetIteratorData, Stmt};
-use ugc_graphir::keys;
-use ugc_graphir::types::{Direction, VertexSetRepr};
+use ugc_graphir::types::Direction;
 use ugc_runtime::bytecode::Instr;
-use ugc_runtime::eval::{BufferedOutput, EdgeCtx, Evaluator, MemoryModel, NullOutput};
+use ugc_runtime::eval::{BufferedOutput, MemoryModel};
 use ugc_runtime::interp::{ExecError, OperatorExecutor, ProgramState};
 use ugc_runtime::properties::PropId;
-use ugc_runtime::value::Value;
 use ugc_runtime::vertexset::VertexSet;
-use ugc_runtime::UdfId;
-use ugc_schedule::schedule_of;
+use ugc_runtime::EdgeOp;
+use ugc_schedule::schedule_as;
 use ugc_sim_hb::{CoreTrace, HbAccess, HbSim};
 
 use crate::schedule::{HbLoadBalance, HbSchedule};
@@ -102,86 +100,29 @@ impl HbExecutor {
     }
 }
 
+/// The HammerBlade schedule of one edge operator plus what the blocked
+/// access method needs from its UDF.
 struct HbPlan {
-    udf: UdfId,
-    takes_weight: bool,
-    src_filter: Option<UdfId>,
-    dst_filter: Option<UdfId>,
-    requires_output: bool,
-    dedup: bool,
     sched: HbSchedule,
     /// Properties indexed by the UDF's first parameter — the candidates
     /// for scratchpad prefetch under the blocked access method.
     owned_props: HashSet<PropId>,
 }
 
-fn plan(
-    state: &ProgramState<'_>,
-    stmt: &Stmt,
-    data: &EdgeSetIteratorData,
-) -> Result<HbPlan, ExecError> {
-    let udf = state
-        .udfs
-        .id_of(&data.apply)
-        .ok_or_else(|| ExecError::new(format!("unknown UDF `{}`", data.apply)))?;
-    let lookup = |name: &Option<String>| -> Result<Option<UdfId>, ExecError> {
-        match name {
-            None => Ok(None),
-            Some(n) => state
-                .udfs
-                .id_of(n)
-                .map(Some)
-                .ok_or_else(|| ExecError::new(format!("unknown filter `{n}`"))),
-        }
-    };
-    let sched = schedule_of(stmt)
-        .and_then(|r| r.as_simple().cloned())
-        .and_then(|s| s.as_any().downcast_ref::<HbSchedule>().cloned())
-        .unwrap_or_default();
+fn plan(state: &ProgramState<'_>, stmt: &Stmt, op: &EdgeOp<'_>) -> HbPlan {
     // Scan the UDF bytecode for loads indexed by parameter 0 (the owned
     // vertex) — those are safe to prefetch per work block.
     let mut owned_props = HashSet::new();
-    for i in &state.udfs.get(udf).instrs {
+    for i in &state.udfs.get(op.udf).instrs {
         if let Instr::LoadProp { prop, idx, .. } = i {
             if *idx == 0 {
                 owned_props.insert(*prop);
             }
         }
     }
-    Ok(HbPlan {
-        udf,
-        takes_weight: state.udfs.get(udf).num_params == 3,
-        src_filter: lookup(&data.src_filter)?,
-        dst_filter: lookup(&data.dst_filter)?,
-        requires_output: data.output.is_some(),
-        dedup: stmt.meta.flag(keys::APPLY_DEDUPLICATION),
-        sched,
+    HbPlan {
+        sched: schedule_as::<HbSchedule>(stmt).unwrap_or_default(),
         owned_props,
-    })
-}
-
-fn evaluator<'a>(state: &'a ProgramState<'_>) -> Evaluator<'a> {
-    Evaluator {
-        udfs: &state.udfs,
-        props: &state.props,
-        globals: &state.globals,
-        graph: state.graph,
-        really_atomic: false,
-    }
-}
-
-fn passes_filter(ev: &Evaluator<'_>, f: Option<UdfId>, v: u32, rec: &mut HbRecorder<'_>) -> bool {
-    match f {
-        None => true,
-        Some(id) => ev
-            .call(
-                id,
-                &[Value::Int(v as i64)],
-                EdgeCtx::default(),
-                &mut NullOutput,
-                rec,
-            )
-            .is_none_or(|r| r.as_bool()),
     }
 }
 
@@ -274,17 +215,20 @@ fn partition(
 }
 
 impl HbExecutor {
-    #[allow(clippy::too_many_arguments)]
+    /// Runs one traversal phase over `members`: the frontier under push,
+    /// every destination under pull.
     fn traversal_phase(
         &mut self,
         state: &ProgramState<'_>,
-        csr: &Csr,
+        op: &EdgeOp<'_>,
         members: &[u32],
         plan: &HbPlan,
-        pull_membership: Option<&VertexSet>,
         name: &str,
     ) -> BufferedOutput {
-        let ev = evaluator(state);
+        let ev = state.relaxed_evaluator();
+        let pull = op.direction == Direction::Pull;
+        let csr = if pull { op.bwd } else { op.fwd };
+        let pull_membership = op.pull_membership.as_ref();
         let num_cores = self.sim.cfg.num_cores();
         let assignment = partition(
             csr,
@@ -335,7 +279,7 @@ impl HbExecutor {
                         write: false,
                     });
                     rec.trace.computes += 6;
-                    if !passes_filter(&ev, plan.src_filter, v, &mut rec) {
+                    if !pull && !ev.passes(op.src_filter, v, &mut rec) {
                         continue;
                     }
                     let deg = csr.degree(v);
@@ -348,7 +292,7 @@ impl HbExecutor {
                             count: deg as u32,
                             write: false,
                         });
-                        if plan.takes_weight {
+                        if op.takes_weight {
                             rec.raw(HbAccess::Bulk {
                                 prop: arrays::GRAPH_WEIGHTS,
                                 start: lo_e as u32,
@@ -359,11 +303,7 @@ impl HbExecutor {
                     }
                     let weights = csr.neighbor_weights(v);
                     for (k, &other) in csr.neighbors(v).iter().enumerate() {
-                        let (src, dst) = if pull_membership.is_some() {
-                            (other, v)
-                        } else {
-                            (v, other)
-                        };
+                        let (src, dst) = if pull { (other, v) } else { (v, other) };
                         if let Some(m) = pull_membership {
                             rec.raw(HbAccess::Demand {
                                 prop: arrays::FRONTIER_MAP,
@@ -374,21 +314,14 @@ impl HbExecutor {
                                 continue;
                             }
                         }
-                        if !passes_filter(&ev, plan.dst_filter, dst, &mut rec) {
+                        if pull && !ev.passes(op.src_filter, src, &mut rec) {
+                            continue;
+                        }
+                        if !ev.passes(op.dst_filter, dst, &mut rec) {
                             continue;
                         }
                         let w = weights.map_or(1, |ws| ws[k]) as i64;
-                        let mut args = vec![Value::Int(src as i64), Value::Int(dst as i64)];
-                        if plan.takes_weight {
-                            args.push(Value::Int(w));
-                        }
-                        ev.call(
-                            plan.udf,
-                            &args,
-                            EdgeCtx { weight: w },
-                            &mut merged,
-                            &mut rec,
-                        );
+                        ev.apply_edge(op, src, dst, w, &mut merged, &mut rec);
                     }
                 }
             }
@@ -407,93 +340,37 @@ impl OperatorExecutor for HbExecutor {
         stmt: &Stmt,
         data: &EdgeSetIteratorData,
     ) -> Result<Option<VertexSet>, ExecError> {
-        let plan = plan(state, stmt, data)?;
-        let direction = stmt
-            .meta
-            .get_direction(keys::DIRECTION)
-            .unwrap_or(Direction::Push);
-        let input = state.input_set(&data.input)?;
-        let fwd: &Csr = if data.transposed {
-            state.graph.in_csr()
-        } else {
-            state.graph.out_csr()
-        };
-        let bwd: &Csr = if data.transposed {
-            state.graph.out_csr()
-        } else {
-            state.graph.in_csr()
-        };
-        let out = match direction {
+        let op = EdgeOp::resolve(state, stmt, data)?;
+        let plan = plan(state, stmt, &op);
+        let out = match op.direction {
             Direction::Push => {
                 // Arrival order: sparse frontiers are unsorted on the real
                 // machine — exactly what alignment-based partitioning fixes.
-                let members = input.members_in_order();
-                self.traversal_phase(state, fwd, &members, &plan, None, "push")
+                let members = state.input_set(&data.input)?.members_in_order();
+                self.traversal_phase(state, &op, &members, &plan, "push")
             }
             Direction::Pull => {
-                let repr = stmt
-                    .meta
-                    .get_repr(keys::PULL_INPUT_FRONTIER)
-                    .unwrap_or(VertexSetRepr::Boolmap);
-                let membership = if data.input.is_none() {
-                    None
-                } else {
-                    Some(input.to_repr(repr))
-                };
-                let all: Vec<u32> = (0..state.graph.num_vertices() as u32).collect();
-                self.traversal_phase(state, bwd, &all, &plan, membership.as_ref(), "pull")
+                let all = state.members(None)?;
+                self.traversal_phase(state, &op, &all, &plan, "pull")
             }
         };
-        for (q, v, p) in out.priority_updates {
-            state.queues[q].push(v, p);
-        }
-        if plan.requires_output {
-            let mut set = VertexSet::from_members(state.graph.num_vertices(), out.enqueued);
-            if plan.dedup {
-                set.dedup();
-            }
-            let repr = stmt
-                .meta
-                .get_repr(keys::OUTPUT_REPRESENTATION)
-                .unwrap_or(VertexSetRepr::Sparse);
-            if set.repr() != repr {
-                set = set.to_repr(repr);
-            }
-            Ok(Some(set))
-        } else {
-            Ok(None)
-        }
+        Ok(state.finish_edge_op(&op, [out]))
     }
 
     fn vertex_iterator(
         &mut self,
         state: &mut ProgramState<'_>,
-        stmt: &Stmt,
+        _stmt: &Stmt,
         set: Option<&str>,
         apply: &str,
     ) -> Result<(), ExecError> {
-        let udf = state
-            .udfs
-            .id_of(apply)
-            .ok_or_else(|| ExecError::new(format!("unknown UDF `{apply}`")))?;
-        let members = match set {
-            None => VertexSet::all(state.graph.num_vertices()).iter(),
-            Some(n) => state
-                .env
-                .set(n)
-                .ok_or_else(|| ExecError::new(format!("set `{n}` is not bound")))?
-                .iter(),
-        };
-        let sched = schedule_of(stmt)
-            .and_then(|r| r.as_simple().cloned())
-            .and_then(|s| s.as_any().downcast_ref::<HbSchedule>().cloned())
-            .unwrap_or_default();
-        let ev = evaluator(state);
+        let udf = state.udf_id(apply)?;
+        let members = state.members(set)?;
+        let ev = state.relaxed_evaluator();
         let num_cores = self.sim.cfg.num_cores();
         let chunk = members.len().div_ceil(num_cores).max(1);
         let mut merged = BufferedOutput::default();
         let mut traces = Vec::with_capacity(num_cores);
-        let _ = sched;
         for block in members.chunks(chunk) {
             let mut rec = HbRecorder {
                 trace: CoreTrace::default(),
@@ -505,20 +382,12 @@ impl OperatorExecutor for HbExecutor {
                     idx: v,
                     write: false,
                 });
-                ev.call(
-                    udf,
-                    &[Value::Int(v as i64)],
-                    EdgeCtx::default(),
-                    &mut merged,
-                    &mut rec,
-                );
+                ev.apply_vertex(udf, v, &mut merged, &mut rec);
             }
             traces.push(rec.trace);
         }
         self.sim.run_phase("vertex_apply", traces);
-        for (q, v, p) in merged.priority_updates {
-            state.queues[q].push(v, p);
-        }
+        state.push_priorities(merged.priority_updates);
         Ok(())
     }
 }

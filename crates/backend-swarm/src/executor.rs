@@ -4,18 +4,16 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use ugc_graph::Csr;
 use ugc_graphir::ir::{EdgeSetIteratorData, Expr, ExprKind, Stmt, StmtKind};
 use ugc_graphir::keys;
-use ugc_graphir::types::{Direction, Intrinsic, VertexSetRepr};
-use ugc_runtime::eval::{BufferedOutput, EdgeCtx, Evaluator, MemoryModel, NullOutput};
+use ugc_graphir::types::{Direction, Intrinsic};
+use ugc_runtime::eval::{BufferedOutput, Evaluator, MemoryModel};
 use ugc_runtime::host::HostValue;
 use ugc_runtime::interp::{ExecError, OperatorExecutor, ProgramState};
 use ugc_runtime::properties::PropId;
-use ugc_runtime::value::Value;
 use ugc_runtime::vertexset::VertexSet;
-use ugc_runtime::UdfId;
-use ugc_schedule::schedule_of;
+use ugc_runtime::EdgeOp;
+use ugc_schedule::schedule_as;
 use ugc_sim_swarm::{SwarmSim, TaskSpec};
 
 use crate::schedule::{Frontiers, SwarmSchedule, TaskGranularity};
@@ -120,42 +118,26 @@ impl SwarmExecutor {
     }
 }
 
+/// The Swarm schedule of one edge operator plus its spatial-hint target.
 struct OpPlan {
-    udf: UdfId,
-    takes_weight: bool,
-    src_filter: Option<UdfId>,
-    dst_filter: Option<UdfId>,
-    requires_output: bool,
-    dedup: bool,
     sched: SwarmSchedule,
     /// Property whose `[dst]` element is the spatial-hint target
     /// (the tracked property or the queue's priority property).
     hint_prop: Option<PropId>,
 }
 
-fn plan(
-    state: &ProgramState<'_>,
+/// Resolves the operator and its Swarm plan.
+fn plan<'g>(
+    state: &ProgramState<'g>,
     stmt: &Stmt,
     data: &EdgeSetIteratorData,
-) -> Result<OpPlan, ExecError> {
-    let udf = state
-        .udfs
-        .id_of(&data.apply)
-        .ok_or_else(|| ExecError::new(format!("unknown UDF `{}`", data.apply)))?;
-    let lookup = |name: &Option<String>| -> Result<Option<UdfId>, ExecError> {
-        match name {
-            None => Ok(None),
-            Some(n) => state
-                .udfs
-                .id_of(n)
-                .map(Some)
-                .ok_or_else(|| ExecError::new(format!("unknown filter `{n}`"))),
-        }
-    };
-    let sched = schedule_of(stmt)
-        .and_then(|r| r.as_simple().cloned())
-        .and_then(|s| s.as_any().downcast_ref::<SwarmSchedule>().cloned())
-        .unwrap_or_default();
+) -> Result<(EdgeOp<'g>, OpPlan), ExecError> {
+    let op = EdgeOp::resolve(state, stmt, data)?;
+    if op.direction == Direction::Pull {
+        return Err(ExecError::new(
+            "the Swarm GraphVM supports push traversal only (as in the paper)",
+        ));
+    }
     let hint_prop = data
         .tracked_prop
         .as_ref()
@@ -166,69 +148,31 @@ fn plan(
                 .and_then(|q| state.binding.queues.get(q).copied())
                 .map(|qid| state.udfs.queue_props[qid])
         });
-    Ok(OpPlan {
-        udf,
-        takes_weight: state.udfs.get(udf).num_params == 3,
-        src_filter: lookup(&data.src_filter)?,
-        dst_filter: lookup(&data.dst_filter)?,
-        requires_output: data.output.is_some(),
-        dedup: stmt.meta.flag(keys::APPLY_DEDUPLICATION),
-        sched,
-        hint_prop,
-    })
-}
-
-fn evaluator<'a>(state: &'a ProgramState<'_>) -> Evaluator<'a> {
-    Evaluator {
-        udfs: &state.udfs,
-        props: &state.props,
-        globals: &state.globals,
-        graph: state.graph,
-        really_atomic: false,
-    }
-}
-
-fn passes_filter(ev: &Evaluator<'_>, f: Option<UdfId>, v: u32, rec: &mut TaskRecorder) -> bool {
-    match f {
-        None => true,
-        Some(id) => ev
-            .call(
-                id,
-                &[Value::Int(v as i64)],
-                EdgeCtx::default(),
-                &mut NullOutput,
-                rec,
-            )
-            .is_none_or(|r| r.as_bool()),
-    }
+    let sched = schedule_as::<SwarmSchedule>(stmt).unwrap_or_default();
+    Ok((op, OpPlan { sched, hint_prop }))
 }
 
 /// Runs the apply UDF for the edges `edge_range` of `src`, recording into
 /// `rec` and collecting enqueues/priority updates into `out`.
-#[allow(clippy::too_many_arguments)]
 fn run_edges(
     ev: &Evaluator<'_>,
-    csr: &Csr,
+    op: &EdgeOp<'_>,
     src: u32,
     edge_range: std::ops::Range<usize>,
-    plan: &OpPlan,
     rec: &mut TaskRecorder,
     out: &mut BufferedOutput,
 ) {
+    let csr = op.fwd;
     let base = csr.edge_offset(src);
     let weights = csr.neighbor_weights(src);
     for k in edge_range {
         let dst = csr.targets()[k];
         rec.accesses += 1; // edge fetch
-        if !passes_filter(ev, plan.dst_filter, dst, rec) {
+        if !ev.passes(op.dst_filter, dst, rec) {
             continue;
         }
         let w = weights.map_or(1, |ws| ws[k - base]) as i64;
-        let mut args = vec![Value::Int(src as i64), Value::Int(dst as i64)];
-        if plan.takes_weight {
-            args.push(Value::Int(w));
-        }
-        ev.call(plan.udf, &args, EdgeCtx { weight: w }, out, rec);
+        ev.apply_edge(op, src, dst, w, out, rec);
     }
 }
 
@@ -238,12 +182,12 @@ impl SwarmExecutor {
     fn operator_batch(
         &mut self,
         state: &ProgramState<'_>,
-        csr: &Csr,
-        members: &[u32],
+        op: &EdgeOp<'_>,
+        mut members: Vec<u32>,
         plan: &OpPlan,
     ) -> BufferedOutput {
-        let ev = evaluator(state);
-        let mut members = members.to_vec();
+        let ev = state.relaxed_evaluator();
+        let csr = op.fwd;
         if plan.sched.shuffle_edges() {
             // Deterministic shuffle (splitmix-style indexing).
             let n = members.len();
@@ -260,7 +204,7 @@ impl SwarmExecutor {
         for &v in &members {
             let mut rec = TaskRecorder::default();
             rec.accesses += 2; // frontier slot + offsets
-            if !passes_filter(&ev, plan.src_filter, v, &mut rec) {
+            if !ev.passes(op.src_filter, v, &mut rec) {
                 let (reads, writes, duration) = rec.into_parts();
                 roots.push(tasks.len());
                 tasks.push(TaskSpec {
@@ -277,7 +221,7 @@ impl SwarmExecutor {
             let lo = csr.edge_offset(v);
             if !fine {
                 let mut out = BufferedOutput::default();
-                run_edges(&ev, csr, v, lo..lo + deg, plan, &mut rec, &mut out);
+                run_edges(&ev, op, v, lo..lo + deg, &mut rec, &mut out);
                 let enq = out.enqueued.len() as u64;
                 let (reads, writes, mut duration) = rec.into_parts();
                 duration += enq * BUFFERED_ENQUEUE_CYCLES;
@@ -309,7 +253,7 @@ impl SwarmExecutor {
                     let e = (s + GENERIC_FINE_CHUNK).min(deg);
                     let mut sub_rec = TaskRecorder::default();
                     let mut out = BufferedOutput::default();
-                    run_edges(&ev, csr, v, lo + s..lo + e, plan, &mut sub_rec, &mut out);
+                    run_edges(&ev, op, v, lo + s..lo + e, &mut sub_rec, &mut out);
                     let enq = out.enqueued.len() as u64;
                     let (reads, writes, mut duration) = sub_rec.into_parts();
                     duration += enq * BUFFERED_ENQUEUE_CYCLES;
@@ -351,18 +295,14 @@ impl SwarmExecutor {
         iter_stmt: &Stmt,
         data: &EdgeSetIteratorData,
     ) -> Result<(), ExecError> {
-        let plan = plan(state, iter_stmt, data)?;
-        let csr: &Csr = if data.transposed {
-            state.graph.in_csr()
-        } else {
-            state.graph.out_csr()
-        };
+        let (op, plan) = plan(state, iter_stmt, data)?;
+        let csr = op.fwd;
         let initial = state
             .env
             .set(frontier_var)
             .cloned()
             .ok_or_else(|| ExecError::new(format!("frontier `{frontier_var}` unbound")))?;
-        let ev = evaluator(state);
+        let ev = state.relaxed_evaluator();
         let fine = plan.sched.task_granularity() == TaskGranularity::FineGrained;
         let privatize = plan.sched.privatize();
 
@@ -386,12 +326,12 @@ impl SwarmExecutor {
             let spawned: Vec<u32>;
             // (reads, writes, duration, enqueued, first dst)
             let mut children_subtasks: Vec<SubtaskRecord> = Vec::new();
-            if passes_filter(&ev, plan.src_filter, v, &mut rec) {
+            if ev.passes(op.src_filter, v, &mut rec) {
                 let deg = csr.degree(v);
                 let lo = csr.edge_offset(v);
                 if !fine {
                     let mut out = BufferedOutput::default();
-                    run_edges(&ev, csr, v, lo..lo + deg, &plan, &mut rec, &mut out);
+                    run_edges(&ev, &op, v, lo..lo + deg, &mut rec, &mut out);
                     spawned = out.enqueued;
                 } else {
                     let mut all = Vec::new();
@@ -400,7 +340,7 @@ impl SwarmExecutor {
                         let e = (s + FINE_CHUNK).min(deg);
                         let mut sub_rec = TaskRecorder::default();
                         let mut out = BufferedOutput::default();
-                        run_edges(&ev, csr, v, lo + s..lo + e, &plan, &mut sub_rec, &mut out);
+                        run_edges(&ev, &op, v, lo + s..lo + e, &mut sub_rec, &mut out);
                         let (r, w, d) = sub_rec.into_parts();
                         all.extend(out.enqueued.iter().copied());
                         let first_dst = csr.targets()[lo + s];
@@ -500,13 +440,9 @@ impl SwarmExecutor {
         iter_stmt: &Stmt,
         data: &EdgeSetIteratorData,
     ) -> Result<(), ExecError> {
-        let plan = plan(state, iter_stmt, data)?;
+        let (op, plan) = plan(state, iter_stmt, data)?;
         let delta = ugc_schedule::SimpleSchedule::delta(&plan.sched).max(1) as u64;
-        let csr: &Csr = if data.transposed {
-            state.graph.in_csr()
-        } else {
-            state.graph.out_csr()
-        };
+        let csr = op.fwd;
         let prio_prop = state.udfs.queue_props[qid];
 
         let mut tasks: Vec<TaskSpec> = Vec::new();
@@ -526,7 +462,7 @@ impl SwarmExecutor {
         }
         let fine = plan.sched.task_granularity() == TaskGranularity::FineGrained;
         while let Some(Reverse((prio, id, v))) = heap.pop() {
-            let ev = evaluator(state);
+            let ev = state.relaxed_evaluator();
             let mut rec = TaskRecorder::default();
             // Every task reads its vertex's current priority.
             rec.load(prio_prop, v);
@@ -542,8 +478,8 @@ impl SwarmExecutor {
                 if fresh {
                     let deg = csr.degree(v);
                     let lo = csr.edge_offset(v);
-                    if passes_filter(&ev, plan.src_filter, v, &mut rec) {
-                        run_edges(&ev, csr, v, lo..lo + deg, &plan, &mut rec, &mut out);
+                    if ev.passes(op.src_filter, v, &mut rec) {
+                        run_edges(&ev, &op, v, lo..lo + deg, &mut rec, &mut out);
                     }
                 }
                 let (reads, writes, duration) = rec.into_parts();
@@ -565,7 +501,7 @@ impl SwarmExecutor {
                 // Fine-grained splitting (Fig. 5): the vertex task only
                 // scans its offsets; each edge relaxes in its own subtask
                 // hinted by the destination's priority element.
-                let src_ok = fresh && passes_filter(&ev, plan.src_filter, v, &mut rec);
+                let src_ok = fresh && ev.passes(op.src_filter, v, &mut rec);
                 let (reads, writes, _) = rec.into_parts();
                 tasks[id].duration = TASK_BASE_CYCLES
                     + MEM_CYCLES
@@ -580,7 +516,7 @@ impl SwarmExecutor {
                         let dst = csr.targets()[k];
                         let mut sub_rec = TaskRecorder::default();
                         let mut out = BufferedOutput::default();
-                        run_edges(&ev, csr, v, k..k + 1, &plan, &mut sub_rec, &mut out);
+                        run_edges(&ev, &op, v, k..k + 1, &mut sub_rec, &mut out);
                         let (r, w, d) = sub_rec.into_parts();
                         let sub_id = tasks.len();
                         tasks.push(TaskSpec {
@@ -679,43 +615,10 @@ impl OperatorExecutor for SwarmExecutor {
         stmt: &Stmt,
         data: &EdgeSetIteratorData,
     ) -> Result<Option<VertexSet>, ExecError> {
-        let plan_v = plan(state, stmt, data)?;
-        let direction = stmt
-            .meta
-            .get_direction(keys::DIRECTION)
-            .unwrap_or(Direction::Push);
-        if direction == Direction::Pull {
-            return Err(ExecError::new(
-                "the Swarm GraphVM supports push traversal only (as in the paper)",
-            ));
-        }
-        let input = state.input_set(&data.input)?;
-        let csr: &Csr = if data.transposed {
-            state.graph.in_csr()
-        } else {
-            state.graph.out_csr()
-        };
-        let members = input.iter();
-        let out = self.operator_batch(state, csr, &members, &plan_v);
-        for (q, v, p) in out.priority_updates {
-            state.queues[q].push(v, p);
-        }
-        if plan_v.requires_output {
-            let mut set = VertexSet::from_members(state.graph.num_vertices(), out.enqueued);
-            if plan_v.dedup {
-                set.dedup();
-            }
-            let repr = stmt
-                .meta
-                .get_repr(keys::OUTPUT_REPRESENTATION)
-                .unwrap_or(VertexSetRepr::Sparse);
-            if set.repr() != repr {
-                set = set.to_repr(repr);
-            }
-            Ok(Some(set))
-        } else {
-            Ok(None)
-        }
+        let (op, plan) = plan(state, stmt, data)?;
+        let members = state.input_set(&data.input)?.iter();
+        let out = self.operator_batch(state, &op, members, &plan);
+        Ok(state.finish_edge_op(&op, [out]))
     }
 
     fn vertex_iterator(
@@ -725,19 +628,9 @@ impl OperatorExecutor for SwarmExecutor {
         set: Option<&str>,
         apply: &str,
     ) -> Result<(), ExecError> {
-        let udf = state
-            .udfs
-            .id_of(apply)
-            .ok_or_else(|| ExecError::new(format!("unknown UDF `{apply}`")))?;
-        let members = match set {
-            None => VertexSet::all(state.graph.num_vertices()).iter(),
-            Some(n) => state
-                .env
-                .set(n)
-                .ok_or_else(|| ExecError::new(format!("set `{n}` is not bound")))?
-                .iter(),
-        };
-        let ev = evaluator(state);
+        let udf = state.udf_id(apply)?;
+        let members = state.members(set)?;
+        let ev = state.relaxed_evaluator();
         let mut tasks = Vec::with_capacity(members.len());
         let mut roots = Vec::with_capacity(members.len());
         let mut merged = BufferedOutput::default();
@@ -745,13 +638,7 @@ impl OperatorExecutor for SwarmExecutor {
             let mut rec = TaskRecorder::default();
             rec.accesses += 1;
             let mut out = BufferedOutput::default();
-            ev.call(
-                udf,
-                &[Value::Int(v as i64)],
-                EdgeCtx::default(),
-                &mut out,
-                &mut rec,
-            );
+            ev.apply_vertex(udf, v, &mut out, &mut rec);
             let (reads, writes, duration) = rec.into_parts();
             roots.push(tasks.len());
             tasks.push(TaskSpec {
@@ -765,9 +652,7 @@ impl OperatorExecutor for SwarmExecutor {
             merged.priority_updates.extend(out.priority_updates);
         }
         self.sim.simulate(&tasks, &roots, false);
-        for (q, v, p) in merged.priority_updates {
-            state.queues[q].push(v, p);
-        }
+        state.push_priorities(merged.priority_updates);
         Ok(())
     }
 
@@ -778,10 +663,7 @@ impl OperatorExecutor for SwarmExecutor {
         // Only convert when the schedule asks for it.
         if stmt.meta.flag("is_ordered_loop") {
             if let Some((it, data)) = ordered_pattern(body) {
-                let sched = schedule_of(it)
-                    .and_then(|r| r.as_simple().cloned())
-                    .and_then(|s| s.as_any().downcast_ref::<SwarmSchedule>().cloned())
-                    .unwrap_or_default();
+                let sched = schedule_as::<SwarmSchedule>(it).unwrap_or_default();
                 if sched.frontiers() == Frontiers::VertexsetToTasks {
                     let queue = it
                         .meta
@@ -801,10 +683,7 @@ impl OperatorExecutor for SwarmExecutor {
             return Ok(false);
         }
         if let Some((frontier, it, data)) = data_driven_pattern(cond, body) {
-            let sched = schedule_of(it)
-                .and_then(|r| r.as_simple().cloned())
-                .and_then(|s| s.as_any().downcast_ref::<SwarmSchedule>().cloned())
-                .unwrap_or_default();
+            let sched = schedule_as::<SwarmSchedule>(it).unwrap_or_default();
             if sched.frontiers() == Frontiers::VertexsetToTasks {
                 let frontier = frontier.to_string();
                 let it = it.clone();

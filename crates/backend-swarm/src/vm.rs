@@ -45,13 +45,7 @@ impl SwarmExecution<'_> {
     ///
     /// Panics if the property does not exist.
     pub fn property_ints(&self, name: &str) -> Vec<i64> {
-        let id = self.state.props.id_of(name).expect("property exists");
-        self.state
-            .props
-            .snapshot(id)
-            .into_iter()
-            .map(|v| v.as_int())
-            .collect()
+        self.state.property_ints(name)
     }
 
     /// Snapshot of a float property.
@@ -60,13 +54,7 @@ impl SwarmExecution<'_> {
     ///
     /// Panics if the property does not exist.
     pub fn property_floats(&self, name: &str) -> Vec<f64> {
-        let id = self.state.props.id_of(name).expect("property exists");
-        self.state
-            .props
-            .snapshot(id)
-            .into_iter()
-            .map(|v| v.as_float())
-            .collect()
+        self.state.property_floats(name)
     }
 }
 

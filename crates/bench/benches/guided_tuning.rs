@@ -19,10 +19,9 @@
 //! (the winner's per-run time): guided must match the blind winner while
 //! measuring several times fewer points.
 //!
-//! Output is one JSON line per run on stdout (consumed by
-//! `scripts/bench_snapshot.sh`); timing is the simulator's own cycle
-//! count (or wall clock on the CPU backend), not a harness loop — a
-//! tuning run *is* the measurement.
+//! Output is one JSON line per run on stdout; timing is the simulator's
+//! own cycle count (or wall clock on the CPU backend), not a harness loop —
+//! a tuning run *is* the measurement.
 
 use ugc::{Algorithm, Target};
 use ugc_bench::{autotune, autotune_warm, Strategy, TuneOutcome, Tuner};

@@ -558,81 +558,43 @@ impl Compiler {
         prog: Program,
         graph: &Graph,
     ) -> Result<RunResult, UgcError> {
-        let snapshot = |state: &ugc_runtime::interp::ProgramState<'_>| {
-            let mut ints = HashMap::new();
-            let mut floats = HashMap::new();
-            for (i, p) in state.prog.properties.iter().enumerate() {
-                let id = ugc_runtime::properties::PropId(i);
-                let vals = state.props.snapshot(id);
-                match p.ty {
-                    ugc_graphir::types::Type::Float => {
-                        floats.insert(p.name.clone(), vals.iter().map(|v| v.as_float()).collect());
-                    }
-                    _ => {
-                        ints.insert(p.name.clone(), vals.iter().map(|v| v.as_int()).collect());
-                    }
-                }
-            }
-            (ints, floats)
-        };
-        match target {
+        // Only the VM and the clock differ per target: wall time on the
+        // CPU, simulated time and cycles elsewhere.
+        let (state, time_ms, cycles) = match target {
             Target::Cpu => {
-                let vm = ugc_backend_cpu::CpuGraphVm::default();
-                let run = vm.execute(prog, graph, &self.externs)?;
-                let (ints, floats) = snapshot(&run.state);
-                Ok(RunResult {
-                    ints,
-                    floats,
-                    prints: run.state.prints.clone(),
-                    time_ms: run.elapsed.as_secs_f64() * 1e3,
-                    cycles: 0,
-                    attempts: 1,
-                    degraded_to: None,
-                })
+                let run =
+                    ugc_backend_cpu::CpuGraphVm::default().execute(prog, graph, &self.externs)?;
+                (run.state, run.elapsed.as_secs_f64() * 1e3, 0)
             }
             Target::Gpu => {
-                let vm = ugc_backend_gpu::GpuGraphVm::default();
-                let run = vm.execute(prog, graph, &self.externs)?;
-                let (ints, floats) = snapshot(&run.state);
-                Ok(RunResult {
-                    ints,
-                    floats,
-                    prints: run.state.prints.clone(),
-                    time_ms: run.time_ms,
-                    cycles: run.cycles,
-                    attempts: 1,
-                    degraded_to: None,
-                })
+                let run =
+                    ugc_backend_gpu::GpuGraphVm::default().execute(prog, graph, &self.externs)?;
+                (run.state, run.time_ms, run.cycles)
             }
             Target::Swarm => {
-                let vm = ugc_backend_swarm::SwarmGraphVm::default();
-                let run = vm.execute(prog, graph, &self.externs)?;
-                let (ints, floats) = snapshot(&run.state);
-                Ok(RunResult {
-                    ints,
-                    floats,
-                    prints: run.state.prints.clone(),
-                    time_ms: run.time_ms,
-                    cycles: run.cycles,
-                    attempts: 1,
-                    degraded_to: None,
-                })
+                let run = ugc_backend_swarm::SwarmGraphVm::default().execute(
+                    prog,
+                    graph,
+                    &self.externs,
+                )?;
+                (run.state, run.time_ms, run.cycles)
             }
             Target::HammerBlade => {
-                let vm = ugc_backend_hb::HbGraphVm::default();
-                let run = vm.execute(prog, graph, &self.externs)?;
-                let (ints, floats) = snapshot(&run.state);
-                Ok(RunResult {
-                    ints,
-                    floats,
-                    prints: run.state.prints.clone(),
-                    time_ms: run.time_ms,
-                    cycles: run.cycles,
-                    attempts: 1,
-                    degraded_to: None,
-                })
+                let run =
+                    ugc_backend_hb::HbGraphVm::default().execute(prog, graph, &self.externs)?;
+                (run.state, run.time_ms, run.cycles)
             }
-        }
+        };
+        let (ints, floats) = state.snapshot();
+        Ok(RunResult {
+            ints,
+            floats,
+            prints: state.prints,
+            time_ms,
+            cycles,
+            attempts: 1,
+            degraded_to: None,
+        })
     }
 
     /// Emits the target-flavored source text the paper's GraphVMs would

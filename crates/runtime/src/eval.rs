@@ -10,6 +10,7 @@ use ugc_graph::Graph;
 use ugc_graphir::types::ReduceOp;
 
 use crate::bytecode::{Instr, UdfId, UdfSet};
+use crate::operator::EdgeOp;
 use crate::properties::{GlobalTable, PropId, PropertyStorage};
 use crate::value::Value;
 
@@ -317,6 +318,48 @@ impl<'a> Evaluator<'a> {
         }
         mem.compute(compute_steps);
         udf.ret_reg.map(|r| regs[r as usize])
+    }
+
+    /// Runs the one-parameter UDF `udf` on vertex `v`.
+    #[inline]
+    pub fn apply_vertex(
+        &self,
+        udf: UdfId,
+        v: u32,
+        out: &mut dyn UdfOutput,
+        mem: &mut dyn MemoryModel,
+    ) -> Option<Value> {
+        self.call(udf, &[Value::Int(v as i64)], EdgeCtx::default(), out, mem)
+    }
+
+    /// Whether `v` passes `filter`; no filter, or one without a return
+    /// value, passes every vertex.
+    #[inline]
+    pub fn passes(&self, filter: Option<UdfId>, v: u32, mem: &mut dyn MemoryModel) -> bool {
+        filter.is_none_or(|id| {
+            self.apply_vertex(id, v, &mut NullOutput, mem)
+                .is_none_or(|r| r.as_bool())
+        })
+    }
+
+    /// Applies `op`'s UDF to the edge `src → dst` of weight `w`.
+    #[inline]
+    pub fn apply_edge(
+        &self,
+        op: &EdgeOp<'_>,
+        src: u32,
+        dst: u32,
+        w: i64,
+        out: &mut dyn UdfOutput,
+        mem: &mut dyn MemoryModel,
+    ) {
+        let args = [
+            Value::Int(src as i64),
+            Value::Int(dst as i64),
+            Value::Int(w),
+        ];
+        let arity = if op.takes_weight { 3 } else { 2 };
+        self.call(op.udf, &args[..arity], EdgeCtx { weight: w }, out, mem);
     }
 }
 

@@ -20,6 +20,7 @@ use ugc_resilience::ErrorClass;
 
 use crate::buckets::BucketQueue;
 use crate::bytecode::{binding_of, compile_udfs, Binding, UdfSet};
+use crate::eval::{EdgeCtx, NullMemory, NullOutput};
 use crate::frontier_list::FrontierList;
 use crate::host::{HostEnv, HostValue};
 use crate::properties::{GlobalTable, PropertyStorage};
@@ -152,37 +153,16 @@ pub fn sequential_vertex_filter(
     input: Option<&str>,
     filter: &str,
 ) -> Result<VertexSet, ExecError> {
-    let id = state
-        .udfs
-        .id_of(filter)
-        .ok_or_else(|| ExecError::new(format!("unknown filter function `{filter}`")))?;
-    let n = state.graph.num_vertices();
-    let candidates: Vec<u32> = match input {
-        Some(name) => state
-            .env
-            .set(name)
-            .ok_or_else(|| ExecError::new(format!("set `{name}` is not bound")))?
-            .members_in_order(),
-        None => (0..n as u32).collect(),
-    };
-    let ev = crate::eval::Evaluator::new(&state.udfs, &state.props, &state.globals, state.graph);
-    let mut members = Vec::new();
-    for v in candidates {
-        let keep = ev
-            .call(
-                id,
-                &[Value::Int(v as i64)],
-                crate::eval::EdgeCtx::default(),
-                &mut crate::eval::NullOutput,
-                &mut crate::eval::NullMemory,
-            )
-            .map(|r| r.as_bool())
-            .unwrap_or(false);
-        if keep {
-            members.push(v);
-        }
-    }
-    Ok(VertexSet::from_members(n, members))
+    let (id, candidates) = state.filter_candidates(input, filter)?;
+    let ev = state.evaluator();
+    let members = candidates
+        .into_iter()
+        .filter(|&v| {
+            ev.apply_vertex(id, v, &mut NullOutput, &mut NullMemory)
+                .is_some_and(|r| r.as_bool())
+        })
+        .collect();
+    Ok(VertexSet::from_members(state.graph.num_vertices(), members))
 }
 
 /// All mutable state of one program execution.
@@ -407,15 +387,14 @@ impl<'g> ProgramState<'g> {
                 for a in args {
                     vals.push(self.eval_host(a)?);
                 }
-                let ev =
-                    crate::eval::Evaluator::new(&self.udfs, &self.props, &self.globals, self.graph);
-                Ok(ev
+                Ok(self
+                    .evaluator()
                     .call(
                         id,
                         &vals,
-                        crate::eval::EdgeCtx::default(),
-                        &mut crate::eval::NullOutput,
-                        &mut crate::eval::NullMemory,
+                        EdgeCtx::default(),
+                        &mut NullOutput,
+                        &mut NullMemory,
                     )
                     .unwrap_or(Value::Int(0)))
             }
@@ -783,7 +762,7 @@ fn host_reduce(op: ReduceOp, cur: Value, v: Value) -> Value {
 mod tests {
     use super::*;
 
-    /// A trivially-sequential executor used to test the host walker.
+    /// A trivially-sequential push executor used to test the host walker.
     struct SerialExec;
 
     impl OperatorExecutor for SerialExec {
@@ -793,52 +772,18 @@ mod tests {
             stmt: &Stmt,
             data: &EdgeSetIteratorData,
         ) -> Result<Option<VertexSet>, ExecError> {
-            let input = state.input_set(&data.input)?;
-            let id = state
-                .udfs
-                .id_of(&data.apply)
-                .ok_or_else(|| ExecError::new("unknown UDF"))?;
+            let mut op = crate::EdgeOp::resolve(state, stmt, data)?;
+            op.dedup = true;
+            let ev = state.evaluator();
             let mut out = crate::eval::BufferedOutput::default();
-            for src in input.iter() {
-                for (k, &dst) in state.graph.out_neighbors(src).iter().enumerate() {
-                    let w = state
-                        .graph
-                        .out_csr()
-                        .neighbor_weights(src)
-                        .map_or(1, |ws| ws[k]) as i64;
-                    let ev = crate::eval::Evaluator::new(
-                        &state.udfs,
-                        &state.props,
-                        &state.globals,
-                        state.graph,
-                    );
-                    let mut args = vec![Value::Int(src as i64), Value::Int(dst as i64)];
-                    if state.udfs.get(id).num_params == 3 {
-                        args.push(Value::Int(w));
-                    }
-                    ev.call(
-                        id,
-                        &args,
-                        crate::eval::EdgeCtx { weight: w },
-                        &mut out,
-                        &mut crate::eval::NullMemory,
-                    );
+            for src in state.input_set(&data.input)?.iter() {
+                let weights = op.fwd.neighbor_weights(src);
+                for (k, &dst) in op.fwd.neighbors(src).iter().enumerate() {
+                    let w = weights.map_or(1, |ws| ws[k]) as i64;
+                    ev.apply_edge(&op, src, dst, w, &mut out, &mut NullMemory);
                 }
             }
-            for (q, v, p) in out.priority_updates {
-                state.queues[q].push(v, p);
-            }
-            let _ = stmt;
-            if data.output.is_some() {
-                let mut s = VertexSet::empty_sparse(state.graph.num_vertices());
-                for v in out.enqueued {
-                    s.add(v);
-                }
-                s.dedup();
-                Ok(Some(s))
-            } else {
-                Ok(None)
-            }
+            Ok(state.finish_edge_op(&op, [out]))
         }
 
         fn vertex_iterator(
@@ -848,32 +793,10 @@ mod tests {
             set: Option<&str>,
             apply: &str,
         ) -> Result<(), ExecError> {
-            let members = match set {
-                None => VertexSet::all(state.graph.num_vertices()).iter(),
-                Some(n) => state
-                    .env
-                    .set(n)
-                    .ok_or_else(|| ExecError::new("set unbound"))?
-                    .iter(),
-            };
-            let id = state
-                .udfs
-                .id_of(apply)
-                .ok_or_else(|| ExecError::new("unknown UDF"))?;
-            for v in members {
-                let ev = crate::eval::Evaluator::new(
-                    &state.udfs,
-                    &state.props,
-                    &state.globals,
-                    state.graph,
-                );
-                ev.call(
-                    id,
-                    &[Value::Int(v as i64)],
-                    crate::eval::EdgeCtx::default(),
-                    &mut crate::eval::NullOutput,
-                    &mut crate::eval::NullMemory,
-                );
+            let udf = state.udf_id(apply)?;
+            let ev = state.evaluator();
+            for v in state.members(set)? {
+                ev.apply_vertex(udf, v, &mut NullOutput, &mut NullMemory);
             }
             Ok(())
         }

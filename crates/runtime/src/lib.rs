@@ -23,7 +23,10 @@
 //!   backend, dispatching to a persistent std-only work-stealing worker
 //!   pool (`UGC_THREADS=1` forces deterministic serial execution),
 //! * [`host`] — host-side variable environment shared by backend
-//!   interpreters.
+//!   interpreters,
+//! * [`operator`] — the operator prologue and epilogue ([`EdgeOp`], output
+//!   frontier construction, property snapshots) that every GraphVM's
+//!   executor starts and ends with.
 
 pub mod buckets;
 pub mod bytecode;
@@ -31,6 +34,7 @@ pub mod eval;
 pub mod frontier_list;
 pub mod host;
 pub mod interp;
+pub mod operator;
 pub mod parallel;
 pub mod pool;
 pub mod properties;
@@ -42,6 +46,7 @@ pub use bytecode::{compile_udfs, UdfId, UdfProgram, UdfSet};
 pub use eval::{EdgeCtx, MemoryModel, NullMemory, UdfOutput};
 pub use frontier_list::FrontierList;
 pub use interp::{contain, ExecError};
+pub use operator::EdgeOp;
 pub use properties::{GlobalTable, PropId, PropertyStorage};
 pub use ugc_resilience::ErrorClass;
 pub use value::Value;

@@ -9,8 +9,9 @@
 //! [`SimpleSchedule`] interface of the paper's Table IV. The
 //! hardware-independent compiler only ever queries that interface — e.g.
 //! the atomics-insertion pass asks for [`SimpleSchedule::direction`] and
-//! [`SimpleSchedule::parallelization`] — while backends downcast via
-//! [`SimpleSchedule::as_any`] to reach their hardware-specific knobs.
+//! [`SimpleSchedule::parallelization`] — while backends read their own
+//! schedule type back with [`schedule_as`] to reach their hardware-specific
+//! knobs.
 //!
 //! Hybrid schedules that switch on a runtime value (Table V / Fig. 6a) are
 //! expressed with [`CompositeSchedule`], which pairs two schedules with a
@@ -394,6 +395,19 @@ pub fn schedule_of(stmt: &Stmt) -> Option<ScheduleRef> {
         .map(|arc| (*arc).clone())
 }
 
+/// Reads the schedule attached to a statement as the backend's own
+/// schedule type `S`. `None` when nothing is attached, the attachment is a
+/// composite, or it is another backend's type — callers fall back to
+/// `S::default()`.
+pub fn schedule_as<S: SimpleSchedule + Clone + 'static>(stmt: &Stmt) -> Option<S> {
+    stmt.meta
+        .get_any::<ScheduleRef>(keys::SCHEDULE)?
+        .as_simple()?
+        .as_any()
+        .downcast_ref::<S>()
+        .cloned()
+}
+
 /// Removes every attached schedule (used when re-scheduling a program).
 pub fn clear_schedules(prog: &mut Program) {
     walk_stmts_mut(&mut prog.main, &mut |s| {
@@ -406,7 +420,7 @@ mod tests {
     use super::*;
     use ugc_graphir::ir::{EdgeSetIteratorData, Expr};
 
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct PullSchedule;
     impl SimpleSchedule for PullSchedule {
         fn direction(&self) -> SchedDirection {
@@ -549,5 +563,21 @@ mod tests {
         let s = r.representative();
         assert!(s.as_any().downcast_ref::<PullSchedule>().is_some());
         assert!(s.as_any().downcast_ref::<DefaultSchedule>().is_none());
+    }
+
+    #[test]
+    fn schedule_as_reads_back_only_the_attached_simple_type() {
+        let mut p = program_with_loop();
+        assert!(schedule_as::<DefaultSchedule>(&p.main[0]).is_none());
+        apply_schedule(&mut p, "s0", ScheduleRef::simple(DefaultSchedule)).unwrap();
+        assert!(schedule_as::<DefaultSchedule>(&p.main[0]).is_some());
+        assert!(schedule_as::<PullSchedule>(&p.main[0]).is_none());
+        let comp = CompositeSchedule::new(
+            CompositeCriteria::InputSetSize { threshold: 0.15 },
+            ScheduleRef::simple(DefaultSchedule),
+            ScheduleRef::simple(DefaultSchedule),
+        );
+        apply_schedule(&mut p, "s0", ScheduleRef::composite(comp)).unwrap();
+        assert!(schedule_as::<DefaultSchedule>(&p.main[0]).is_none());
     }
 }

@@ -27,7 +27,7 @@
 //! ```
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,6 +59,10 @@ use ugc_resilience::breaker::BreakerConfig;
 /// `err protocol` and the connection is closed (the daemon cannot
 /// resynchronize a frame it refused to buffer).
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// How long a closing connection waits for the peer's end of stream after
+/// half-closing its own side (see [`close_gracefully`]).
+const CLOSE_LINGER: Duration = Duration::from_millis(250);
 
 /// A monotone counter that is readable locally (`stats` must work even
 /// with telemetry disabled) and mirrored into the [`ugc_telemetry`]
@@ -366,6 +370,13 @@ impl ListenerKind {
             ListenerKind::Unix(l) => l.accept().map(|(s, _)| StreamKind::Unix(s)),
         }
     }
+
+    fn set_nonblocking(&self) -> std::io::Result<()> {
+        match self {
+            ListenerKind::Tcp(l) => l.set_nonblocking(true),
+            ListenerKind::Unix(l) => l.set_nonblocking(true),
+        }
+    }
 }
 
 /// One accepted client connection (TCP or unix), unified for the handler.
@@ -388,6 +399,13 @@ impl StreamKind {
         match self {
             StreamKind::Tcp(s) => s.set_read_timeout(t),
             StreamKind::Unix(s) => s.set_read_timeout(t),
+        }
+    }
+
+    fn shutdown_write(&self) -> std::io::Result<()> {
+        match self {
+            StreamKind::Tcp(s) => s.shutdown(Shutdown::Write),
+            StreamKind::Unix(s) => s.shutdown(Shutdown::Write),
         }
     }
 }
@@ -703,25 +721,36 @@ fn background_tuner(
     }
 }
 
+/// Accepts connections until shutdown, then drains the backlog: every
+/// connection the kernel had already queued still gets a handler (whose
+/// `gate.submit` answers `err draining`) instead of a reset when the
+/// listener drops.
 fn accept_loop(listener: &ListenerKind, shared: &Arc<Shared>) {
     loop {
         let stream = match listener.accept() {
             Ok(s) => s,
             Err(_) => {
+                // Once draining the listener is non-blocking, so an error
+                // here is the empty backlog.
                 if shared.shutting_down.load(Ordering::SeqCst) {
                     break;
                 }
                 continue;
             }
         };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
+        // Draining: from here on take only what is already queued. If the
+        // listener cannot be made non-blocking this connection is the last,
+        // or the next accept() would block forever.
+        let last =
+            shared.shutting_down.load(Ordering::SeqCst) && listener.set_nonblocking().is_err();
         let sh = shared.clone();
         let spawned = std::thread::Builder::new()
             .name("ugc-serve-conn".into())
             .spawn(move || handle_conn(stream, &sh));
         drop(spawned);
+        if last {
+            break;
+        }
     }
 }
 
@@ -767,9 +796,22 @@ fn read_line_bounded<R: BufRead>(r: &mut R) -> std::io::Result<LineRead> {
     }
 }
 
+/// Closes a connection so that nothing already written to it is lost:
+/// half-close the write side, read the peer out to end of stream (or
+/// [`CLOSE_LINGER`]), then drop. Closing with request bytes still unread
+/// makes the kernel answer with a reset, which can destroy a reply the
+/// client has not read yet.
+fn close_gracefully(writer: &StreamKind, reader: &mut impl Read) {
+    let _ = writer.shutdown_write();
+    let _ = writer.set_read_timeout(Some(CLOSE_LINGER));
+    let deadline = Instant::now() + CLOSE_LINGER;
+    let mut sink = [0u8; 4096];
+    while Instant::now() < deadline && matches!(reader.read(&mut sink), Ok(n) if n > 0) {}
+}
+
 /// One connection: read request lines, write one response line each.
-/// Returns (closing the connection) on `shutdown`, read errors/timeouts,
-/// oversize frames, or EOF.
+/// Closes the connection (gracefully, see [`close_gracefully`]) on
+/// `shutdown`, read errors/timeouts, oversize frames, or EOF.
 fn handle_conn(stream: StreamKind, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(shared.read_timeout);
     let Ok(read_half) = stream.try_clone() else {
@@ -777,8 +819,17 @@ fn handle_conn(stream: StreamKind, shared: &Arc<Shared>) {
     };
     let mut writer = stream;
     let mut reader = BufReader::new(read_half);
+    serve_requests(&mut writer, &mut reader, shared);
+    close_gracefully(&writer, &mut reader);
+}
+
+fn serve_requests(
+    writer: &mut StreamKind,
+    reader: &mut BufReader<StreamKind>,
+    shared: &Arc<Shared>,
+) {
     loop {
-        let raw = match read_line_bounded(&mut reader) {
+        let raw = match read_line_bounded(reader) {
             Ok(LineRead::Line(raw)) => raw,
             Ok(LineRead::Eof) => break,
             Ok(LineRead::TooLong) => {

@@ -38,6 +38,7 @@
 
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 
 pub use ugc_graph::prng::{Prng, SplitMix64};
 
@@ -317,36 +318,39 @@ fn payload_message(payload: &Box<dyn std::any::Any + Send>) -> String {
 /// harness probes shrink candidates (hundreds of expected panics).
 ///
 /// The hook is global to the process, and `cargo test` runs tests on many
-/// threads, so the silencer keeps a refcount: the hook is replaced when the
-/// first silencer engages and restored when the last disengages. Panics
-/// from non-harness threads during that window still abort their test via
-/// `catch_unwind`-less propagation; only the *printing* is suppressed.
+/// threads, so the silencer keeps a count of engaged silencers: a wrapping
+/// hook is installed once, and prints through the previous hook only while
+/// the count is zero. Panics from non-harness threads during that window
+/// still abort their test via `catch_unwind`-less propagation; only the
+/// *printing* is suppressed.
+///
+/// The count is an atomic and the hook is installed under a `Once`, never
+/// under a lock the hook itself takes: the panic machinery holds the hook
+/// lock while it runs the hook, so a hook that waits on a mutex whose
+/// holder is inside `take_hook` deadlocks two concurrently failing tests.
 struct PanicHookSilencer;
 
-static SILENCE: std::sync::Mutex<u32> = std::sync::Mutex::new(0);
+static SILENCED: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
 
 impl PanicHookSilencer {
     fn engage() -> Self {
-        let mut n = SILENCE.lock().unwrap();
-        if *n == 0 {
+        static INSTALL: std::sync::Once = std::sync::Once::new();
+        INSTALL.call_once(|| {
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
-                if *SILENCE.lock().unwrap() == 0 {
+                if SILENCED.load(Ordering::SeqCst) == 0 {
                     prev(info);
                 }
             }));
-        }
-        *n += 1;
+        });
+        SILENCED.fetch_add(1, Ordering::SeqCst);
         PanicHookSilencer
     }
 }
 
 impl Drop for PanicHookSilencer {
     fn drop(&mut self) {
-        let mut n = SILENCE.lock().unwrap();
-        *n -= 1;
-        // The replacement hook stays installed; with the count at zero it
-        // delegates to the previous hook, so behavior is transparent.
+        SILENCED.fetch_sub(1, Ordering::SeqCst);
     }
 }
 

@@ -306,14 +306,44 @@ printf '%s\n' "$chaos_serve_out" | grep -q "drain complete" || {
   exit 1
 }
 
-echo "== bench snapshot smoke (tiny, output under target/)"
-# Exercise the snapshot pipeline end to end without touching the tracked
-# BENCH_<n>.json: one sample per bench, output redirected to target/.
-UGC_BENCH_OUT="target/ci-bench-smoke.json" UGC_BENCH_SAMPLES=1 UGC_BENCH_WARMUP=0 \
-  scripts/bench_snapshot.sh
-grep -q '"group"' target/ci-bench-smoke.json || {
-  echo "bench snapshot smoke: no bench entries in output" >&2
+echo "== drain race x100 (an admitted query is always answered)"
+# tests/serve.rs::shutdown_racing_a_query_burst_never_drops_an_admitted_query
+# classifies every client of a burst that races shutdown and asserts
+# admitted => answered. It used to fail about 1 run in 6 (connections
+# reset at close), so one green run proves nothing: loop it.
+for i in $(seq 1 100); do
+  cargo test -q --offline -p ugc-integration --test serve -- --exact \
+    shutdown_racing_a_query_burst_never_drops_an_admitted_query > target/ci-drain-race.txt 2>&1 || {
+    echo "drain race: run $i of 100 failed" >&2
+    cat target/ci-drain-race.txt >&2
+    exit 1
+  }
+done
+
+echo "== benchmark smoke (every metric emitted, every answer right, manifest in sync)"
+# The repo's perf surface is benchmark/ (BENCHMARK.json, benchmark/README.md).
+# --smoke runs every workload at tiny scale in under 15 s. The package is
+# its own workspace; run.sh already builds into this target/, and the tests
+# are pointed at it too so both share the compiled crates.
+#
+# One known harness artefact is retried, nothing else: at smoke scale the
+# `midend.lower_us` probe is the difference of two ~50 us means, and noise
+# zeroes it about one run in five ("probe midend.lower_us reported
+# nothing"). A wrong answer or a missing metric is deterministic and fails
+# on the first attempt.
+smoke_ok=0
+for _ in 1 2 3; do
+  if bash benchmark/run.sh --smoke > target/ci-benchmark-smoke.txt 2> target/ci-benchmark-smoke.err; then
+    smoke_ok=1
+    break
+  fi
+  grep -q "probe .* reported nothing" target/ci-benchmark-smoke.err || break
+done
+if [ "$smoke_ok" -ne 1 ]; then
+  echo "benchmark smoke failed" >&2
+  cat target/ci-benchmark-smoke.err >&2
   exit 1
-}
+fi
+CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "tier-1 gate: OK"

@@ -411,3 +411,105 @@ fn bfs_depth_canonicalization_helpers() {
     // CC labels renamed consistently.
     assert_eq!(canonical_labels(&[7, 7, 3, 3]), vec![0, 0, 2, 2]);
 }
+
+/// `edges.from(filterFunc)` names the *source* endpoint in either
+/// direction. In-flow from every third vertex, on a directed graph so a
+/// backend that filters (or walks) the wrong endpoint under pull computes a
+/// different sum: CPU, GPU and HammerBlade against the sequential answer,
+/// with every vertex as input and with an explicit input frontier (which
+/// adds the pull membership check).
+#[test]
+fn pull_applies_the_source_filter_to_the_source() {
+    use ugc_backend_cpu::CpuSchedule;
+    use ugc_backend_gpu::GpuSchedule;
+    use ugc_backend_hb::HbSchedule;
+    use ugc_schedule::{SchedDirection, ScheduleRef};
+
+    const INFLOW_HEAD: &str = r#"
+element Vertex end
+element Edge end
+const edges : edgeset{Edge}(Vertex,Vertex) = load("g");
+const vertices : vertexset{Vertex} = edges.getVertices();
+const kind : vector{Vertex}(int) = 0;
+const inflow : vector{Vertex}(int) = 0;
+func tag(v : Vertex)
+    kind[v] = v - (v / 3) * 3;
+end
+func isSource(v : Vertex) -> output : bool
+    output = (kind[v] == 0);
+end
+func addSource(src : Vertex, dst : Vertex)
+    inflow[dst] += src + 1;
+end
+"#;
+    const MAINS: [&str; 2] = [
+        r#"
+func main()
+    vertices.apply(tag);
+    #s1# edges.from(isSource).apply(addSource);
+end
+"#,
+        r#"
+func main()
+    vertices.apply(tag);
+    var everyone : vertexset{Vertex} = new vertexset{Vertex}(97);
+    #s1# edges.from(everyone).srcFilter(isSource).apply(addSource);
+end
+"#,
+    ];
+
+    // Hand-built and directed (every generator symmetrizes): two out-edges
+    // per vertex, so in- and out-neighbourhoods differ almost everywhere.
+    let n = 97u32;
+    let edges: Vec<(u32, u32)> = (0..n)
+        .flat_map(|v| [(v, (v * 7 + 3) % n), (v, (v * 5 + 1) % n)])
+        .filter(|(s, d)| s != d)
+        .collect();
+    let graph = Graph::from_edges(n as usize, &edges);
+    let mut expect = vec![0i64; graph.num_vertices()];
+    for src in (0..graph.num_vertices() as u32).filter(|s| s % 3 == 0) {
+        for &dst in graph.out_neighbors(src) {
+            expect[dst as usize] += src as i64 + 1;
+        }
+    }
+    assert!(expect.iter().any(|&x| x != 0), "degenerate test graph");
+
+    let pull = SchedDirection::Pull;
+    let cases = [
+        (
+            Target::Cpu,
+            ScheduleRef::simple(CpuSchedule::new().with_direction(pull)),
+        ),
+        (
+            Target::Gpu,
+            ScheduleRef::simple(GpuSchedule::new().with_direction(pull)),
+        ),
+        (
+            Target::HammerBlade,
+            ScheduleRef::simple(HbSchedule::new().with_direction(pull)),
+        ),
+    ];
+    for (main, (target, sched)) in MAINS
+        .iter()
+        .flat_map(|m| cases.iter().map(move |c| (m, c.clone())))
+    {
+        let mut compiler = Compiler::from_source(format!("{INFLOW_HEAD}{main}"));
+        compiler.schedule("s1", sched);
+        let emitted = compiler.compile().expect("compiles");
+        assert!(
+            ugc_graphir::printer::print_program(&emitted).contains("PULL"),
+            "{}: the schedule did not select a pull traversal",
+            target.name()
+        );
+        let run = compiler
+            .run(target, &graph)
+            .unwrap_or_else(|e| panic!("{}: {e}", target.name()));
+        assert_eq!(run.degraded_to, None, "{}", target.name());
+        assert_eq!(
+            run.property_ints("inflow"),
+            &expect[..],
+            "{}: pull in-flow diverges from the sequential answer",
+            target.name()
+        );
+    }
+}

@@ -76,40 +76,33 @@ fn cpu_schedule_matrix() {
     }
 }
 
-/// Runs one validated GPU cell and returns its simulated cycles.
+/// Runs one cell on a simulated GraphVM under `$sched`, validates its
+/// answer, and returns its simulated cycles. A macro because the three
+/// VMs' execution types share fields, not a trait.
+macro_rules! cell_cycles {
+    ($vm:ty, $algo:expr, $graph:expr, $sched:expr) => {{
+        let (algo, sched) = ($algo, $sched);
+        let prog = compile(algo, Some(ScheduleRef::simple(sched.clone())));
+        let run = <$vm>::default()
+            .execute(prog, $graph, &externs_for(algo, 0))
+            .unwrap_or_else(|e| panic!("{}/{sched:?}: {e}", algo.name()));
+        validate(algo, $graph, 0, &|p| run.property_ints(p), &|p| {
+            run.property_floats(p)
+        });
+        run.cycles
+    }};
+}
+
 fn gpu_cell(algo: Algorithm, graph: &ugc_graph::Graph, sched: GpuSchedule) -> u64 {
-    let prog = compile(algo, Some(ScheduleRef::simple(sched.clone())));
-    let run = GpuGraphVm::default()
-        .execute(prog, graph, &externs_for(algo, 0))
-        .unwrap_or_else(|e| panic!("{}/{sched:?}: {e}", algo.name()));
-    validate(algo, graph, 0, &|p| run.property_ints(p), &|p| {
-        run.property_floats(p)
-    });
-    run.cycles
+    cell_cycles!(GpuGraphVm, algo, graph, sched)
 }
 
-/// Runs one validated Swarm cell and returns its simulated cycles.
 fn swarm_cell(algo: Algorithm, graph: &ugc_graph::Graph, sched: SwarmSchedule) -> u64 {
-    let prog = compile(algo, Some(ScheduleRef::simple(sched.clone())));
-    let run = SwarmGraphVm::default()
-        .execute(prog, graph, &externs_for(algo, 0))
-        .unwrap_or_else(|e| panic!("{}/{sched:?}: {e}", algo.name()));
-    validate(algo, graph, 0, &|p| run.property_ints(p), &|p| {
-        run.property_floats(p)
-    });
-    run.cycles
+    cell_cycles!(SwarmGraphVm, algo, graph, sched)
 }
 
-/// Runs one validated HammerBlade cell and returns its simulated cycles.
 fn hb_cell(algo: Algorithm, graph: &ugc_graph::Graph, sched: HbSchedule) -> u64 {
-    let prog = compile(algo, Some(ScheduleRef::simple(sched.clone())));
-    let run = HbGraphVm::default()
-        .execute(prog, graph, &externs_for(algo, 0))
-        .unwrap_or_else(|e| panic!("{}/{sched:?}: {e}", algo.name()));
-    validate(algo, graph, 0, &|p| run.property_ints(p), &|p| {
-        run.property_floats(p)
-    });
-    run.cycles
+    cell_cycles!(HbGraphVm, algo, graph, sched)
 }
 
 const PULL_POINTS: [(SchedDirection, PullFrontierRepr); 4] = [

@@ -522,7 +522,10 @@ fn mixed_algorithm_soak_on_one_cached_graph() {
 /// classified error — and `shutdown` arriving at any point in the burst
 /// only changes *which* of those it gets. Regression for the drain
 /// redesign: the close/next_batch handoff is lock-serialized, so a batch
-/// grabbed concurrently with close is executed (or drained), not lost.
+/// grabbed concurrently with close is executed (or drained), not lost; and
+/// for the close path: connections queued at shutdown are still handed to
+/// a handler, and a handler half-closes and reads its peer out before
+/// closing, so no written reply is destroyed by a reset.
 #[test]
 fn shutdown_racing_a_query_burst_never_drops_an_admitted_query() {
     // Several rounds with different shutdown offsets to vary the
@@ -564,18 +567,27 @@ fn shutdown_racing_a_query_burst_never_drops_an_admitted_query() {
         std::thread::sleep(Duration::from_micros(delay_us));
         handle.shutdown();
 
+        // Every client is exactly one of: never accepted (it died at the
+        // transport layer and the server never parsed its query), refused
+        // with a typed line at the closed or full gate, or admitted — and
+        // an admitted query must have been answered.
+        let (mut never_accepted, mut refused, mut answered) = (0u64, 0u64, 0u64);
         for (c, t) in clients.into_iter().enumerate() {
             match t.join().expect("client thread") {
-                Ok(reply) => assert!(
-                    reply.starts_with("ok ") || reply.starts_with("err "),
-                    "round {round} client {c}: untyped reply: {reply}"
-                ),
-                // Connections the closed listener never accepted die at
-                // the transport layer; they were never admitted.
-                Err(e) => assert!(
-                    e.starts_with("connect:") || e.contains("closed without a reply"),
-                    "round {round} client {c}: unexpected failure: {e}"
-                ),
+                Ok(reply)
+                    if reply.starts_with("err busy")
+                        || reply.starts_with("err draining: server shutting down") =>
+                {
+                    refused += 1
+                }
+                Ok(reply) => {
+                    assert!(
+                        reply.starts_with("ok ") || reply.starts_with("err "),
+                        "round {round} client {c}: untyped reply: {reply}"
+                    );
+                    answered += 1;
+                }
+                Err(_) => never_accepted += 1,
             }
         }
 
@@ -598,6 +610,23 @@ fn shutdown_racing_a_query_burst_never_drops_an_admitted_query() {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
+        let counters = handle.counters();
+        assert_eq!(
+            answered,
+            counters.admitted.get(),
+            "round {round}: an admitted query lost its reply \
+             (refused {refused}, never accepted {never_accepted})"
+        );
+        assert_eq!(
+            refused,
+            counters.rejected.get(),
+            "round {round}: a typed refusal never reached its client"
+        );
+        assert_eq!(
+            never_accepted,
+            CLIENTS as u64 - counters.queries.get(),
+            "round {round}: a parsed query's client saw a transport failure"
+        );
         handle.join();
     }
 }
