@@ -420,8 +420,9 @@ fn client_send(addr: &str, line: &str) -> Result<String, String> {
         line: &str,
     ) -> Result<String, String> {
         use std::io::BufRead;
-        writeln!(s, "{line}").map_err(|e| e.to_string())?;
-        s.flush().map_err(|e| e.to_string())?;
+        // One buffer, one write: a second segment would wait on a delayed ACK.
+        s.write_all(format!("{line}\n").as_bytes())
+            .map_err(|e| e.to_string())?;
         let mut reply = String::new();
         std::io::BufReader::new(s)
             .read_line(&mut reply)
@@ -768,6 +769,14 @@ fn chaos_serve(scale: Scale) {
     });
     let addr = format!("unix:{}", sock.display());
     let mut failures = 0usize;
+
+    // 0. Start the shared pool: it spawns its workers on first parallel
+    // use, which no tiny traversal below triggers, and the worker count
+    // compared at the end must be the steady-state one.
+    if let Err(e) = client_send(&addr, "query pr PK scale=small") {
+        println!("warm-up query failed: {e}");
+        failures += 1;
+    }
 
     // 1. Healthy traffic under the fault schedule: injected batch aborts
     // must be retried/degraded into `ok` replies, never surfaced.

@@ -132,11 +132,13 @@ impl Executor {
             Admission::Allow | Admission::Probe => {}
         }
         // First query of a (dataset, scale, algorithm) triple: enqueue a
-        // background tuning job on the now-resident graph. A dead tuner
+        // background tuning job on the now-resident graph — unless the
+        // class is batchable: BFS/SSSP run the multi-source engine, which
+        // takes no schedule and could never read the winner. A dead tuner
         // (send error) is fine — the triple just stays untuned. The job
         // holds a plain Arc, not the pin: an evicted graph tunes on.
         let tune_key = (spec0.dataset, spec0.scale, spec0.algo);
-        if self.tuned.mark_pending(tune_key) {
+        if !spec0.batchable() && self.tuned.mark_pending(tune_key) {
             self.counters.tuned_pending.incr();
             let job = TuneJob {
                 dataset: spec0.dataset,

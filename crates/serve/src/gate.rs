@@ -18,6 +18,12 @@
 //! additionally respects the *tightest deadline* across the batch: a
 //! lane due in 3ms will not sit out a 5ms window waiting for joiners.
 //!
+//! The window must pay for itself: a worker waits it out only while the
+//! previous batchable batch left with company (and on a fresh gate).
+//! Whatever is already queued at pop always coalesces, so a loaded daemon
+//! keeps batching and re-arms the window, while a lone closed-loop client
+//! pays for one fruitless window, not one per query.
+//!
 //! # Close vs. in-flight `next_batch` (drain semantics)
 //!
 //! [`Gate::close`] and [`Gate::next_batch`] serialize on the gate mutex,
@@ -44,6 +50,7 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::protocol::QuerySpec;
+use crate::Stat;
 
 /// One admitted query waiting for (or riding) a traversal.
 pub struct Pending {
@@ -86,6 +93,9 @@ impl Rejected {
 struct GateState {
     queue: VecDeque<Pending>,
     open: bool,
+    /// Whether the last batchable batch had company: the next batchable
+    /// head waits out the window only while this holds.
+    lingering: bool,
 }
 
 /// The admission gate shared by connection handlers (producers) and
@@ -96,6 +106,10 @@ pub struct Gate {
     queue_cap: usize,
     batch_max: usize,
     batch_window: Duration,
+    /// Batchable pops that waited on the window.
+    pub(crate) lingers: Stat,
+    /// Of those, the ones a query joined while they waited.
+    pub(crate) linger_joined: Stat,
 }
 
 impl Gate {
@@ -106,11 +120,14 @@ impl Gate {
             state: Mutex::new(GateState {
                 queue: VecDeque::new(),
                 open: true,
+                lingering: true,
             }),
             ready: Condvar::new(),
             queue_cap,
             batch_max,
             batch_window,
+            lingers: Stat::new("serve.gate.lingers"),
+            linger_joined: Stat::new("serve.gate.linger_joined"),
         }
     }
 
@@ -181,6 +198,9 @@ impl Gate {
         let mut batch = vec![head];
         if batch[0].spec.batchable() && self.batch_max > 1 {
             let window_end = Instant::now() + self.batch_window;
+            let linger = st.lingering;
+            // Batch size when the wait began, once this pop has waited.
+            let mut waited_from = None;
             loop {
                 let mut i = 0;
                 while i < st.queue.len() && batch.len() < self.batch_max {
@@ -190,7 +210,7 @@ impl Gate {
                         i += 1;
                     }
                 }
-                if batch.len() >= self.batch_max || !st.open {
+                if batch.len() >= self.batch_max || !st.open || !linger {
                     break;
                 }
                 // The linger ends at the window — or earlier, at the
@@ -206,16 +226,22 @@ impl Gate {
                 if now >= deadline {
                     break;
                 }
-                let (guard, timed_out) = self
+                if waited_from.is_none() {
+                    waited_from = Some(batch.len());
+                    self.lingers.incr();
+                }
+                // A timeout takes one final coalescing pass at the top of
+                // the loop; the deadline check then exits.
+                st = self
                     .ready
                     .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = guard;
-                if timed_out.timed_out() {
-                    // One final drain pass happens at the top of the loop;
-                    // the deadline check then exits.
-                }
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
             }
+            if waited_from.is_some_and(|n| batch.len() > n) {
+                self.linger_joined.incr();
+            }
+            st.lingering = batch.len() > 1;
         }
         Some(batch)
     }
@@ -291,6 +317,45 @@ mod tests {
         let batch = gate.next_batch().unwrap();
         joiner.join().unwrap();
         assert_eq!(batch.len(), 2, "late joiner rode the window");
+    }
+
+    #[test]
+    fn the_window_is_waited_only_while_it_pays() {
+        let gate = Arc::new(Gate::new(16, 8, Duration::from_millis(200)));
+        let counts = |g: &Gate| (g.lingers.get(), g.linger_joined.get());
+
+        // A fresh gate lingers; nobody joins, so the window stops paying.
+        gate.submit(pending(Algorithm::Bfs, 0)).ok().unwrap();
+        assert_eq!(gate.next_batch().unwrap().len(), 1);
+        assert_eq!(counts(&gate), (1, 0));
+
+        // The next lone query is handed over at once.
+        gate.submit(pending(Algorithm::Bfs, 1)).ok().unwrap();
+        let start = Instant::now();
+        assert_eq!(gate.next_batch().unwrap().len(), 1);
+        assert!(
+            start.elapsed() < Duration::from_millis(50),
+            "a lone query sat out a window that had stopped paying: {:?}",
+            start.elapsed()
+        );
+        assert_eq!(counts(&gate), (1, 0));
+
+        // Queued mates coalesce at pop without a wait, and re-arm the window.
+        gate.submit(pending(Algorithm::Bfs, 2)).ok().unwrap();
+        gate.submit(pending(Algorithm::Bfs, 3)).ok().unwrap();
+        assert_eq!(gate.next_batch().unwrap().len(), 2);
+        assert_eq!(counts(&gate), (1, 0));
+
+        let g = gate.clone();
+        let joiner = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            g.submit(pending(Algorithm::Bfs, 5)).ok().unwrap();
+        });
+        gate.submit(pending(Algorithm::Bfs, 4)).ok().unwrap();
+        let batch = gate.next_batch().unwrap();
+        joiner.join().unwrap();
+        assert_eq!(batch.len(), 2, "the re-armed window caught a late joiner");
+        assert_eq!(counts(&gate), (2, 1));
     }
 
     #[test]

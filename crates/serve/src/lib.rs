@@ -210,7 +210,8 @@ pub struct ServeConfig {
     /// Maximum queries coalesced into one traversal.
     pub batch_max: usize,
     /// How long a worker lingers collecting batch-mates for a batchable
-    /// head query.
+    /// head query (waited only while the previous batchable batch had
+    /// company; see [`gate`]).
     pub batch_window: Duration,
     /// Per-request supervisor policy (watchdog budgets, retries,
     /// fallback chain).
@@ -366,7 +367,12 @@ enum ListenerKind {
 impl ListenerKind {
     fn accept(&self) -> std::io::Result<StreamKind> {
         match self {
-            ListenerKind::Tcp(l) => l.accept().map(|(s, _)| StreamKind::Tcp(s)),
+            // Replies are single small writes: sending them at once costs
+            // nothing and never waits on the client's delayed ACK.
+            ListenerKind::Tcp(l) => l.accept().map(|(s, _)| {
+                let _ = s.set_nodelay(true);
+                StreamKind::Tcp(s)
+            }),
             ListenerKind::Unix(l) => l.accept().map(|(s, _)| StreamKind::Unix(s)),
         }
     }
@@ -467,7 +473,7 @@ impl Shared {
              cache_evictions={} cache_resident_bytes={} cache_cap_bytes={} \
              resident_graphs={} circuit_closed={circuit_closed} \
              circuit_half_open={circuit_half_open} circuit_open={circuit_open} \
-             pool_workers={} tuned_hits={} tuned_pending={}",
+             pool_workers={} tuned_hits={} tuned_pending={} lingers={} linger_joined={}",
             self.started.elapsed().as_millis(),
             c.queries.get(),
             c.ok.get(),
@@ -492,6 +498,8 @@ impl Shared {
             pool.workers_spawned,
             c.tuned_hits.get(),
             c.tuned_pending.get(),
+            self.gate.lingers.get(),
+            self.gate.linger_joined.get(),
         )
     }
 
@@ -809,6 +817,14 @@ fn close_gracefully(writer: &StreamKind, reader: &mut impl Read) {
     while Instant::now() < deadline && matches!(reader.read(&mut sink), Ok(n) if n > 0) {}
 }
 
+/// Sends one reply as a single write: the line and its newline leave in
+/// one buffer, so no segment waits on the peer's delayed ACK.
+fn write_line(w: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
+}
+
 /// One connection: read request lines, write one response line each.
 /// Closes the connection (gracefully, see [`close_gracefully`]) on
 /// `shutdown`, read errors/timeouts, oversize frames, or EOF.
@@ -840,7 +856,7 @@ fn serve_requests(
                     "protocol",
                     &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 );
-                let _ = writeln!(writer, "{e}").and_then(|()| writer.flush());
+                let _ = write_line(writer, e);
                 break;
             }
             // Read errors and timeouts (stalled client) close quietly.
@@ -908,15 +924,41 @@ fn serve_requests(
                 }
             }
         };
-        if writeln!(writer, "{reply}")
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        if write_line(writer, reply).is_err() {
             break;
         }
         if close_after {
             shared.begin_shutdown();
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `write` call it is handed, taking all of it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_is_one_write_of_line_and_newline() {
+        let mut w = CountingWriter::default();
+        write_line(&mut w, "ok stats queries=0".to_string()).expect("write");
+        assert_eq!(w.writes, vec![b"ok stats queries=0\n".to_vec()]);
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! The batch pipeline tunes on demand (`repro tune`); the daemon instead
 //! tunes *behind* the query stream: the first query against a `(dataset,
-//! scale, algorithm)` triple enqueues a [`TuneJob`], a single background
-//! thread (spawned by `Server::start`) runs the autotuner over the CPU
-//! schedule space whenever the admission gate is idle, and every later
-//! supervised query executes under the tuned winner. The store is
-//! three-state per key — untried, pending, resolved — so a triple is
-//! enqueued at most once and a failed tuning run is never retried in a
-//! hot loop.
+//! scale, algorithm)` triple of a class that takes a schedule (not
+//! BFS/SSSP, which run the multi-source engine) enqueues a [`TuneJob`], a
+//! single background thread (spawned by `Server::start`) runs the
+//! autotuner over the CPU schedule space whenever the admission gate is
+//! idle, and every later supervised query executes under the tuned
+//! winner. The store is three-state per key — untried, pending, resolved
+//! — so a triple is enqueued at most once and a failed tuning run is
+//! never retried in a hot loop.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};

@@ -213,7 +213,7 @@ END { if (!found) { print "explain smoke: no budget line" > "/dev/stderr"; exit 
 echo "== serve smoke (unix socket; pair coalesces; no thread leak; clean shutdown)"
 # Boot the daemon on a unix socket, run a batched pair (two concurrent BFS
 # clients against a single admission slot and a wide batch window, so the
-# late arrival coalesces) plus one degenerate non-batchable query, then
+# late arrival coalesces) plus two degenerate non-batchable queries, then
 # assert from `stats` that coalescing happened and that the pool worker
 # count is identical across two captures — serving must not leak threads.
 repro_bin="target/release/repro"
@@ -237,9 +237,14 @@ client_a=$!
 client_b=$!
 wait "$client_a"
 wait "$client_b"
+# The shared pool spawns its workers on first parallel use, and the BFS
+# pair above runs the sequential multi-source engine (and enqueues no
+# tuning job), so the first supervised query is what starts it: capture
+# the count after one CC query, compare after a second.
+"$repro_bin" client "unix:$serve_sock" query cc RN > target/ci-serve-q3.txt
 workers_before="$("$repro_bin" client "unix:$serve_sock" stats \
   | grep -o 'pool_workers=[0-9]*')"
-"$repro_bin" client "unix:$serve_sock" query cc RN > target/ci-serve-q3.txt
+"$repro_bin" client "unix:$serve_sock" query cc RN > target/ci-serve-q4.txt
 stats_out="$("$repro_bin" client "unix:$serve_sock" stats)"
 coalesced="$(printf '%s\n' "$stats_out" | grep -o 'coalesced=[0-9]*' | cut -d= -f2)"
 if [ "${coalesced:-0}" -eq 0 ]; then
@@ -306,16 +311,21 @@ printf '%s\n' "$chaos_serve_out" | grep -q "drain complete" || {
   exit 1
 }
 
-echo "== drain race x100 (an admitted query is always answered)"
+echo "== serve races x100 (an admitted query is always answered; a burst on a fresh gate coalesces)"
 # tests/serve.rs::shutdown_racing_a_query_burst_never_drops_an_admitted_query
 # classifies every client of a burst that races shutdown and asserts
 # admitted => answered. It used to fail about 1 run in 6 (connections
 # reset at close), so one green run proves nothing: loop it.
+# coalesced_replies_match_sequential_replies rides along: its burst must
+# coalesce because a fresh gate lingers, not because arrivals were lucky
+# (it failed about 1 run in 5 when its reference pass shared the server
+# and left the window disarmed).
 for i in $(seq 1 100); do
   cargo test -q --offline -p ugc-integration --test serve -- --exact \
-    shutdown_racing_a_query_burst_never_drops_an_admitted_query > target/ci-drain-race.txt 2>&1 || {
-    echo "drain race: run $i of 100 failed" >&2
-    cat target/ci-drain-race.txt >&2
+    shutdown_racing_a_query_burst_never_drops_an_admitted_query \
+    coalesced_replies_match_sequential_replies > target/ci-serve-races.txt 2>&1 || {
+    echo "serve races: run $i of 100 failed" >&2
+    cat target/ci-serve-races.txt >&2
     exit 1
   }
 done
@@ -331,6 +341,13 @@ echo "== benchmark smoke (every metric emitted, every answer right, manifest in 
 # zeroes it about one run in five ("probe midend.lower_us reported
 # nothing"). A wrong answer or a missing metric is deterministic and fails
 # on the first attempt.
+#
+# The benchmark is a contract this repo may not edit while claiming a gain:
+# build it against its committed lockfile, and fail if the build or the
+# smoke left anything under benchmark/ or BENCHMARK.json modified (a
+# rewritten Cargo.lock means a crate or inter-crate dependency was added).
+CARGO_TARGET_DIR="$PWD/target" cargo build --release --locked --offline --quiet \
+  --manifest-path benchmark/Cargo.toml
 smoke_ok=0
 for _ in 1 2 3; do
   if bash benchmark/run.sh --smoke > target/ci-benchmark-smoke.txt 2> target/ci-benchmark-smoke.err; then
@@ -344,6 +361,11 @@ if [ "$smoke_ok" -ne 1 ]; then
   cat target/ci-benchmark-smoke.err >&2
   exit 1
 fi
-CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR="$PWD/target" cargo test -q --locked --offline --manifest-path benchmark/Cargo.toml
+git diff --quiet -- benchmark BENCHMARK.json || {
+  echo "benchmark gate: files under benchmark/ or BENCHMARK.json changed:" >&2
+  git diff --stat -- benchmark BENCHMARK.json >&2
+  exit 1
+}
 
 echo "tier-1 gate: OK"

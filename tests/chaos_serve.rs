@@ -36,11 +36,13 @@ fn start_server(config: ServeConfig) -> (ServerHandle, std::net::SocketAddr) {
     (handle, addr)
 }
 
-/// One request → one reply line over a fresh connection.
+/// One request → one reply line over a fresh connection. The request is
+/// one buffer and one write, so no segment waits on a delayed ACK.
 fn roundtrip(addr: std::net::SocketAddr, line: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    writeln!(stream, "{line}").expect("send");
-    stream.flush().expect("flush");
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send");
     let mut reply = String::new();
     BufReader::new(stream).read_line(&mut reply).expect("reply");
     reply.trim_end().to_string()
@@ -238,8 +240,7 @@ fn stalled_and_vanishing_clients_cost_a_timeout_not_a_thread() {
     // the daemon's failed write must close quietly, not panic.
     for _ in 0..3 {
         let mut ghost = TcpStream::connect(addr).expect("connect");
-        writeln!(ghost, "query bfs RN source=0").expect("send");
-        ghost.flush().expect("flush");
+        ghost.write_all(b"query bfs RN source=0\n").expect("send");
         drop(ghost);
     }
 
@@ -259,10 +260,17 @@ fn stalled_and_vanishing_clients_cost_a_timeout_not_a_thread() {
 // 3. Chaos soak: injected batch aborts.
 // ---------------------------------------------------------------------------
 
+/// The injector is process-global: tests that arm it must not overlap.
+fn injector_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn chaos_soak_under_injected_batch_aborts_is_reference_equal_or_typed_err() {
     const CLIENTS: usize = 4;
     const QUERIES: usize = 6;
+    let _injector = injector_lock();
 
     let (handle, addr) = start_server(ServeConfig {
         bind: Bind::Tcp(0),
@@ -334,6 +342,58 @@ fn chaos_soak_under_injected_batch_aborts_is_reference_equal_or_typed_err() {
     handle.join();
 }
 
+/// BFS/SSSP enqueue no tuning job (the multi-source engine could never
+/// read the winner), so a traversal whose every attempt aborts degrades
+/// to the supervised CPU run under the *default* schedule — and that run
+/// still answers.
+#[test]
+fn degraded_traversals_run_supervised_under_the_default_schedule() {
+    let _injector = injector_lock();
+    let (handle, addr) = start_server(ServeConfig {
+        bind: Bind::Tcp(0),
+        ..ServeConfig::default()
+    });
+    let healthy_bfs = roundtrip(addr, "query bfs RN source=0");
+    let healthy_sssp = roundtrip(addr, "query sssp RN source=0");
+    for reply in [&healthy_bfs, &healthy_sssp] {
+        assert!(reply.starts_with("ok "), "healthy query failed: {reply}");
+        assert!(
+            reply.contains(" rounds="),
+            "not the traversal path: {reply}"
+        );
+    }
+    let stats = roundtrip(addr, "stats");
+    assert_eq!(stat(&stats, "tuned_pending"), 0, "job enqueued: {stats}");
+
+    fault::install(fault::parse_faults("serve:batch_abort:p=1:seed=3").expect("valid fault spec"));
+    let bfs = roundtrip(addr, "query bfs RN source=0");
+    let sssp = roundtrip(addr, "query sssp RN source=0");
+    fault::clear();
+
+    for reply in [&bfs, &sssp] {
+        assert!(reply.starts_with("ok "), "degraded query failed: {reply}");
+        assert!(
+            reply.contains(" attempts="),
+            "not the supervised path: {reply}"
+        );
+        assert_eq!(field(reply, "n"), field(&healthy_bfs, "n"));
+    }
+    // Distances are unique, so the supervised answer must equal the
+    // traversal's (BFS reports a parent tree there, levels here).
+    assert_eq!(field(&sssp, "checksum"), field(&healthy_sssp, "checksum"));
+    let stats = roundtrip(addr, "stats");
+    assert_eq!(
+        stat(&stats, "tuned_hits"),
+        0,
+        "ran under a tuned schedule: {stats}"
+    );
+    assert_eq!(stat(&stats, "tuned_pending"), 0, "job enqueued: {stats}");
+    assert_books_balance(&stats);
+
+    assert_eq!(roundtrip(addr, "shutdown"), "ok shutdown");
+    handle.join();
+}
+
 // ---------------------------------------------------------------------------
 // 4. Graceful drain under load.
 // ---------------------------------------------------------------------------
@@ -364,8 +424,8 @@ fn drain_under_load_settles_every_admitted_query_and_terminates() {
             std::thread::spawn(move || -> Result<String, String> {
                 let mut s = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
                 barrier.wait();
-                writeln!(s, "query bfs RN source={}", c % 4).map_err(|e| format!("send: {e}"))?;
-                s.flush().map_err(|e| e.to_string())?;
+                s.write_all(format!("query bfs RN source={}\n", c % 4).as_bytes())
+                    .map_err(|e| format!("send: {e}"))?;
                 let mut reply = String::new();
                 BufReader::new(s)
                     .read_line(&mut reply)

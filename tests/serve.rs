@@ -103,11 +103,16 @@ fn start_server(config: ServeConfig) -> (ServerHandle, std::net::SocketAddr) {
     (handle, addr)
 }
 
+/// Sends one request as one buffer and one write: `writeln!` on a raw
+/// socket is two segments, and the second waits on a delayed ACK.
+fn send_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
+    stream.write_all(format!("{line}\n").as_bytes())
+}
+
 /// One request → one reply line over a fresh connection.
 fn roundtrip(addr: std::net::SocketAddr, line: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    writeln!(stream, "{line}").expect("send");
-    stream.flush().expect("flush");
+    send_line(&mut stream, line).expect("send");
     let mut reply = String::new();
     BufReader::new(stream).read_line(&mut reply).expect("reply");
     reply.trim_end().to_string()
@@ -128,6 +133,28 @@ fn field<'a>(reply: &'a str, key: &str) -> &'a str {
 
 #[test]
 fn coalesced_replies_match_sequential_replies() {
+    // Reference pass on a server that cannot batch: every query is served
+    // alone, whatever the arrival timing.
+    let (solo, solo_addr) = start_server(ServeConfig {
+        bind: Bind::Tcp(0),
+        admit: 1,
+        batch_max: 1,
+        ..ServeConfig::default()
+    });
+    let sources = [0u32, 1, 2, 3];
+    let mut reference = HashMap::new();
+    for &s in &sources {
+        let reply = roundtrip(solo_addr, &format!("query bfs RN source={s}"));
+        assert!(reply.starts_with("ok "), "reference query failed: {reply}");
+        assert_eq!(field(&reply, "batch"), "1", "reference ran batched");
+        reference.insert(s, field(&reply, "checksum").to_string());
+    }
+    assert_eq!(roundtrip(solo_addr, "shutdown"), "ok shutdown");
+    solo.join();
+
+    // A fresh server lingers on its first batchable head (the gate only
+    // stops waiting out the window after a fruitless one), so the burst
+    // below coalesces by construction, not by arrival luck.
     let (handle, addr) = start_server(ServeConfig {
         bind: Bind::Tcp(0),
         admit: 1,
@@ -136,18 +163,8 @@ fn coalesced_replies_match_sequential_replies() {
         ..ServeConfig::default()
     });
 
-    // Sequential reference pass: batch_window only lingers when a second
-    // batchable query is pending, so these resolve as singletons.
-    let sources = [0u32, 1, 2, 3];
-    let mut reference = HashMap::new();
-    for &s in &sources {
-        let reply = roundtrip(addr, &format!("query bfs RN source={s}"));
-        assert!(reply.starts_with("ok "), "reference query failed: {reply}");
-        reference.insert(s, field(&reply, "checksum").to_string());
-    }
-
     // Concurrent pass: all four released together against a single worker,
-    // so late arrivals coalesce into the in-flight batch window.
+    // so late arrivals coalesce into the first arrival's batch window.
     let barrier = Arc::new(Barrier::new(sources.len()));
     let replies: Vec<String> = sources
         .iter()
@@ -402,8 +419,7 @@ fn bad_algorithm_arguments_err_without_disconnecting() {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut ask = |line: &str| -> String {
-        writeln!(stream, "{line}").expect("send");
-        stream.flush().expect("flush");
+        send_line(&mut stream, line).expect("send");
         let mut reply = String::new();
         reader.read_line(&mut reply).expect("reply");
         reply.trim_end().to_string()
@@ -549,9 +565,8 @@ fn shutdown_racing_a_query_burst_never_drops_an_admitted_query() {
                 std::thread::spawn(move || -> Result<String, String> {
                     let mut s = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
                     barrier.wait();
-                    writeln!(s, "query bfs RN source={}", c % 4)
+                    send_line(&mut s, &format!("query bfs RN source={}", c % 4))
                         .map_err(|e| format!("send: {e}"))?;
-                    s.flush().map_err(|e| e.to_string())?;
                     let mut reply = String::new();
                     BufReader::new(s)
                         .read_line(&mut reply)
@@ -631,6 +646,78 @@ fn shutdown_racing_a_query_burst_never_drops_an_admitted_query() {
     }
 }
 
+/// A reply is one write on a no-delay socket, so a keep-alive client that
+/// never set `TCP_NODELAY` itself still gets it at once. With the reply
+/// split in two writes, the second waited ≈40 ms on this client's delayed
+/// ACK as soon as the kernel's quick-ACK credit ran out (≈2 s for these 50).
+#[test]
+fn keep_alive_replies_do_not_wait_on_delayed_ack() {
+    let (handle, addr) = start_server(ServeConfig {
+        bind: Bind::Tcp(0),
+        ..ServeConfig::default()
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        send_line(&mut stream, "stats").expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        assert!(reply.starts_with("ok stats"), "stats failed: {reply}");
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "50 stats round-trips on one connection took {took:?}"
+    );
+    handle.shutdown();
+    handle.join();
+}
+
+/// Tuning jobs go only to classes that can read the winner: BFS/SSSP run
+/// the multi-source engine, which takes no schedule, so their first
+/// queries enqueue nothing; a first PageRank query still does, and later
+/// ones run under the tuned schedule.
+#[test]
+fn only_schedule_taking_classes_enqueue_tuning_jobs() {
+    let (handle, addr) = start_server(ServeConfig {
+        bind: Bind::Tcp(0),
+        ..ServeConfig::default()
+    });
+    for req in [
+        "query bfs RN source=0",
+        "query sssp RN source=0",
+        "query bfs RN source=1",
+    ] {
+        let reply = roundtrip(addr, req);
+        assert!(reply.starts_with("ok "), "`{req}` failed: {reply}");
+        let stats = roundtrip(addr, "stats");
+        assert_eq!(
+            field(&stats, "tuned_pending"),
+            "0",
+            "`{req}` enqueued a tuning job nobody can read: {stats}"
+        );
+    }
+    // The tuner waits for an idle gate, so poll: the job the first PR
+    // query enqueued resolves and a later PR query hits its winner.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let reply = roundtrip(addr, "query pr RN");
+        assert!(reply.starts_with("ok "), "pr failed: {reply}");
+        let stats = roundtrip(addr, "stats");
+        if field(&stats, "tuned_hits") != "0" {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "PageRank was never tuned: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    handle.shutdown();
+    handle.join();
+}
+
 /// One connection can issue several requests; `stats` reflects them; the
 /// cache builds each dataset once.
 #[test]
@@ -643,8 +730,7 @@ fn single_connection_pipelining_and_cache_reuse() {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut ask = |line: &str| -> String {
-        writeln!(stream, "{line}").expect("send");
-        stream.flush().expect("flush");
+        send_line(&mut stream, line).expect("send");
         let mut reply = String::new();
         reader.read_line(&mut reply).expect("reply");
         reply.trim_end().to_string()

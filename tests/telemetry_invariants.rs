@@ -145,8 +145,7 @@ fn serve_accounting_balances_served_plus_errored_plus_shed() {
     };
     let ask = |line: &str| -> String {
         let mut s = std::net::TcpStream::connect(addr).expect("connect");
-        writeln!(s, "{line}").expect("send");
-        s.flush().expect("flush");
+        s.write_all(format!("{line}\n").as_bytes()).expect("send");
         let mut reply = String::new();
         BufReader::new(s).read_line(&mut reply).expect("reply");
         reply.trim_end().to_string()
@@ -187,6 +186,16 @@ fn serve_accounting_balances_served_plus_errored_plus_shed() {
         get("errored") >= 4,
         "permanent errors must be in the ledger: {stats}"
     );
+    // The gate's linger decisions: a query can only join a pop that
+    // waited, and only a batchable pop waits. The seven BFS/SSSP queries
+    // above arrived one at a time, so each was its own batchable batch —
+    // and only the fresh gate's first one found the window still armed.
+    let (lingers, linger_joined) = (get("lingers"), get("linger_joined"));
+    assert!(
+        linger_joined <= lingers && lingers <= 7,
+        "linger ledger out of order: {stats}"
+    );
+    assert_eq!((lingers, linger_joined), (1, 0), "linger rule: {stats}");
 
     ask("shutdown");
     handle.join();
@@ -208,6 +217,14 @@ fn serve_accounting_balances_served_plus_errored_plus_shed() {
         assert!(
             sum(&["serve.admitted"]) > 0,
             "the soak admitted nothing — the invariant was vacuous"
+        );
+        assert_eq!(
+            (
+                sum(&["serve.gate.lingers"]),
+                sum(&["serve.gate.linger_joined"])
+            ),
+            (lingers, linger_joined),
+            "registry and wire disagree on the linger ledger: {snap:?}"
         );
     }
 }
