@@ -7,18 +7,19 @@ use std::time::Instant;
 use ugc_graph::Csr;
 use ugc_graphir::ir::{EdgeSetIteratorData, Stmt};
 use ugc_graphir::types::Direction;
-use ugc_runtime::eval::{BufferedOutput, Evaluator, NullMemory, NullOutput};
+use ugc_runtime::eval::{BufferedOutput, NullMemory, NullOutput};
 use ugc_runtime::interp::{ExecError, OperatorExecutor, ProgramState};
 use ugc_runtime::parallel::{default_threads, parallel_for_with_local};
 use ugc_runtime::pool::parallel_for_chunks_with_local;
 use ugc_runtime::vertexset::VertexSet;
-use ugc_runtime::EdgeOp;
+use ugc_runtime::{EdgeOp, UdfId};
 use ugc_schedule::{schedule_as, SchedulePoint};
 
 use ugc_telemetry::{Counter, Span};
 
-use crate::kernels::{self, EdgeKernel, Io, KernelCache, KernelKey};
+use crate::kernels::{self, EdgeKernel, Io, KernelCache, KernelKey, Tier};
 use crate::schedule::CpuSchedule;
+use crate::udf::{self, CompiledSet, CompiledUdf};
 
 /// Telemetry handles for the CPU executor, registered once per process.
 struct CpuCounters {
@@ -30,6 +31,7 @@ struct CpuCounters {
     runs: Counter,
     direction_switches: Counter,
     kernel_specialized: Counter,
+    kernel_compiled: Counter,
     kernel_fallback: Counter,
 }
 
@@ -44,6 +46,7 @@ fn counters() -> &'static CpuCounters {
         runs: Counter::new("cpu.runs"),
         direction_switches: Counter::new("cpu.direction_switches"),
         kernel_specialized: Counter::new("cpu.kernel.specialized"),
+        kernel_compiled: Counter::new("cpu.kernel.compiled"),
         kernel_fallback: Counter::new("cpu.kernel.fallback"),
     })
 }
@@ -97,6 +100,18 @@ impl CpuAttribution {
     }
 }
 
+/// The operators of one run by the tier that ran them: the per-run view of
+/// the `cpu.kernel.{specialized,compiled,fallback}` counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelDispatch {
+    /// Edge operators run by a monomorphized kernel.
+    pub specialized: u64,
+    /// Edge and vertex operators run by compiled UDF bodies.
+    pub compiled: u64,
+    /// Edge and vertex operators run by the interpreter.
+    pub fallback: u64,
+}
+
 /// Phase nanoseconds accumulated by one executor over one run.
 #[derive(Debug, Clone, Copy, Default)]
 struct PhaseNs {
@@ -109,15 +124,17 @@ struct PhaseNs {
 pub struct CpuExecutor {
     /// Worker thread count (defaults to available parallelism).
     pub num_threads: usize,
-    /// Whether edge traversals may use compiled monomorphized kernels
-    /// (default: on, unless `UGC_CPU_KERNELS=0`). Off forces the
+    /// Whether operators may use monomorphized kernels and compiled UDF
+    /// bodies (default: on, unless `UGC_CPU_KERNELS=0`). Off forces the
     /// interpreter everywhere — the differential oracle.
     pub use_kernels: bool,
-    /// Per-run kernel table. [`UdfId`]s are only meaningful within one
-    /// compiled program, so `Clone` (the per-`execute` entry point) resets
-    /// this to empty rather than sharing it.
+    /// Per-run kernel table and compiled UDF bodies. [`UdfId`]s are only
+    /// meaningful within one compiled program, so `Clone` (the
+    /// per-`execute` entry point) resets this to empty rather than sharing
+    /// it.
     kernels: std::sync::Arc<KernelCache>,
     phase_ns: PhaseNs,
+    dispatch: KernelDispatch,
 }
 
 impl Clone for CpuExecutor {
@@ -127,6 +144,7 @@ impl Clone for CpuExecutor {
             use_kernels: self.use_kernels,
             kernels: std::sync::Arc::new(KernelCache::default()),
             phase_ns: self.phase_ns,
+            dispatch: KernelDispatch::default(),
         }
     }
 }
@@ -162,42 +180,90 @@ impl CpuExecutor {
             use_kernels: kernels::kernels_enabled_by_env(),
             kernels: std::sync::Arc::new(KernelCache::default()),
             phase_ns: PhaseNs::default(),
+            dispatch: KernelDispatch::default(),
         }
     }
 
-    /// Resolves the compiled kernel for one edge traversal (or `None` for
-    /// the interpreter fallback), counting the selection either way.
+    /// The run's compiled UDF bodies (none with kernels off), lowered on
+    /// first use.
+    fn compiled(&self, state: &ProgramState<'_>) -> &CompiledSet {
+        self.kernels.compiled(|| {
+            if self.use_kernels {
+                udf::compile_all(&state.udfs, &state.props, &state.globals)
+            } else {
+                Vec::new()
+            }
+        })
+    }
+
+    /// Counts one operator under the tier that runs it, for this run and
+    /// in the registry.
+    fn count(&mut self, tier: Tier) {
+        let c = counters();
+        match tier {
+            Tier::Specialized => {
+                self.dispatch.specialized += 1;
+                c.kernel_specialized.incr();
+            }
+            Tier::Compiled => {
+                self.dispatch.compiled += 1;
+                c.kernel_compiled.incr();
+            }
+            Tier::Interpreted => {
+                self.dispatch.fallback += 1;
+                c.kernel_fallback.incr();
+            }
+        }
+    }
+
+    /// Resolves the traversal for one edge operator, counting its tier.
     fn resolve_kernel(
-        &self,
+        &mut self,
         state: &ProgramState<'_>,
         stmt: &Stmt,
         op: &EdgeOp<'_>,
-    ) -> Option<std::sync::Arc<dyn EdgeKernel>> {
-        let kernel = if self.use_kernels {
-            let key = KernelKey {
-                point: SchedulePoint::of_stmt(stmt),
-                udf: op.udf,
-                src_filter: op.src_filter,
-                dst_filter: op.dst_filter,
-                weighted: op.takes_weight,
-            };
-            self.kernels.resolve(key, || {
-                kernels::recognize(
-                    &state.udfs,
-                    &state.props,
-                    op.udf,
-                    op.src_filter,
-                    op.dst_filter,
-                )
-            })
-        } else {
-            None
+    ) -> std::sync::Arc<dyn EdgeKernel> {
+        let key = KernelKey {
+            point: SchedulePoint::of_stmt(stmt),
+            udf: op.udf,
+            src_filter: op.src_filter,
+            dst_filter: op.dst_filter,
+            weighted: op.takes_weight,
         };
-        match kernel {
-            Some(_) => counters().kernel_specialized.incr(),
-            None => counters().kernel_fallback.incr(),
-        }
+        let (tier, kernel) = self.kernels.resolve(key, || {
+            kernels::select(
+                &state.udfs,
+                &state.props,
+                self.compiled(state),
+                op.udf,
+                op.src_filter,
+                op.dst_filter,
+                self.use_kernels,
+            )
+        });
+        self.count(tier);
         kernel
+    }
+
+    /// The compiled body of a vertex operator's one-parameter UDF, or
+    /// `None` for the interpreter, counting its tier.
+    fn vertex_body(
+        &mut self,
+        state: &ProgramState<'_>,
+        udf: UdfId,
+    ) -> Option<std::sync::Arc<CompiledUdf>> {
+        let body = kernels::body_of(self.compiled(state), &state.udfs, udf, 1);
+        self.count(if body.is_some() {
+            Tier::Compiled
+        } else {
+            Tier::Interpreted
+        });
+        body
+    }
+
+    /// The run's operators by tier, resetting the per-run count.
+    pub fn take_dispatch(&mut self) -> KernelDispatch {
+        std::mem::take(&mut self.dispatch)
     }
 
     /// Closes out one run: attributes `elapsed_ns` of wall time across the
@@ -255,64 +321,6 @@ impl CpuExecutor {
     }
 }
 
-fn push_range(
-    ev: &Evaluator<'_>,
-    op: &EdgeOp<'_>,
-    members: &[u32],
-    range: std::ops::Range<usize>,
-    out: &mut BufferedOutput,
-) {
-    let csr = op.fwd;
-    for &src in &members[range] {
-        if !ev.passes(op.src_filter, src, &mut NullMemory) {
-            continue;
-        }
-        let weights = csr.neighbor_weights(src);
-        for (k, &dst) in csr.neighbors(src).iter().enumerate() {
-            if !ev.passes(op.dst_filter, dst, &mut NullMemory) {
-                continue;
-            }
-            let w = weights.map_or(1, |ws| ws[k]) as i64;
-            ev.apply_edge(op, src, dst, w, out, &mut NullMemory);
-        }
-    }
-}
-
-fn pull_range(
-    ev: &Evaluator<'_>,
-    op: &EdgeOp<'_>,
-    range: std::ops::Range<usize>,
-    out: &mut BufferedOutput,
-) {
-    let in_csr = op.bwd;
-    let membership = op.pull_membership.as_ref();
-    for dst in range {
-        let dst = dst as u32;
-        if !ev.passes(op.dst_filter, dst, &mut NullMemory) {
-            continue;
-        }
-        let weights = in_csr.neighbor_weights(dst);
-        for (k, &src) in in_csr.neighbors(dst).iter().enumerate() {
-            if let Some(m) = membership {
-                if !m.contains(src) {
-                    continue;
-                }
-            }
-            if !ev.passes(op.src_filter, src, &mut NullMemory) {
-                continue;
-            }
-            let w = weights.map_or(1, |ws| ws[k]) as i64;
-            ev.apply_edge(op, src, dst, w, out, &mut NullMemory);
-            // Direction-optimizing early exit: once the destination no
-            // longer passes its filter (e.g. BFS parent now set), stop
-            // scanning its in-edges.
-            if !ev.passes(op.dst_filter, dst, &mut NullMemory) {
-                break;
-            }
-        }
-    }
-}
-
 impl OperatorExecutor for CpuExecutor {
     fn edge_iterator(
         &mut self,
@@ -326,29 +334,23 @@ impl OperatorExecutor for CpuExecutor {
         let direction = op.direction;
         note_direction(direction);
 
-        let ev = state.evaluator();
         let kernel = self.resolve_kernel(state, stmt, &op);
+        let ev = state.evaluator();
         let locals: Vec<BufferedOutput> = match direction {
             Direction::Push => {
                 let members = state.input_set(&data.input)?.iter();
                 let io = Io {
                     props: &state.props,
+                    ev: &ev,
                     csr: op.fwd,
                 };
-                // One range-level dispatch: the specialized kernel body or
-                // the interpreter, chosen once per operator, never per edge.
-                let run = |range: std::ops::Range<usize>, out: &mut BufferedOutput| match &kernel {
-                    Some(k) => k.run_push(&io, &members, range, out),
-                    None => push_range(&ev, &op, &members, range, out),
+                // The tier is chosen once per operator, never per edge.
+                let run = |range: std::ops::Range<usize>, out: &mut BufferedOutput| {
+                    kernel.run_push(&io, &members, range, out)
                 };
                 if plan.cache_blocking && data.input.is_none() {
                     // EdgeBlocking: iterate destination blocks for locality.
-                    match &kernel {
-                        Some(k) => {
-                            cache_blocked_push_kernel(k.as_ref(), &io, &members, self.num_threads)
-                        }
-                        None => cache_blocked_push(&ev, &op, &members, self.num_threads),
-                    }
+                    cache_blocked_push(kernel.as_ref(), &io, &members, self.num_threads)
                 } else if members.len() < plan.serial_threshold {
                     let mut out = BufferedOutput::default();
                     run(0..members.len(), &mut out);
@@ -375,11 +377,11 @@ impl OperatorExecutor for CpuExecutor {
                 let n = state.graph.num_vertices();
                 let io = Io {
                     props: &state.props,
+                    ev: &ev,
                     csr: op.bwd,
                 };
-                let run = |range: std::ops::Range<usize>, out: &mut BufferedOutput| match &kernel {
-                    Some(k) => k.run_pull(&io, op.pull_membership.as_ref(), range, out),
-                    None => pull_range(&ev, &op, range, out),
+                let run = |range: std::ops::Range<usize>, out: &mut BufferedOutput| {
+                    kernel.run_pull(&io, op.pull_membership.as_ref(), range, out)
                 };
                 if n < plan.serial_threshold {
                     let mut out = BufferedOutput::default();
@@ -423,23 +425,26 @@ impl OperatorExecutor for CpuExecutor {
         let t0 = ugc_telemetry::enabled().then(Instant::now);
         let udf = state.udf_id(apply)?;
         let members = state.members(set)?;
+        let body = self.vertex_body(state, udf);
         let ev = state.evaluator();
+        let run = |vs: &[u32], out: &mut BufferedOutput| match &body {
+            Some(c) => vs.iter().for_each(|&v| {
+                c.call(&ev, &[v as i64], 1, out);
+            }),
+            None => vs.iter().for_each(|&v| {
+                ev.apply_vertex(udf, v, out, &mut NullMemory);
+            }),
+        };
         let locals: Vec<BufferedOutput> = if members.len() < 512 {
             let mut out = BufferedOutput::default();
-            for &v in &members {
-                ev.apply_vertex(udf, v, &mut out, &mut NullMemory);
-            }
+            run(&members, &mut out);
             vec![out]
         } else {
             parallel_for_with_local(
                 self.num_threads,
                 members.len(),
                 256,
-                |_tid, range, local: &mut BufferedOutput| {
-                    for &v in &members[range] {
-                        ev.apply_vertex(udf, v, local, &mut NullMemory);
-                    }
-                },
+                |_tid, range, local: &mut BufferedOutput| run(&members[range], local),
             )
         };
         for l in locals {
@@ -462,10 +467,14 @@ impl OperatorExecutor for CpuExecutor {
     ) -> Result<VertexSet, ExecError> {
         let t0 = ugc_telemetry::enabled().then(Instant::now);
         let (udf, candidates) = state.filter_candidates(input, filter)?;
+        let body = self.vertex_body(state, udf);
         let ev = state.evaluator();
         let keep = |v: u32| {
-            ev.apply_vertex(udf, v, &mut NullOutput, &mut NullMemory)
-                .is_some_and(|r| r.as_bool())
+            match &body {
+                Some(c) => c.call(&ev, &[v as i64], 1, &mut NullOutput),
+                None => ev.apply_vertex(udf, v, &mut NullOutput, &mut NullMemory),
+            }
+            .is_some_and(|r| r.as_bool())
         };
         let members: Vec<u32> = if candidates.len() < 512 {
             candidates.iter().copied().filter(|&v| keep(v)).collect()
@@ -498,53 +507,6 @@ impl OperatorExecutor for CpuExecutor {
 /// processed in blocks sized to the last-level cache so random writes stay
 /// resident (GraphIt's EdgeBlocking / NUMA optimization for PageRank).
 fn cache_blocked_push(
-    ev: &Evaluator<'_>,
-    op: &EdgeOp<'_>,
-    members: &[u32],
-    num_threads: usize,
-) -> Vec<BufferedOutput> {
-    const BLOCK: u32 = 1 << 14;
-    let csr = op.fwd;
-    let n = csr.num_vertices() as u32;
-    let mut all = Vec::new();
-    let mut lo = 0u32;
-    while lo < n {
-        let hi = (lo + BLOCK).min(n);
-        let locals = parallel_for_with_local(
-            num_threads,
-            members.len(),
-            64,
-            |_tid, range, local: &mut BufferedOutput| {
-                for &src in &members[range] {
-                    if !ev.passes(op.src_filter, src, &mut NullMemory) {
-                        continue;
-                    }
-                    let neigh = csr.neighbors(src);
-                    let weights = csr.neighbor_weights(src);
-                    let start = neigh.partition_point(|&d| d < lo);
-                    for k in start..neigh.len() {
-                        let dst = neigh[k];
-                        if dst >= hi {
-                            break;
-                        }
-                        if !ev.passes(op.dst_filter, dst, &mut NullMemory) {
-                            continue;
-                        }
-                        let w = weights.map_or(1, |ws| ws[k]) as i64;
-                        ev.apply_edge(op, src, dst, w, local, &mut NullMemory);
-                    }
-                }
-            },
-        );
-        all.extend(locals);
-        lo = hi;
-    }
-    all
-}
-
-/// The compiled-kernel twin of [`cache_blocked_push`]: same destination
-/// blocking, per-edge work done by the monomorphized kernel body.
-fn cache_blocked_push_kernel(
     kernel: &dyn EdgeKernel,
     io: &Io<'_>,
     members: &[u32],

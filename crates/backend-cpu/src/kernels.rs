@@ -12,11 +12,13 @@
 //! [`KernelKey`] (the [`ugc_schedule::SchedulePoint`] plus the operator
 //! facts only this backend sees).
 //!
-//! Anything the recognizer does not understand falls back to the
-//! interpreter, which also remains the differential oracle: every kernel
-//! reproduces the evaluator's observable semantics exactly — the same
-//! [`PropertyStorage`] atomics (`cas`/`reduce`/`reduce_relaxed`), the same
-//! enqueue and priority-notification conditions, in the same order.
+//! Anything the recognizer does not understand runs through the same
+//! walker with its UDFs' compiled bodies ([`crate::udf`]) and, when a UDF
+//! does not compile, through the interpreter — [`select`] picks the
+//! [`Tier`]. The interpreter also remains the differential oracle: every
+//! kernel reproduces the evaluator's observable semantics exactly — the
+//! same [`PropertyStorage`] atomics (`cas`/`reduce`/`reduce_relaxed`), the
+//! same enqueue and priority-notification conditions, in the same order.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -25,16 +27,19 @@ use std::sync::{Arc, Mutex, OnceLock};
 use ugc_graph::Csr;
 use ugc_graphir::types::{BinOp, ReduceOp, Type};
 use ugc_runtime::bytecode::{Instr, UdfProgram};
-use ugc_runtime::eval::{BufferedOutput, UdfOutput};
-use ugc_runtime::properties::{PropId, PropertyStorage};
+use ugc_runtime::eval::{BufferedOutput, EdgeCtx, Evaluator, NullMemory, NullOutput, UdfOutput};
+use ugc_runtime::properties::{GlobalTable, PropId, PropertyStorage};
 use ugc_runtime::value::Value;
 use ugc_runtime::vertexset::VertexSet;
 use ugc_runtime::{UdfId, UdfSet};
 use ugc_schedule::SchedulePoint;
 
-/// Whether compiled kernels are enabled for this process (default yes).
-/// `UGC_CPU_KERNELS=0|off|false` forces the interpreter everywhere — the
-/// CI smoke uses this to assert the fallback path stays alive.
+use crate::udf::{self, CompiledSet, CompiledUdf};
+
+/// Whether compiled kernels and UDF bodies are enabled for this process
+/// (default yes). `UGC_CPU_KERNELS=0|off|false` forces the interpreter
+/// everywhere — the CI smoke uses this to assert the fallback path stays
+/// alive.
 pub fn kernels_enabled_by_env() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| {
@@ -65,30 +70,37 @@ pub struct KernelKey {
     pub weighted: bool,
 }
 
-/// Everything a kernel needs per range: the property arrays and the CSR
-/// for the traversal direction (forward for push, backward for pull).
+/// Everything a kernel needs per range: the program state (behind the
+/// evaluator that would interpret it) and the CSR for the traversal
+/// direction (forward for push, backward for pull).
 pub struct Io<'a> {
-    /// Property vectors.
+    /// Property vectors — `ev.props`, held directly so the monomorphized
+    /// bodies reach a cell through one pointer, as they always have.
     pub props: &'a PropertyStorage,
+    /// Properties, globals, graph and UDFs of the run.
+    pub ev: &'a Evaluator<'a>,
     /// Adjacency in the traversal direction.
     pub csr: &'a Csr,
 }
 
-/// A compiled edge-traversal loop. One object serves every direction —
-/// the executor picks the entry point, the monomorphized body does the
-/// per-edge work without touching the interpreter.
+/// An edge-traversal loop. One object serves every direction — the
+/// executor picks the entry point, the monomorphized body does the
+/// per-edge work in whichever [`Tier`] [`select`] chose. Every tier walks
+/// edges in the same order, so single-threaded runs are bit-identical
+/// across tiers.
 pub trait EdgeKernel: Send + Sync {
-    /// Short name of the recognized operator shape (for telemetry rows,
-    /// emitter comments, and tests).
+    /// Short name of the recognized operator shape, or of the tier (for
+    /// emitter comments and tests).
     fn name(&self) -> &'static str;
 
-    /// Push traversal over `members[range]` (mirror of the interpreter's
-    /// `push_range`).
+    /// Push traversal over `members[range]`: every out-edge of a source
+    /// that passes the source filter, to a destination that passes the
+    /// destination filter.
     fn run_push(&self, io: &Io<'_>, members: &[u32], range: Range<usize>, out: &mut BufferedOutput);
 
     /// Pull traversal over destination vertices `range`, with optional
-    /// input-frontier membership (mirror of `pull_range`, including the
-    /// direction-optimizing early exit on the destination filter).
+    /// input-frontier membership, stopping a destination's in-edges once
+    /// it no longer passes its filter (direction-optimizing early exit).
     fn run_pull(
         &self,
         io: &Io<'_>,
@@ -98,7 +110,7 @@ pub trait EdgeKernel: Send + Sync {
     );
 
     /// Cache-blocked push: only edges with destination in `lo..hi`
-    /// (mirror of the interpreter's EdgeBlocking inner loop).
+    /// (the EdgeBlocking inner loop).
     fn run_push_block(
         &self,
         io: &Io<'_>,
@@ -110,22 +122,39 @@ pub trait EdgeKernel: Send + Sync {
     );
 }
 
-/// Per-run kernel table: `KernelKey → Option<kernel>` (a cached `None`
-/// records a deliberate fallback so recognition runs once per key).
+/// How an operator's UDFs run: the three tiers of the CPU hot path, in
+/// the order [`select`] tries them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// A monomorphized kernel body the recognizer matched.
+    Specialized,
+    /// The UDFs' compiled bodies ([`crate::udf`]).
+    Compiled,
+    /// One [`Evaluator::call`] per UDF call.
+    Interpreted,
+}
+
+/// An edge operator's traversal and the tier it runs in.
+pub type Selection = (Tier, Arc<dyn EdgeKernel>);
+
+/// Per-run kernel table: `KernelKey → (tier, kernel)`, so recognition runs
+/// once per key, plus the run's compiled UDF bodies, lowered once.
 #[derive(Default)]
 pub struct KernelCache {
-    map: Mutex<HashMap<KernelKey, Option<Arc<dyn EdgeKernel>>>>,
+    map: Mutex<HashMap<KernelKey, Selection>>,
+    compiled: OnceLock<CompiledSet>,
 }
 
 impl KernelCache {
-    /// Looks up `key`, recognizing on first use via `build`.
-    pub fn resolve(
-        &self,
-        key: KernelKey,
-        build: impl FnOnce() -> Option<Arc<dyn EdgeKernel>>,
-    ) -> Option<Arc<dyn EdgeKernel>> {
+    /// Looks up `key`, selecting on first use via `build`.
+    pub fn resolve(&self, key: KernelKey, build: impl FnOnce() -> Selection) -> Selection {
         let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
         map.entry(key).or_insert_with(build).clone()
+    }
+
+    /// The run's compiled UDF bodies, lowered via `build` on first use.
+    pub fn compiled(&self, build: impl FnOnce() -> CompiledSet) -> &CompiledSet {
+        self.compiled.get_or_init(build)
     }
 }
 
@@ -310,7 +339,7 @@ fn symexec(u: &UdfProgram) -> Option<(Vec<Effect>, Option<Sym>)> {
 
 /// The per-edge operator of a kernel.
 trait KOp: Send + Sync + 'static {
-    fn apply(&self, props: &PropertyStorage, src: u32, dst: u32, w: i64, out: &mut BufferedOutput);
+    fn apply(&self, io: &Io<'_>, src: u32, dst: u32, w: i64, out: &mut BufferedOutput);
 }
 
 /// `CAS(prop[dst], expected, src)`, enqueueing `dst` on success (BFS
@@ -323,15 +352,12 @@ struct CasClaim {
 
 impl KOp for CasClaim {
     #[inline]
-    fn apply(
-        &self,
-        props: &PropertyStorage,
-        src: u32,
-        dst: u32,
-        _w: i64,
-        out: &mut BufferedOutput,
-    ) {
-        if props.cas(self.prop, dst, self.expected, Value::Int(src as i64)) && self.enqueue {
+    fn apply(&self, io: &Io<'_>, src: u32, dst: u32, _w: i64, out: &mut BufferedOutput) {
+        if io
+            .props
+            .cas(self.prop, dst, self.expected, Value::Int(src as i64))
+            && self.enqueue
+        {
             out.enqueue(dst);
         }
     }
@@ -349,14 +375,8 @@ struct PropReduce {
 
 impl KOp for PropReduce {
     #[inline]
-    fn apply(
-        &self,
-        props: &PropertyStorage,
-        src: u32,
-        dst: u32,
-        _w: i64,
-        out: &mut BufferedOutput,
-    ) {
+    fn apply(&self, io: &Io<'_>, src: u32, dst: u32, _w: i64, out: &mut BufferedOutput) {
+        let props = io.props;
         let v = props.read(self.src_prop, src);
         let (changed, _) = if self.atomic {
             props.reduce(self.dst_prop, dst, self.op, v)
@@ -383,7 +403,8 @@ struct RelaxPrio {
 
 impl KOp for RelaxPrio {
     #[inline]
-    fn apply(&self, props: &PropertyStorage, src: u32, dst: u32, w: i64, out: &mut BufferedOutput) {
+    fn apply(&self, io: &Io<'_>, src: u32, dst: u32, w: i64, out: &mut BufferedOutput) {
+        let props = io.props;
         let mut nd = props.read(self.prop, src).as_int();
         if self.add_weight {
             nd += w;
@@ -409,7 +430,7 @@ impl KOp for RelaxPrio {
 /// A vertex filter, monomorphized so the no-filter case compiles away.
 trait KFilter: Send + Sync + 'static {
     const ACTIVE: bool;
-    fn pass(&self, props: &PropertyStorage, v: u32) -> bool;
+    fn pass(&self, io: &Io<'_>, v: u32) -> bool;
 }
 
 /// No filter: always passes.
@@ -418,7 +439,7 @@ struct NoFilter;
 impl KFilter for NoFilter {
     const ACTIVE: bool = false;
     #[inline]
-    fn pass(&self, _props: &PropertyStorage, _v: u32) -> bool {
+    fn pass(&self, _io: &Io<'_>, _v: u32) -> bool {
         true
     }
 }
@@ -448,13 +469,71 @@ struct EqConst {
 impl KFilter for EqConst {
     const ACTIVE: bool = true;
     #[inline]
-    fn pass(&self, props: &PropertyStorage, v: u32) -> bool {
-        let cell = props.read_bits(self.prop, v);
+    fn pass(&self, io: &Io<'_>, v: u32) -> bool {
+        let cell = io.props.read_bits(self.prop, v);
         match self.cmp {
             EqCmp::Bits(bits) => cell == bits,
             EqCmp::Float(c) => f64::from_bits(cell) == c,
             EqCmp::IntWiden(c) => (cell as i64) as f64 == c,
         }
+    }
+}
+
+/// The apply UDF's compiled body, called as `(src, dst[, weight])`.
+struct CompiledApply {
+    body: Arc<CompiledUdf>,
+    arity: usize,
+}
+
+impl KOp for CompiledApply {
+    #[inline]
+    fn apply(&self, io: &Io<'_>, src: u32, dst: u32, w: i64, out: &mut BufferedOutput) {
+        let args = [src as i64, dst as i64, w];
+        self.body.call(io.ev, &args[..self.arity], w, out);
+    }
+}
+
+/// A filter UDF's compiled body; one without a return value passes.
+struct CompiledFilter(Arc<CompiledUdf>);
+
+impl KFilter for CompiledFilter {
+    const ACTIVE: bool = true;
+    #[inline]
+    fn pass(&self, io: &Io<'_>, v: u32) -> bool {
+        self.0
+            .call(io.ev, &[v as i64], 1, &mut NullOutput)
+            .is_none_or(|r| r.as_bool())
+    }
+}
+
+/// The apply UDF run by the interpreter.
+struct InterpApply {
+    udf: UdfId,
+    arity: usize,
+}
+
+impl KOp for InterpApply {
+    #[inline]
+    fn apply(&self, io: &Io<'_>, src: u32, dst: u32, w: i64, out: &mut BufferedOutput) {
+        let args = [
+            Value::Int(src as i64),
+            Value::Int(dst as i64),
+            Value::Int(w),
+        ];
+        let ctx = EdgeCtx { weight: w };
+        io.ev
+            .call(self.udf, &args[..self.arity], ctx, out, &mut NullMemory);
+    }
+}
+
+/// A filter UDF run by the interpreter.
+struct InterpFilter(UdfId);
+
+impl KFilter for InterpFilter {
+    const ACTIVE: bool = true;
+    #[inline]
+    fn pass(&self, io: &Io<'_>, v: u32) -> bool {
+        io.ev.passes(Some(self.0), v, &mut NullMemory)
     }
 }
 
@@ -479,16 +558,16 @@ impl<O: KOp, SF: KFilter, DF: KFilter> EdgeKernel for Kernel<O, SF, DF> {
         out: &mut BufferedOutput,
     ) {
         for &src in &members[range] {
-            if !self.sf.pass(io.props, src) {
+            if !self.sf.pass(io, src) {
                 continue;
             }
             let weights = io.csr.neighbor_weights(src);
             for (k, &dst) in io.csr.neighbors(src).iter().enumerate() {
-                if !self.df.pass(io.props, dst) {
+                if !self.df.pass(io, dst) {
                     continue;
                 }
                 let w = weights.map_or(1, |ws| ws[k]) as i64;
-                self.op.apply(io.props, src, dst, w, out);
+                self.op.apply(io, src, dst, w, out);
             }
         }
     }
@@ -502,7 +581,7 @@ impl<O: KOp, SF: KFilter, DF: KFilter> EdgeKernel for Kernel<O, SF, DF> {
     ) {
         for dst in range {
             let dst = dst as u32;
-            if !self.df.pass(io.props, dst) {
+            if !self.df.pass(io, dst) {
                 continue;
             }
             let weights = io.csr.neighbor_weights(dst);
@@ -512,13 +591,13 @@ impl<O: KOp, SF: KFilter, DF: KFilter> EdgeKernel for Kernel<O, SF, DF> {
                         continue;
                     }
                 }
-                if !self.sf.pass(io.props, src) {
+                if !self.sf.pass(io, src) {
                     continue;
                 }
                 let w = weights.map_or(1, |ws| ws[k]) as i64;
-                self.op.apply(io.props, src, dst, w, out);
+                self.op.apply(io, src, dst, w, out);
                 // Direction-optimizing early exit, same as the interpreter.
-                if DF::ACTIVE && !self.df.pass(io.props, dst) {
+                if DF::ACTIVE && !self.df.pass(io, dst) {
                     break;
                 }
             }
@@ -535,7 +614,7 @@ impl<O: KOp, SF: KFilter, DF: KFilter> EdgeKernel for Kernel<O, SF, DF> {
         out: &mut BufferedOutput,
     ) {
         for &src in &members[range] {
-            if !self.sf.pass(io.props, src) {
+            if !self.sf.pass(io, src) {
                 continue;
             }
             let neigh = io.csr.neighbors(src);
@@ -546,11 +625,11 @@ impl<O: KOp, SF: KFilter, DF: KFilter> EdgeKernel for Kernel<O, SF, DF> {
                 if dst >= hi {
                     break;
                 }
-                if !self.df.pass(io.props, dst) {
+                if !self.df.pass(io, dst) {
                     continue;
                 }
                 let w = weights.map_or(1, |ws| ws[k]) as i64;
-                self.op.apply(io.props, src, dst, w, out);
+                self.op.apply(io, src, dst, w, out);
             }
         }
     }
@@ -603,11 +682,11 @@ fn recognize_filter(u: &UdfProgram, props: &PropertyStorage) -> Option<EqConst> 
 }
 
 /// Builds the kernel object once both filters resolved.
-fn assemble<O: KOp>(
+fn assemble<O: KOp, F: KFilter>(
     op: O,
     name: &'static str,
-    sf: Option<EqConst>,
-    df: Option<EqConst>,
+    sf: Option<F>,
+    df: Option<F>,
 ) -> Arc<dyn EdgeKernel> {
     match (sf, df) {
         (None, None) => Arc::new(Kernel {
@@ -632,9 +711,64 @@ fn assemble<O: KOp>(
     }
 }
 
+/// `id`'s compiled body, if it has one and takes `params` arguments — the
+/// only arity the interpreter would accept where it is called.
+pub(crate) fn body_of(
+    compiled: &[Option<Arc<CompiledUdf>>],
+    udfs: &UdfSet,
+    id: UdfId,
+    params: usize,
+) -> Option<Arc<CompiledUdf>> {
+    compiled
+        .get(id.0)
+        .cloned()
+        .flatten()
+        .filter(|_| udfs.get(id).num_params == params)
+}
+
+/// Builds the traversal of one edge operator in the best tier available:
+/// the specialized kernel if the recognizer matches, else the walker over
+/// the compiled bodies of the apply UDF and both filters, else (or with
+/// `use_kernels` off) the walker over the interpreter.
+pub(crate) fn select(
+    udfs: &UdfSet,
+    props: &PropertyStorage,
+    compiled: &[Option<Arc<CompiledUdf>>],
+    udf: UdfId,
+    src_filter: Option<UdfId>,
+    dst_filter: Option<UdfId>,
+    use_kernels: bool,
+) -> Selection {
+    // The evaluator's edge arity: `(src, dst, weight)` for a
+    // three-parameter UDF, `(src, dst)` otherwise.
+    let arity = if udfs.get(udf).num_params == 3 { 3 } else { 2 };
+    if use_kernels {
+        if let Some(k) = recognize(udfs, props, udf, src_filter, dst_filter) {
+            return (Tier::Specialized, k);
+        }
+        let filter = |f: Option<UdfId>| match f {
+            None => Some(None),
+            Some(id) => body_of(compiled, udfs, id, 1).map(|b| Some(CompiledFilter(b))),
+        };
+        if let (Some(body), Some(sf), Some(df)) = (
+            body_of(compiled, udfs, udf, arity),
+            filter(src_filter),
+            filter(dst_filter),
+        ) {
+            let op = CompiledApply { body, arity };
+            return (Tier::Compiled, assemble(op, "compiled udf", sf, df));
+        }
+    }
+    let op = InterpApply { udf, arity };
+    let (sf, df) = (src_filter.map(InterpFilter), dst_filter.map(InterpFilter));
+    (
+        Tier::Interpreted,
+        assemble(op, "interpreter fallback", sf, df),
+    )
+}
+
 /// Recognizes the apply UDF + filters of one edge traversal and builds the
-/// specialized kernel, or returns `None` for a deliberate interpreter
-/// fallback.
+/// specialized kernel, or returns `None` when no kernel shape matches.
 pub fn recognize(
     udfs: &UdfSet,
     props: &PropertyStorage,
@@ -650,8 +784,8 @@ pub fn recognize(
     let weight_like =
         |s: &Sym| matches!(s, Sym::Weight) || (u.num_params == 3 && matches!(s, Sym::Param(2)));
 
-    // Resolve filters first: an unrecognized filter forces the fallback
-    // even when the apply itself is specializable.
+    // Resolve filters first: an unrecognized filter leaves the operator to
+    // the compiled tier even when the apply itself is specializable.
     let sf = match src_filter {
         None => None,
         Some(f) => Some(recognize_filter(udfs.get(f), props)?),
@@ -778,10 +912,23 @@ pub fn recognize(
     }
 }
 
-/// Recognition without property arrays: builds a throwaway
-/// [`PropertyStorage`] carrying only the declared types, for callers (the
-/// C++ emitter) that reason about programs before any graph is loaded.
-/// Returns the kernel name, or `None` for fallback.
+/// Property and global tables carrying only `prog`'s declared types, for
+/// callers (the C++ emitter, tests) that reason about programs before any
+/// graph is loaded.
+fn declared(prog: &ugc_graphir::ir::Program) -> (PropertyStorage, GlobalTable) {
+    let mut props = PropertyStorage::new(0);
+    for p in &prog.properties {
+        props.add(p.name.clone(), p.ty, Value::zero_of(p.ty));
+    }
+    let mut globals = GlobalTable::new();
+    for g in &prog.globals {
+        globals.add(g.name.clone(), g.ty, Value::zero_of(g.ty));
+    }
+    (props, globals)
+}
+
+/// Recognition without property arrays: the specialized kernel's name, or
+/// `None` when no kernel shape matches.
 pub fn recognize_name(
     prog: &ugc_graphir::ir::Program,
     udfs: &UdfSet,
@@ -789,11 +936,25 @@ pub fn recognize_name(
     src_filter: Option<UdfId>,
     dst_filter: Option<UdfId>,
 ) -> Option<&'static str> {
-    let mut props = PropertyStorage::new(0);
-    for p in &prog.properties {
-        props.add(p.name.clone(), p.ty, Value::zero_of(p.ty));
-    }
+    let (props, _) = declared(prog);
     recognize(udfs, &props, udf, src_filter, dst_filter).map(|k| k.name())
+}
+
+/// [`select`] without property arrays, kernels on: the name of the
+/// traversal the executor will run — a kernel name, `compiled udf` or
+/// `interpreter fallback`.
+pub fn select_name(
+    prog: &ugc_graphir::ir::Program,
+    udfs: &UdfSet,
+    udf: UdfId,
+    src_filter: Option<UdfId>,
+    dst_filter: Option<UdfId>,
+) -> &'static str {
+    let (props, globals) = declared(prog);
+    let compiled = udf::compile_all(udfs, &props, &globals);
+    select(udfs, &props, &compiled, udf, src_filter, dst_filter, true)
+        .1
+        .name()
 }
 
 #[cfg(test)]
@@ -884,8 +1045,11 @@ mod tests {
         let props = props_of(&prog, 4);
         let graph = ugc_graph::Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2)]);
         let k = recognize(&udfs, &props, udfs.id_of("updateEdge").unwrap(), None, None).unwrap();
+        let globals = GlobalTable::new();
+        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
         let io = Io {
             props: &props,
+            ev: &ev,
             csr: graph.out_csr(),
         };
         let mut out = BufferedOutput::default();
@@ -955,8 +1119,11 @@ mod tests {
             props.write(rank, v, Value::Float(c));
         }
         let graph = ugc_graph::Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let globals = GlobalTable::new();
+        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
         let io = Io {
             props: &props,
+            ev: &ev,
             csr: graph.out_csr(),
         };
         let mut out = BufferedOutput::default();
@@ -994,8 +1161,11 @@ mod tests {
         )
         .unwrap();
         let graph = ugc_graph::Graph::from_edges(3, &[(0, 1), (0, 2)]);
+        let globals = GlobalTable::new();
+        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
         let io = Io {
             props: &props,
+            ev: &ev,
             csr: graph.out_csr(),
         };
         let mut out = BufferedOutput::default();
@@ -1020,8 +1190,11 @@ mod tests {
         )
         .expect("int literal widens to float, like the interpreter");
         let graph = ugc_graph::Graph::from_edges(2, &[(0, 1)]);
+        let globals = GlobalTable::new();
+        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
         let io = Io {
             props: &props,
+            ev: &ev,
             csr: graph.out_csr(),
         };
         let mut out = BufferedOutput::default();
@@ -1097,8 +1270,11 @@ mod tests {
             props.write(x, v, Value::Int(c));
         }
         let graph = ugc_graph::Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let globals = GlobalTable::new();
+        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
         let io = Io {
             props: &props,
+            ev: &ev,
             csr: graph.out_csr(),
         };
         let mut out = BufferedOutput::default();
@@ -1134,8 +1310,11 @@ mod tests {
         )
         .unwrap();
         let graph = ugc_graph::Graph::from_edges(3, &[(0, 1), (0, 2)]);
+        let globals = GlobalTable::new();
+        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
         let io = Io {
             props: &props,
+            ev: &ev,
             csr: graph.out_csr(),
         };
         let mut out = BufferedOutput::default();
@@ -1190,8 +1369,11 @@ mod tests {
         props.write(delta, 1, Value::Int(7));
         let k = recognize(&udfs, &props, udfs.id_of("updDelta").unwrap(), None, None).unwrap();
         let graph = ugc_graph::Graph::from_edges(3, &[(0, 2), (1, 2)]);
+        let globals = GlobalTable::new();
+        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
         let io = Io {
             props: &props,
+            ev: &ev,
             csr: graph.out_csr(),
         };
         let mut out = BufferedOutput::default();
@@ -1240,11 +1422,11 @@ mod tests {
         };
         let mut builds = 0;
         for _ in 0..3 {
-            let k = cache.resolve(key, || {
+            let (tier, _) = cache.resolve(key, || {
                 builds += 1;
-                recognize(&udfs, &props, key.udf, None, None)
+                select(&udfs, &props, &[], key.udf, None, None, true)
             });
-            assert!(k.is_some());
+            assert_eq!(tier, Tier::Specialized);
         }
         assert_eq!(builds, 1, "recognition must run once per key");
     }

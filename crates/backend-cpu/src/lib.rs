@@ -29,9 +29,10 @@ pub mod emitter;
 pub mod executor;
 pub mod kernels;
 pub mod schedule;
+pub mod udf;
 pub mod vm;
 
-pub use executor::{CpuAttribution, CpuExecutor};
-pub use kernels::{EdgeKernel, KernelKey};
+pub use executor::{CpuAttribution, CpuExecutor, KernelDispatch};
+pub use kernels::{EdgeKernel, KernelKey, Tier};
 pub use schedule::{CpuSchedule, CpuScheduleSpace};
 pub use vm::{CpuGraphVm, Execution};

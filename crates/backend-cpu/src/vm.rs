@@ -8,7 +8,7 @@ use ugc_graphir::ir::Program;
 use ugc_runtime::interp::{contain, run_main, ExecError, ProgramState};
 use ugc_runtime::value::Value;
 
-use crate::executor::{CpuAttribution, CpuExecutor};
+use crate::executor::{CpuAttribution, CpuExecutor, KernelDispatch};
 
 /// The CPU GraphVM: executes midend-processed GraphIR on host threads.
 #[derive(Debug, Clone, Default)]
@@ -26,6 +26,8 @@ pub struct Execution<'g> {
     /// Where the wall time went; components sum to `attr.total()`.
     /// All zeros when telemetry is disabled.
     pub attr: CpuAttribution,
+    /// Which tier ran each operator (counted with telemetry on or off).
+    pub dispatch: KernelDispatch,
 }
 
 impl std::fmt::Debug for Execution<'_> {
@@ -65,10 +67,10 @@ impl CpuGraphVm {
         }
     }
 
-    /// Enables or disables compiled edge kernels for this VM's runs
-    /// (overriding the `UGC_CPU_KERNELS` process default). With kernels
-    /// off every traversal goes through the interpreter — the
-    /// differential oracle the kernel library is tested against.
+    /// Enables or disables compiled kernels and UDF bodies for this VM's
+    /// runs (overriding the `UGC_CPU_KERNELS` process default). With
+    /// kernels off every operator goes through the interpreter — the
+    /// differential oracle both are tested against.
     pub fn with_kernels(mut self, on: bool) -> Self {
         self.executor.use_kernels = on;
         self
@@ -103,6 +105,7 @@ impl CpuGraphVm {
                 state,
                 elapsed,
                 attr,
+                dispatch: exec.take_dispatch(),
             })
         }))
     }

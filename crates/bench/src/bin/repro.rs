@@ -263,8 +263,9 @@ fn profile(targets: &[Target], scale: Scale) {
             // collector delta spanning the same window.
             let pool = col.snapshot();
             println!(
-                "kernel dispatch: {} specialized, {} interpreter fallback",
+                "kernel dispatch: {} specialized, {} compiled, {} interpreter fallback",
                 delta.value("cpu.kernel.specialized"),
+                delta.value("cpu.kernel.compiled"),
                 delta.value("cpu.kernel.fallback"),
             );
             if let Some(mean) = pool.histogram_mean("pool.chunk_size") {

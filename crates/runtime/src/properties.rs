@@ -136,6 +136,12 @@ impl PropertyStorage {
         v.to_bits(self.arrays[id.0].ty)
     }
 
+    /// Raw 64-bit cell write, relaxed: the caller has already encoded the
+    /// value the way [`Self::write`] would for this property's type.
+    pub fn write_bits(&self, id: PropId, idx: u32, bits: u64) {
+        self.arrays[id.0].data[idx as usize].store(bits, Ordering::Relaxed);
+    }
+
     /// Plain write.
     pub fn write(&self, id: PropId, idx: u32, v: Value) {
         let a = &self.arrays[id.0];
@@ -311,9 +317,19 @@ impl GlobalTable {
         self.names.iter().position(|n| n == name)
     }
 
+    /// The declared type of a global.
+    pub fn ty(&self, id: usize) -> Type {
+        self.tys[id]
+    }
+
     /// Reads a global.
     pub fn read(&self, id: usize) -> Value {
-        Value::from_bits(self.cells[id].load(Ordering::SeqCst), self.tys[id])
+        Value::from_bits(self.read_bits(id), self.tys[id])
+    }
+
+    /// Reads a global's raw cell: the bit pattern [`Self::read`] decodes.
+    pub fn read_bits(&self, id: usize) -> u64 {
+        self.cells[id].load(Ordering::SeqCst)
     }
 
     /// Writes a global.

@@ -52,11 +52,14 @@ grep -q '"counter":"sim_gpu.cycles.total"' target/ci-profile-smoke.json || {
   exit 1
 }
 
-echo "== kernel dispatch smoke (compiled kernels engage; fallback env honored)"
+echo "== kernel dispatch smoke (kernels and compiled UDFs engage; fallback env honored)"
 # A default CPU profile run must dispatch through the compiled kernel
-# library (nonzero cpu.kernel.specialized in the snapshot); the same run
-# under UGC_CPU_KERNELS=0 must go entirely through the interpreter —
-# the specialized counter never moves, the fallback counter does.
+# library (nonzero cpu.kernel.specialized in the snapshot), run whatever no
+# kernel matches as compiled UDF bodies (nonzero cpu.kernel.compiled) and
+# leave nothing to the interpreter (no nonzero cpu.kernel.fallback); the
+# same run under UGC_CPU_KERNELS=0 must go entirely through the
+# interpreter — the specialized and compiled counters never move, the
+# fallback counter does.
 rm -f target/ci-kernels-on.json target/ci-kernels-off.json
 UGC_BENCH_OUT=target/ci-kernels-on.json \
   cargo run --release --offline -q -p ugc-bench --bin repro -- --scale tiny --profile cpu \
@@ -65,11 +68,19 @@ grep -Eq '"counter":"cpu.kernel.specialized","value":[1-9]' target/ci-kernels-on
   echo "kernel smoke: cpu.kernel.specialized is zero/absent on a default run" >&2
   exit 1
 }
+grep -Eq '"counter":"cpu.kernel.compiled","value":[1-9]' target/ci-kernels-on.json || {
+  echo "kernel smoke: cpu.kernel.compiled is zero/absent on a default run" >&2
+  exit 1
+}
+if grep -Eq '"counter":"cpu.kernel.fallback","value":[1-9]' target/ci-kernels-on.json; then
+  echo "kernel smoke: a default run left operators to the interpreter" >&2
+  exit 1
+fi
 UGC_CPU_KERNELS=0 UGC_BENCH_OUT=target/ci-kernels-off.json \
   cargo run --release --offline -q -p ugc-bench --bin repro -- --scale tiny --profile cpu \
   > /dev/null
-if grep -Eq '"counter":"cpu.kernel.specialized","value":[1-9]' target/ci-kernels-off.json; then
-  echo "kernel smoke: UGC_CPU_KERNELS=0 still dispatched compiled kernels" >&2
+if grep -Eq '"counter":"cpu.kernel.(specialized|compiled)","value":[1-9]' target/ci-kernels-off.json; then
+  echo "kernel smoke: UGC_CPU_KERNELS=0 still dispatched kernels or compiled UDFs" >&2
   exit 1
 fi
 grep -Eq '"counter":"cpu.kernel.fallback","value":[1-9]' target/ci-kernels-off.json || {
@@ -149,10 +160,13 @@ done
 
 echo "== backend VM containment gate"
 # GraphVM execute paths must surface failures as classed errors through
-# the contain() boundary — never unwrap or panic in production code. Test
-# modules are exempt: the gate stops scanning at the first #[cfg(test)].
+# the contain() boundary — never unwrap or panic in production code. The
+# CPU's compiled UDF bodies run on the same path and follow the same rule
+# (their only panics are the arithmetic's own, e.g. integer division by
+# zero, exactly as the interpreter's). Test modules are exempt: the gate
+# stops scanning at the first #[cfg(test)].
 containment_bad=0
-for f in crates/backend-*/src/vm.rs crates/backend-*/src/executor.rs; do
+for f in crates/backend-*/src/vm.rs crates/backend-*/src/executor.rs crates/backend-cpu/src/udf.rs; do
   if ! awk '/#\[cfg\(test\)\]/{exit} /\.unwrap\(\)|panic!\(/{print FILENAME ": " $0; found=1} END{exit found}' "$f"; then
     containment_bad=1
   fi

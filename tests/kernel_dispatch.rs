@@ -1,25 +1,29 @@
-//! Compiled kernel dispatch: the CPU executor's monomorphized edge
-//! kernels versus the interpreter they replace.
+//! Compiled dispatch: the CPU executor's monomorphized edge kernels and
+//! compiled UDF bodies versus the interpreter they replace.
 //!
-//! Two guarantees:
+//! Three guarantees:
 //!
 //! 1. **Total dispatch** — every reachable point of the CPU schedule
 //!    space, applied to every algorithm, yields edge traversals that
-//!    either resolve to a *named* compiled kernel or deliberately fall
-//!    back to the interpreter. Recognition is a closed decision, never a
-//!    crash, and every resolved name comes from the known kernel library.
-//! 2. **Differential equality** — with a single thread the kernel path
-//!    and the interpreter path visit edges in the same order, so every
-//!    result property must be *bit-identical* between a `with_kernels`
-//!    run and an interpreter-forced run, across the whole graph
-//!    menagerie. Multi-threaded runs agree on the race-free derived
-//!    results (BFS levels, SSSP distances).
+//!    either resolve to a *named* monomorphized kernel or run compiled UDF
+//!    bodies. Recognition is a closed decision, never a crash, and every
+//!    resolved name comes from the known kernel library.
+//! 2. **No built-in UDF is interpreted** — every algorithm under its
+//!    hand-tuned CPU schedule runs every operator on a kernel or a
+//!    compiled body; with kernels off, every operator is interpreted.
+//! 3. **Differential equality** — with a single thread every tier visits
+//!    edges in the same order, so every result property must be
+//!    *bit-identical* between a `with_kernels` run and an
+//!    interpreter-forced run, across the whole graph menagerie.
+//!    Multi-threaded runs agree on the race-free derived results (BFS
+//!    trees, SSSP distances, triangle counts, coreness).
 
+use ugc::Target;
 use ugc_algorithms::Algorithm;
 use ugc_backend_cpu::{kernels, CpuGraphVm, CpuSchedule, CpuScheduleSpace};
 use ugc_graphir::ir::{Program, Stmt, StmtKind};
 use ugc_integration::{compile, externs_for, test_graphs, validate};
-use ugc_runtime::bytecode::{binding_of, compile_udfs, UdfSet};
+use ugc_runtime::bytecode::{binding_of, compile_udfs, UdfId, UdfSet};
 use ugc_schedule::space::{PointIter, ScheduleSpace, SpaceParams};
 use ugc_schedule::{Parallelization, SchedDirection, ScheduleRef};
 
@@ -65,33 +69,48 @@ fn all_edge_iterators(prog: &Program) -> Vec<ugc_graphir::ir::EdgeSetIteratorDat
     iters
 }
 
-/// `(kernel name | None)` for each edge traversal of a compiled program,
-/// resolved exactly the way the executor's dispatch table does.
-fn resolutions(prog: &Program, udfs: &UdfSet) -> Vec<Option<&'static str>> {
+/// `f(apply, src filter, dst filter)` for each edge traversal of a
+/// compiled program.
+fn per_traversal<T>(
+    prog: &Program,
+    udfs: &UdfSet,
+    f: impl Fn(UdfId, Option<UdfId>, Option<UdfId>) -> T,
+) -> Vec<T> {
+    let id = |n: &String| udfs.id_of(n).unwrap_or_else(|| panic!("UDF `{n}` missing"));
     all_edge_iterators(prog)
         .iter()
         .map(|d| {
-            let apply = udfs
-                .id_of(&d.apply)
-                .unwrap_or_else(|| panic!("apply UDF `{}` missing", d.apply));
-            let sf = d.src_filter.as_ref().map(|n| {
-                udfs.id_of(n)
-                    .unwrap_or_else(|| panic!("src filter `{n}` missing"))
-            });
-            let df = d.dst_filter.as_ref().map(|n| {
-                udfs.id_of(n)
-                    .unwrap_or_else(|| panic!("dst filter `{n}` missing"))
-            });
-            kernels::recognize_name(prog, udfs, apply, sf, df)
+            f(
+                id(&d.apply),
+                d.src_filter.as_ref().map(id),
+                d.dst_filter.as_ref().map(id),
+            )
         })
         .collect()
 }
 
-/// Guarantee 1: the whole reachable schedule space dispatches cleanly.
+/// `(kernel name | None)` for each edge traversal of a compiled program,
+/// resolved exactly the way the executor's dispatch table does.
+fn resolutions(prog: &Program, udfs: &UdfSet) -> Vec<Option<&'static str>> {
+    per_traversal(prog, udfs, |apply, sf, df| {
+        kernels::recognize_name(prog, udfs, apply, sf, df)
+    })
+}
+
+/// The traversal the executor runs for each edge operator: a kernel name,
+/// `compiled udf` or `interpreter fallback`.
+fn selections(prog: &Program, udfs: &UdfSet) -> Vec<&'static str> {
+    per_traversal(prog, udfs, |apply, sf, df| {
+        kernels::select_name(prog, udfs, apply, sf, df)
+    })
+}
+
+/// Guarantee 1: the whole reachable schedule space dispatches cleanly, and
+/// whatever no kernel matches runs compiled, never interpreted.
 #[test]
 fn every_schedule_point_resolves_or_deliberately_falls_back() {
     let mut specialized = 0usize;
-    let mut fallback = 0usize;
+    let mut compiled = 0usize;
     for algo in Algorithm::ALL {
         let params = SpaceParams {
             ordered: matches!(algo, Algorithm::Sssp),
@@ -112,7 +131,7 @@ fn every_schedule_point_resolves_or_deliberately_falls_back() {
                 "{} at point {pt:?}: no edge traversal found",
                 algo.name()
             );
-            for r in res {
+            for (r, selected) in res.into_iter().zip(selections(&prog, &udfs)) {
                 match r {
                     Some(name) => {
                         assert!(
@@ -120,18 +139,27 @@ fn every_schedule_point_resolves_or_deliberately_falls_back() {
                             "{} at point {pt:?}: unknown kernel `{name}`",
                             algo.name()
                         );
+                        assert_eq!(selected, name);
                         specialized += 1;
                     }
-                    None => fallback += 1,
+                    None => {
+                        assert_eq!(
+                            selected,
+                            "compiled udf",
+                            "{} at point {pt:?}: traversal left to the interpreter",
+                            algo.name()
+                        );
+                        compiled += 1;
+                    }
                 }
             }
         }
     }
-    // The library must actually engage somewhere — an all-fallback space
-    // would silently reintroduce the interpreter tax this PR removes.
+    // The library must actually engage somewhere — a space with no kernel
+    // would lose the monomorphized bodies the compiled tier cannot match.
     assert!(
         specialized > 0,
-        "no schedule point resolved to a compiled kernel ({fallback} fallbacks)"
+        "no schedule point resolved to a monomorphized kernel ({compiled} compiled)"
     );
 }
 
@@ -222,13 +250,12 @@ fn differential_scheds(algo: Algorithm) -> Vec<Option<ScheduleRef>> {
 /// - **LP** (`next_label[dst] min= labels[src]`) is exactly the CC
 ///   reduction shape and must specialize to `reduce_min`. (Bit-identity
 ///   with the interpreter is covered by the `Algorithm::ALL` sweep above.)
-/// - **TC** (`tri[dst] += intersect_count(src, dst)`) must fall back: the
-///   kernel library only specializes reductions whose value is a plain
-///   property load of `src`, and has no kernel for intrinsic-valued
-///   (adjacency-intersection) work. The fallback is *counted* under
-///   `cpu.kernel.fallback`, never silent.
-/// - **k-core** (`deg[dst] += -1`) must fall back for the same reason: a
-///   literal-valued reduction has no specialized kernel yet.
+/// - **TC** (`tri[dst] += intersect_count(src, dst)`) matches no kernel:
+///   the library only specializes reductions whose value is a plain
+///   property load of `src`. Its edge UDF runs as a compiled body.
+/// - **k-core** (`deg[dst] += -1`) matches none for the same reason — a
+///   literal-valued reduction — and runs compiled too, as do its vertex
+///   filter and applies. Neither leaves anything to the interpreter.
 #[test]
 fn new_algorithms_dispatch_deliberately() {
     let resolutions_of = |algo: Algorithm| {
@@ -244,35 +271,90 @@ fn new_algorithms_dispatch_deliberately() {
     assert_eq!(
         resolutions_of(Algorithm::Tc),
         vec![None],
-        "TC must (deliberately) fall back — no intersection kernel exists"
+        "TC must match no kernel — no intersection kernel exists"
     );
     assert_eq!(
         resolutions_of(Algorithm::KCore),
         vec![None],
-        "k-core must (deliberately) fall back — no literal-valued reduction kernel"
+        "k-core must match no kernel — no literal-valued reduction kernel"
     );
-    // Fallbacks are counted, not silent: a kernels-enabled TC run bumps
-    // `cpu.kernel.fallback` (when telemetry is collected at all).
-    if ugc_telemetry::enabled() {
-        let col = ugc_telemetry::Collector::start();
-        let graph = ugc_graph::generators::clique_batch(2, 4);
-        CpuGraphVm::with_threads(1)
+    // Both run compiled, and say so: in the run's own dispatch count and
+    // in the registry (when telemetry is collected at all).
+    let col = ugc_telemetry::Collector::start();
+    let graph = ugc_graph::generators::clique_batch(2, 4);
+    for algo in [Algorithm::Tc, Algorithm::KCore] {
+        let prog = compile(algo, None);
+        let udfs = compile_udfs(&prog, &binding_of(&prog)).expect("udfs compile");
+        assert_eq!(
+            selections(&prog, &udfs),
+            vec!["compiled udf"],
+            "{}",
+            algo.name()
+        );
+        let run = CpuGraphVm::with_threads(1)
             .with_kernels(true)
-            .execute(
-                compile(Algorithm::Tc, None),
-                &graph,
-                &externs_for(Algorithm::Tc, 0),
-            )
-            .expect("tc runs");
+            .execute(prog, &graph, &externs_for(algo, 0))
+            .expect("runs");
+        assert!(
+            run.dispatch.compiled > 0 && run.dispatch.fallback == 0,
+            "{}: {:?}",
+            algo.name(),
+            run.dispatch
+        );
+    }
+    if ugc_telemetry::enabled() {
         let snap = col.snapshot();
         assert!(
-            snap.get("cpu.kernel.fallback").unwrap_or(0) > 0,
-            "TC fallback was not counted: {snap:?}"
+            snap.get("cpu.kernel.compiled").unwrap_or(0) > 0,
+            "compiled operators were not counted: {snap:?}"
         );
     }
 }
 
-/// Guarantee 2 (serial): kernels on vs interpreter-forced, one thread,
+/// Guarantee 2: under its hand-tuned CPU schedule on a power-law and a
+/// road graph, every algorithm runs every operator (edge, vertex apply,
+/// vertex filter) on a kernel or a compiled body — no built-in UDF is left
+/// interpreted — and with kernels off, on the interpreter alone.
+#[test]
+fn no_builtin_udf_is_interpreted_under_tuned_schedules() {
+    let graphs = [
+        ("rmat_8", ugc_graph::generators::rmat(8, 4, 7, true)),
+        (
+            "road_16x16",
+            ugc_graph::generators::road_grid(16, 16, 0.05, 3, true),
+        ),
+    ];
+    for algo in Algorithm::ALL {
+        for (gname, graph) in &graphs {
+            let sched = ugc_bench::tuned_schedule_for(Target::Cpu, algo, graph);
+            let dispatch = |kernels_on: bool| {
+                CpuGraphVm::with_threads(2)
+                    .with_kernels(kernels_on)
+                    .execute(
+                        compile(algo, Some(sched.clone())),
+                        graph,
+                        &externs_for(algo, 0),
+                    )
+                    .unwrap_or_else(|e| panic!("{} on {gname}: {e}", algo.name()))
+                    .dispatch
+            };
+            let on = dispatch(true);
+            assert!(
+                on.fallback == 0 && on.specialized + on.compiled > 0,
+                "{} on {gname}: an operator was interpreted: {on:?}",
+                algo.name()
+            );
+            let off = dispatch(false);
+            assert!(
+                off.compiled == 0 && off.specialized == 0 && off.fallback > 0,
+                "{} on {gname}: kernels off still compiled: {off:?}",
+                algo.name()
+            );
+        }
+    }
+}
+
+/// Guarantee 3 (serial): kernels on vs interpreter-forced, one thread,
 /// bit-identical results everywhere — and both valid against the
 /// sequential reference.
 #[test]
@@ -303,8 +385,8 @@ fn kernels_are_bit_identical_to_interpreter_single_threaded() {
     }
 }
 
-/// Guarantee 2 (parallel): under real threads the kernel path agrees with
-/// the interpreter on the race-free derived answers.
+/// Guarantee 3 (parallel): under real threads the kernel and compiled paths
+/// agree with the interpreter on the race-free derived answers.
 #[test]
 fn kernels_match_interpreter_under_threads() {
     let graph = ugc_graph::generators::rmat(9, 6, 13, true);
@@ -335,6 +417,30 @@ fn kernels_match_interpreter_under_threads() {
             .property_ints("dist")
     };
     assert_eq!(dist_of(true), dist_of(false));
+    // Triangle counts are integer sums and coreness is a fixpoint: both
+    // are exact under any interleaving, so the compiled TC edge body and
+    // the compiled k-core filter/applies must reproduce the interpreter.
+    for (algo, prop) in [(Algorithm::Tc, "tri"), (Algorithm::KCore, "core")] {
+        let result_of = |kernels_on: bool| {
+            let run = CpuGraphVm::with_threads(8)
+                .with_kernels(kernels_on)
+                .execute(
+                    compile(algo, Some(sched.clone())),
+                    &graph,
+                    &externs_for(algo, 0),
+                )
+                .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+            (run.property_ints(prop), run.dispatch)
+        };
+        let ((compiled, on), (interpreted, off)) = (result_of(true), result_of(false));
+        assert!(
+            on.compiled > 0 && on.fallback == 0,
+            "{}: {on:?}",
+            algo.name()
+        );
+        assert_eq!(off.compiled, 0, "{}: {off:?}", algo.name());
+        assert_eq!(compiled, interpreted, "{} `{prop}` diverges", algo.name());
+    }
 }
 
 // ---------------------------------------------------------------------------
