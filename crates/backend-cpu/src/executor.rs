@@ -1,16 +1,17 @@
 //! The CPU operator executor: real multithreaded traversal.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use ugc_graph::Csr;
 use ugc_graphir::ir::{EdgeSetIteratorData, Stmt};
 use ugc_graphir::types::Direction;
-use ugc_runtime::eval::{BufferedOutput, NullMemory, NullOutput};
-use ugc_runtime::interp::{ExecError, OperatorExecutor, ProgramState};
+use ugc_runtime::eval::{BufferedOutput, NullMemory};
+use ugc_runtime::interp::{filter_sweep, ExecError, OperatorExecutor, ProgramState};
 use ugc_runtime::parallel::{default_threads, parallel_for_with_local};
 use ugc_runtime::pool::parallel_for_chunks_with_local;
+use ugc_runtime::udf::{body_of, CompiledUdf};
 use ugc_runtime::vertexset::VertexSet;
 use ugc_runtime::{EdgeOp, UdfId};
 use ugc_schedule::{schedule_as, SchedulePoint};
@@ -19,7 +20,6 @@ use ugc_telemetry::{Counter, Span};
 
 use crate::kernels::{self, EdgeKernel, Io, KernelCache, KernelKey, Tier};
 use crate::schedule::CpuSchedule;
-use crate::udf::{self, CompiledSet, CompiledUdf};
 
 /// Telemetry handles for the CPU executor, registered once per process.
 struct CpuCounters {
@@ -128,10 +128,9 @@ pub struct CpuExecutor {
     /// bodies (default: on, unless `UGC_CPU_KERNELS=0`). Off forces the
     /// interpreter everywhere — the differential oracle.
     pub use_kernels: bool,
-    /// Per-run kernel table and compiled UDF bodies. [`UdfId`]s are only
-    /// meaningful within one compiled program, so `Clone` (the
-    /// per-`execute` entry point) resets this to empty rather than sharing
-    /// it.
+    /// Per-run kernel table. [`UdfId`]s are only meaningful within one
+    /// compiled program, so `Clone` (the per-`execute` entry point) resets
+    /// this to empty rather than sharing it.
     kernels: std::sync::Arc<KernelCache>,
     phase_ns: PhaseNs,
     dispatch: KernelDispatch,
@@ -184,16 +183,13 @@ impl CpuExecutor {
         }
     }
 
-    /// The run's compiled UDF bodies (none with kernels off), lowered on
-    /// first use.
-    fn compiled(&self, state: &ProgramState<'_>) -> &CompiledSet {
-        self.kernels.compiled(|| {
-            if self.use_kernels {
-                udf::compile_all(&state.udfs, &state.props, &state.globals)
-            } else {
-                Vec::new()
-            }
-        })
+    /// The run's compiled UDF bodies; none with kernels off.
+    fn compiled<'s>(&self, state: &'s ProgramState<'_>) -> &'s [Option<Arc<CompiledUdf>>] {
+        if self.use_kernels {
+            state.compiled()
+        } else {
+            &[]
+        }
     }
 
     /// Counts one operator under the tier that runs it, for this run and
@@ -247,12 +243,8 @@ impl CpuExecutor {
 
     /// The compiled body of a vertex operator's one-parameter UDF, or
     /// `None` for the interpreter, counting its tier.
-    fn vertex_body(
-        &mut self,
-        state: &ProgramState<'_>,
-        udf: UdfId,
-    ) -> Option<std::sync::Arc<CompiledUdf>> {
-        let body = kernels::body_of(self.compiled(state), &state.udfs, udf, 1);
+    fn vertex_body(&mut self, state: &ProgramState<'_>, udf: UdfId) -> Option<Arc<CompiledUdf>> {
+        let body = body_of(self.compiled(state), &state.udfs, udf, 1);
         self.count(if body.is_some() {
             Tier::Compiled
         } else {
@@ -468,32 +460,7 @@ impl OperatorExecutor for CpuExecutor {
         let t0 = ugc_telemetry::enabled().then(Instant::now);
         let (udf, candidates) = state.filter_candidates(input, filter)?;
         let body = self.vertex_body(state, udf);
-        let ev = state.evaluator();
-        let keep = |v: u32| {
-            match &body {
-                Some(c) => c.call(&ev, &[v as i64], 1, &mut NullOutput),
-                None => ev.apply_vertex(udf, v, &mut NullOutput, &mut NullMemory),
-            }
-            .is_some_and(|r| r.as_bool())
-        };
-        let members: Vec<u32> = if candidates.len() < 512 {
-            candidates.iter().copied().filter(|&v| keep(v)).collect()
-        } else {
-            let locals = parallel_for_with_local(
-                self.num_threads,
-                candidates.len(),
-                256,
-                |_tid, range, local: &mut Vec<u32>| {
-                    local.extend(candidates[range].iter().copied().filter(|&v| keep(v)));
-                },
-            );
-            // Workers steal chunks dynamically, so locals interleave;
-            // restore ascending order for a canonical sparse set.
-            let mut all: Vec<u32> = locals.into_iter().flatten().collect();
-            all.sort_unstable();
-            all
-        };
-        let out = VertexSet::from_members(state.graph.num_vertices(), members);
+        let out = filter_sweep(state, udf, &candidates, body.as_deref(), self.num_threads);
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             self.phase_ns.apply += ns;

@@ -13,8 +13,8 @@
 //! facts only this backend sees).
 //!
 //! Anything the recognizer does not understand runs through the same
-//! walker with its UDFs' compiled bodies ([`crate::udf`]) and, when a UDF
-//! does not compile, through the interpreter — [`select`] picks the
+//! walker with its UDFs' compiled bodies ([`ugc_runtime::udf`]) and, when
+//! a UDF does not compile, through the interpreter — [`select`] picks the
 //! [`Tier`]. The interpreter also remains the differential oracle: every
 //! kernel reproduces the evaluator's observable semantics exactly — the
 //! same [`PropertyStorage`] atomics (`cas`/`reduce`/`reduce_relaxed`), the
@@ -29,12 +29,11 @@ use ugc_graphir::types::{BinOp, ReduceOp, Type};
 use ugc_runtime::bytecode::{Instr, UdfProgram};
 use ugc_runtime::eval::{BufferedOutput, EdgeCtx, Evaluator, NullMemory, NullOutput, UdfOutput};
 use ugc_runtime::properties::{GlobalTable, PropId, PropertyStorage};
+use ugc_runtime::udf::{self, body_of, CompiledUdf};
 use ugc_runtime::value::Value;
 use ugc_runtime::vertexset::VertexSet;
 use ugc_runtime::{UdfId, UdfSet};
 use ugc_schedule::SchedulePoint;
-
-use crate::udf::{self, CompiledSet, CompiledUdf};
 
 /// Whether compiled kernels and UDF bodies are enabled for this process
 /// (default yes). `UGC_CPU_KERNELS=0|off|false` forces the interpreter
@@ -128,7 +127,7 @@ pub trait EdgeKernel: Send + Sync {
 pub enum Tier {
     /// A monomorphized kernel body the recognizer matched.
     Specialized,
-    /// The UDFs' compiled bodies ([`crate::udf`]).
+    /// The UDFs' compiled bodies ([`ugc_runtime::udf`]).
     Compiled,
     /// One [`Evaluator::call`] per UDF call.
     Interpreted,
@@ -138,11 +137,11 @@ pub enum Tier {
 pub type Selection = (Tier, Arc<dyn EdgeKernel>);
 
 /// Per-run kernel table: `KernelKey → (tier, kernel)`, so recognition runs
-/// once per key, plus the run's compiled UDF bodies, lowered once.
+/// once per key. The compiled UDF bodies the walker uses are the run's own
+/// ([`ugc_runtime::interp::ProgramState::compiled`]).
 #[derive(Default)]
 pub struct KernelCache {
     map: Mutex<HashMap<KernelKey, Selection>>,
-    compiled: OnceLock<CompiledSet>,
 }
 
 impl KernelCache {
@@ -150,11 +149,6 @@ impl KernelCache {
     pub fn resolve(&self, key: KernelKey, build: impl FnOnce() -> Selection) -> Selection {
         let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
         map.entry(key).or_insert_with(build).clone()
-    }
-
-    /// The run's compiled UDF bodies, lowered via `build` on first use.
-    pub fn compiled(&self, build: impl FnOnce() -> CompiledSet) -> &CompiledSet {
-        self.compiled.get_or_init(build)
     }
 }
 
@@ -709,21 +703,6 @@ fn assemble<O: KOp, F: KFilter>(
         }),
         (Some(sf), Some(df)) => Arc::new(Kernel { op, sf, df, name }),
     }
-}
-
-/// `id`'s compiled body, if it has one and takes `params` arguments — the
-/// only arity the interpreter would accept where it is called.
-pub(crate) fn body_of(
-    compiled: &[Option<Arc<CompiledUdf>>],
-    udfs: &UdfSet,
-    id: UdfId,
-    params: usize,
-) -> Option<Arc<CompiledUdf>> {
-    compiled
-        .get(id.0)
-        .cloned()
-        .flatten()
-        .filter(|_| udfs.get(id).num_params == params)
 }
 
 /// Builds the traversal of one edge operator in the best tier available:

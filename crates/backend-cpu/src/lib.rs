@@ -29,7 +29,6 @@ pub mod emitter;
 pub mod executor;
 pub mod kernels;
 pub mod schedule;
-pub mod udf;
 pub mod vm;
 
 pub use executor::{CpuAttribution, CpuExecutor, KernelDispatch};

@@ -1,8 +1,6 @@
 //! The HammerBlade operator executor: lowers operators to manycore kernel
 //! phases.
 
-use std::collections::HashSet;
-
 use ugc_graph::Csr;
 use ugc_graphir::ir::{EdgeSetIteratorData, Stmt};
 use ugc_graphir::types::Direction;
@@ -36,7 +34,7 @@ pub mod arrays {
 struct HbRecorder<'a> {
     trace: CoreTrace,
     /// `(props, id range)` currently resident in the scratchpad.
-    scratch: Option<(&'a HashSet<PropId>, std::ops::Range<u32>)>,
+    scratch: Option<(&'a [PropId], std::ops::Range<u32>)>,
 }
 
 impl MemoryModel for HbRecorder<'_> {
@@ -104,22 +102,27 @@ impl HbExecutor {
 /// access method needs from its UDF.
 struct HbPlan {
     sched: HbSchedule,
-    /// Properties indexed by the UDF's first parameter — the candidates
-    /// for scratchpad prefetch under the blocked access method.
-    owned_props: HashSet<PropId>,
+    /// Properties indexed by the UDF's first parameter, ascending and
+    /// distinct — the candidates for scratchpad prefetch under the blocked
+    /// access method.
+    owned_props: Vec<PropId>,
 }
 
 fn plan(state: &ProgramState<'_>, stmt: &Stmt, op: &EdgeOp<'_>) -> HbPlan {
     // Scan the UDF bytecode for loads indexed by parameter 0 (the owned
     // vertex) — those are safe to prefetch per work block.
-    let mut owned_props = HashSet::new();
-    for i in &state.udfs.get(op.udf).instrs {
-        if let Instr::LoadProp { prop, idx, .. } = i {
-            if *idx == 0 {
-                owned_props.insert(*prop);
-            }
-        }
-    }
+    let mut owned_props: Vec<PropId> = state
+        .udfs
+        .get(op.udf)
+        .instrs
+        .iter()
+        .filter_map(|i| match i {
+            Instr::LoadProp { prop, idx: 0, .. } => Some(*prop),
+            _ => None,
+        })
+        .collect();
+    owned_props.sort_unstable();
+    owned_props.dedup();
     HbPlan {
         sched: schedule_as::<HbSchedule>(stmt).unwrap_or_default(),
         owned_props,
@@ -262,7 +265,7 @@ impl HbExecutor {
                             write: false,
                         });
                     }
-                    rec.scratch = Some((&plan.owned_props, lo..hi + 1));
+                    rec.scratch = Some((plan.owned_props.as_slice(), lo..hi + 1));
                 } else {
                     rec.scratch = None;
                 }

@@ -9,10 +9,13 @@
 use ugc_graph::Graph;
 use ugc_graphir::types::ReduceOp;
 
-use crate::bytecode::{Instr, UdfId, UdfSet};
+use crate::bytecode::{Instr, UdfId, UdfProgram, UdfSet};
 use crate::operator::EdgeOp;
 use crate::properties::{GlobalTable, PropId, PropertyStorage};
 use crate::value::Value;
+
+/// The largest register file [`Evaluator::call`] keeps on the stack.
+const STACK_REGS: usize = 32;
 
 /// Observes memory operations performed while evaluating a UDF.
 ///
@@ -128,7 +131,27 @@ impl<'a> Evaluator<'a> {
             udf.name,
             udf.num_params
         );
-        let mut regs = vec![Value::Int(0); udf.num_regs];
+        // The register file lives on the stack unless the UDF is unusually
+        // large: no allocation per call, which is per edge on a simulator.
+        if udf.num_regs <= STACK_REGS {
+            let mut regs = [Value::Int(0); STACK_REGS];
+            self.run(udf, &mut regs[..udf.num_regs], args, ctx, out, mem)
+        } else {
+            let mut regs = vec![Value::Int(0); udf.num_regs];
+            self.run(udf, &mut regs, args, ctx, out, mem)
+        }
+    }
+
+    /// [`Evaluator::call`]'s body over a zeroed register file `regs`.
+    fn run(
+        &self,
+        udf: &UdfProgram,
+        regs: &mut [Value],
+        args: &[Value],
+        ctx: EdgeCtx,
+        out: &mut dyn UdfOutput,
+        mem: &mut dyn MemoryModel,
+    ) -> Option<Value> {
         regs[..args.len()].copy_from_slice(args);
         let mut compute_steps: u32 = 0;
         let mut pc = 0usize;

@@ -12,18 +12,22 @@
 //! conversion). Backends supply that through [`OperatorExecutor`].
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use ugc_graph::Graph;
 use ugc_graphir::ir::{EdgeSetIteratorData, Expr, ExprKind, LValue, Program, Stmt, StmtKind};
 use ugc_graphir::types::{Intrinsic, ReduceOp, Type};
 use ugc_resilience::ErrorClass;
+use ugc_telemetry::Counter;
 
 use crate::buckets::BucketQueue;
-use crate::bytecode::{binding_of, compile_udfs, Binding, UdfSet};
+use crate::bytecode::{binding_of, compile_udfs, Binding, UdfId, UdfSet};
 use crate::eval::{EdgeCtx, NullMemory, NullOutput};
 use crate::frontier_list::FrontierList;
 use crate::host::{HostEnv, HostValue};
+use crate::parallel::{default_threads, parallel_for_with_local};
 use crate::properties::{GlobalTable, PropertyStorage};
+use crate::udf::{self, CompiledSet, CompiledUdf};
 use crate::value::Value;
 use crate::vertexset::VertexSet;
 
@@ -112,10 +116,10 @@ pub trait OperatorExecutor {
 
     /// Executes a `VertexSetFilter`: evaluates the boolean `filter` UDF on
     /// every candidate vertex (the members of `input`, or all vertices)
-    /// and returns the passing subset. The default runs sequentially on
-    /// the host — correct for every backend (the simulators treat it as
-    /// host coordination); the CPU backend overrides it with a
-    /// pool-parallel sweep.
+    /// and returns the passing subset. Every GraphVM treats it as host
+    /// coordination — the simulators charge nothing for it — so the
+    /// default is [`filter_sweep`] with the run's compiled body; the CPU
+    /// wraps the same sweep in its timing and tier accounting.
     ///
     /// # Errors
     ///
@@ -127,7 +131,15 @@ pub trait OperatorExecutor {
         input: Option<&str>,
         filter: &str,
     ) -> Result<VertexSet, ExecError> {
-        sequential_vertex_filter(state, input, filter)
+        let (id, candidates) = state.filter_candidates(input, filter)?;
+        let body = udf::body_of(state.compiled(), &state.udfs, id, 1);
+        Ok(filter_sweep(
+            state,
+            id,
+            &candidates,
+            body.as_deref(),
+            default_threads(),
+        ))
     }
 
     /// Offered every `While` loop before generic interpretation; return
@@ -142,27 +154,61 @@ pub trait OperatorExecutor {
     }
 }
 
-/// The sequential host-side filter sweep behind the default
-/// [`OperatorExecutor::vertex_filter`].
-///
-/// # Errors
-///
-/// Fails on an unknown filter UDF or an unbound input set.
-pub fn sequential_vertex_filter(
-    state: &mut ProgramState<'_>,
-    input: Option<&str>,
-    filter: &str,
-) -> Result<VertexSet, ExecError> {
-    let (id, candidates) = state.filter_candidates(input, filter)?;
+/// Below this many candidates a filter sweep runs on the calling thread:
+/// pool dispatch would cost more than the sweep.
+const SERIAL_FILTER_MAX: usize = 512;
+
+/// The `runtime.vertex_filter.{compiled,interpreted}` counters: filter
+/// sweeps by the tier their UDF ran in.
+fn filter_counters() -> &'static [Counter; 2] {
+    static COUNTERS: OnceLock<[Counter; 2]> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        [
+            Counter::new("runtime.vertex_filter.compiled"),
+            Counter::new("runtime.vertex_filter.interpreted"),
+        ]
+    })
+}
+
+/// The host-side `VertexSetFilter` sweep behind every GraphVM's
+/// [`OperatorExecutor::vertex_filter`]: filter UDF `id` on every candidate,
+/// through its compiled `body` when it has one and the interpreter
+/// otherwise, on up to `threads` pool workers above [`SERIAL_FILTER_MAX`]
+/// candidates. A serial sweep keeps candidate order; a parallel one
+/// returns its members ascending, since workers steal chunks and their
+/// outputs interleave. Counts one sweep in its tier.
+pub fn filter_sweep(
+    state: &ProgramState<'_>,
+    id: UdfId,
+    candidates: &[u32],
+    body: Option<&CompiledUdf>,
+    threads: usize,
+) -> VertexSet {
+    filter_counters()[usize::from(body.is_none())].incr();
     let ev = state.evaluator();
-    let members = candidates
-        .into_iter()
-        .filter(|&v| {
-            ev.apply_vertex(id, v, &mut NullOutput, &mut NullMemory)
-                .is_some_and(|r| r.as_bool())
-        })
-        .collect();
-    Ok(VertexSet::from_members(state.graph.num_vertices(), members))
+    let keep = |v: u32| {
+        match body {
+            Some(c) => c.call(&ev, &[v as i64], 1, &mut NullOutput),
+            None => ev.apply_vertex(id, v, &mut NullOutput, &mut NullMemory),
+        }
+        .is_some_and(|r| r.as_bool())
+    };
+    let members: Vec<u32> = if candidates.len() < SERIAL_FILTER_MAX {
+        candidates.iter().copied().filter(|&v| keep(v)).collect()
+    } else {
+        let locals = parallel_for_with_local(
+            threads,
+            candidates.len(),
+            256,
+            |_tid, range, local: &mut Vec<u32>| {
+                local.extend(candidates[range].iter().copied().filter(|&v| keep(v)));
+            },
+        );
+        let mut all: Vec<u32> = locals.into_iter().flatten().collect();
+        all.sort_unstable();
+        all
+    };
+    VertexSet::from_members(state.graph.num_vertices(), members)
 }
 
 /// All mutable state of one program execution.
@@ -185,6 +231,8 @@ pub struct ProgramState<'g> {
     pub env: HostEnv,
     /// Output of `Print` statements.
     pub prints: Vec<String>,
+    /// The UDFs' compiled bodies, lowered on first use.
+    compiled: OnceLock<CompiledSet>,
 }
 
 impl std::fmt::Debug for ProgramState<'_> {
@@ -227,6 +275,7 @@ impl<'g> ProgramState<'g> {
             queues: Vec::new(),
             env: HostEnv::new(),
             prints: Vec::new(),
+            compiled: OnceLock::new(),
         };
         // Globals first (property inits may reference them).
         let global_decls = state.prog.globals.clone();
@@ -275,6 +324,14 @@ impl<'g> ProgramState<'g> {
                 .cloned()
                 .ok_or_else(|| ExecError::new(format!("input frontier `{n}` is not bound"))),
         }
+    }
+
+    /// The run's compiled UDF bodies ([`udf::compile_all`]), lowered on
+    /// first use and shared by every operator of the run. Compilation reads
+    /// only property and global types, which are fixed once `new` returns.
+    pub fn compiled(&self) -> &CompiledSet {
+        self.compiled
+            .get_or_init(|| udf::compile_all(&self.udfs, &self.props, &self.globals))
     }
 
     /// Pops the ready bucket of queue `qid`, consulting current tracked

@@ -19,6 +19,9 @@
 //!   [`eval::MemoryModel`], so architecture simulators observe every
 //!   load/store/atomic with its address while the real CPU backend pays no
 //!   observation cost,
+//! * [`udf`] — the UDF compiler: bytecode lowered once per run to typed,
+//!   closure-threaded bodies, which run the CPU's operators and every
+//!   GraphVM's host-side vertex filter,
 //! * [`parallel`] / [`pool`] — work-distribution primitives for the CPU
 //!   backend, dispatching to a persistent std-only work-stealing worker
 //!   pool (`UGC_THREADS=1` forces deterministic serial execution),
@@ -38,6 +41,7 @@ pub mod operator;
 pub mod parallel;
 pub mod pool;
 pub mod properties;
+pub mod udf;
 pub mod value;
 pub mod vertexset;
 

@@ -9,7 +9,8 @@
 //!   STRICT/ETWC) attack,
 //! * **memory coalescing** — each warp's accesses are grouped into 32-byte
 //!   transactions; adjacent lanes touching adjacent addresses cost one
-//!   transaction, scattered lanes cost one each,
+//!   transaction, scattered lanes cost one each. A warp's transactions
+//!   reach the L2 in ascending segment order,
 //! * **an L2 cache** (segment-granular, set-associative) — reuse captured
 //!   here is what EdgeBlocking buys,
 //! * **DRAM bandwidth** — a hard roof on kernel throughput,
@@ -37,7 +38,6 @@
 //! assert!(cycles > 0);
 //! ```
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use ugc_resilience::{budget, fault};
@@ -245,10 +245,12 @@ pub struct GpuStats {
     pub atomics: u64,
 }
 
-/// Segment-granular set-associative cache with LRU replacement.
+/// Segment-granular set-associative cache with LRU replacement: one flat
+/// `num_sets × ways` tag array, each set's occupied ways kept MRU-first.
 #[derive(Debug)]
 struct L2Cache {
-    sets: Vec<Vec<u64>>, // each set: MRU-first list of segment ids
+    tags: Vec<u64>,
+    lens: Vec<u32>,
     ways: usize,
     num_sets: u64,
 }
@@ -258,7 +260,8 @@ impl L2Cache {
         let lines = (capacity_bytes / txn_bytes).max(1);
         let num_sets = (lines / ways as u64).max(1);
         L2Cache {
-            sets: vec![Vec::with_capacity(ways); num_sets as usize],
+            tags: vec![0; num_sets as usize * ways],
+            lens: vec![0; num_sets as usize],
             ways,
             num_sets,
         }
@@ -266,16 +269,18 @@ impl L2Cache {
 
     /// Touches a segment; returns whether it hit.
     fn access(&mut self, segment: u64) -> bool {
-        let set = &mut self.sets[(segment % self.num_sets) as usize];
-        if let Some(pos) = set.iter().position(|&s| s == segment) {
-            let seg = set.remove(pos);
-            set.insert(0, seg);
+        let s = (segment % self.num_sets) as usize;
+        let len = self.lens[s] as usize;
+        let set = &mut self.tags[s * self.ways..(s + 1) * self.ways];
+        if let Some(pos) = set[..len].iter().position(|&t| t == segment) {
+            set[..=pos].rotate_right(1);
             true
         } else {
-            if set.len() == self.ways {
-                set.pop();
-            }
-            set.insert(0, segment);
+            // The LRU way falls off the end when the set is full.
+            let kept = len.min(self.ways - 1);
+            set.copy_within(..kept, 1);
+            set[0] = segment;
+            self.lens[s] = (kept + 1) as u32;
             false
         }
     }
@@ -292,6 +297,10 @@ pub struct GpuSim {
     pub attr: GpuAttribution,
     l2: L2Cache,
     time: u64,
+    /// One warp's segments, then its atomic addresses: buffers reused
+    /// across warps and kernels.
+    segments: Vec<u64>,
+    atomic_addrs: Vec<u64>,
 }
 
 impl GpuSim {
@@ -304,6 +313,8 @@ impl GpuSim {
             attr: GpuAttribution::default(),
             l2,
             time: 0,
+            segments: Vec::new(),
+            atomic_addrs: Vec::new(),
         }
     }
 
@@ -344,13 +355,7 @@ impl GpuSim {
 
     /// Empties the L2 cache.
     pub fn flush_l2(&mut self) {
-        let ways = self.l2.ways;
-        let sets = self.l2.sets.len() as u64;
-        self.l2 = L2Cache::new(
-            sets * ways as u64 * self.cfg.txn_bytes,
-            self.cfg.txn_bytes,
-            ways,
-        );
+        self.l2.lens.fill(0);
     }
 
     /// Runs a kernel over the given warp traces, advancing simulated time.
@@ -382,27 +387,27 @@ impl GpuSim {
             let mut compute_max: u64 = 0;
             let mut lane_compute_sum: u64 = 0;
             // Coalesce: group this warp's accesses into transactions.
-            let mut segments: HashMap<u64, ()> = HashMap::new();
-            let mut atomic_groups: HashMap<u64, u64> = HashMap::new();
-            let mut accesses: u64 = 0;
+            self.segments.clear();
+            self.atomic_addrs.clear();
             for lane in &warp.lanes {
                 compute_max = compute_max.max(lane.computes as u64);
                 lane_compute_sum += lane.computes as u64;
                 for a in &lane.mem {
-                    accesses += 1;
-                    let seg = a.segment(self.cfg.txn_bytes);
-                    segments.insert(seg, ());
+                    self.segments.push(a.segment(self.cfg.txn_bytes));
                     if a.kind == AccessKind::Atomic {
-                        let addr = ((a.prop as u64) << 28) + (a.idx as u64) * 4;
-                        *atomic_groups.entry(addr).or_insert(0) += 1;
-                        self.stats.atomics += 1;
+                        self.atomic_addrs
+                            .push(((a.prop as u64) << 28) + (a.idx as u64) * 4);
                     }
                 }
             }
-            let _ = accesses;
-            // Charge transactions through the L2.
+            self.stats.atomics += self.atomic_addrs.len() as u64;
+            // Charge transactions through the L2, in ascending segment
+            // order so the LRU state never depends on anything but the
+            // trace.
+            self.segments.sort_unstable();
+            self.segments.dedup();
             let mut txn_cycles: u64 = 0;
-            for &seg in segments.keys() {
+            for &seg in &self.segments {
                 self.stats.transactions += 1;
                 if self.l2.access(seg) {
                     self.stats.l2_hits += 1;
@@ -415,10 +420,11 @@ impl GpuSim {
             }
             // Atomics: base cost per distinct address plus serialization
             // for same-address conflicts.
+            self.atomic_addrs.sort_unstable();
             let mut atomic_cycles: u64 = 0;
-            for (_, count) in atomic_groups {
-                atomic_cycles +=
-                    self.cfg.atomic_cycles + (count - 1) * self.cfg.atomic_conflict_cycles;
+            for run in self.atomic_addrs.chunk_by(|a, b| a == b) {
+                atomic_cycles += self.cfg.atomic_cycles
+                    + (run.len() as u64 - 1) * self.cfg.atomic_conflict_cycles;
             }
             let warp_cycles = compute_max + txn_cycles + atomic_cycles;
             total_warp_cycles += warp_cycles;
@@ -727,6 +733,38 @@ mod tests {
         assert_eq!(b.attr.launch, 0);
         assert_eq!(a.attr.total(), a.time_cycles());
         assert_eq!(b.attr.total(), b.time_cycles());
+    }
+
+    #[test]
+    fn l2_order_within_a_warp_is_the_segment_order() {
+        // One warp touches 17 segments of one 16-way set, so exactly one of
+        // them is evicted by the others; a probe then loads the lowest.
+        // Ascending order inserts it first, so it is the one evicted: the
+        // probe misses in every fresh simulator.
+        let cfg = GpuConfig::default();
+        let sets = cfg.l2_bytes / cfg.txn_bytes / cfg.l2_ways as u64;
+        let elems_per_segment = (cfg.txn_bytes / 4) as u32;
+        let idx = |k: u32| k * sets as u32 * elems_per_segment;
+        let lane = |i: u32| LaneTrace {
+            computes: 1,
+            mem: vec![MemAccess {
+                kind: AccessKind::Load,
+                prop: 0,
+                idx: idx(i),
+            }],
+        };
+        for _ in 0..20 {
+            let mut sim = GpuSim::new(cfg.clone());
+            let fill = WarpTrace {
+                lanes: (0..17).rev().map(lane).collect(),
+            };
+            sim.run_kernel("fill", vec![fill].into_iter(), true);
+            let probe = WarpTrace {
+                lanes: vec![lane(0)],
+            };
+            let cycles = sim.run_kernel("probe", vec![probe].into_iter(), true);
+            assert_eq!(cycles, 13, "1 compute + 4 issue + 8 DRAM");
+        }
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! The simulator reports the Table IX metrics natively: DRAM stall cycles
 //! and achieved memory bandwidth.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use ugc_resilience::{budget, fault};
@@ -230,9 +229,12 @@ pub struct HbStats {
     pub compute_cycles: u64,
 }
 
+/// Line-granular set-associative LLC with LRU replacement: one flat
+/// `num_sets × ways` tag array, each set's occupied ways kept MRU-first.
 #[derive(Debug)]
 struct Llc {
-    sets: Vec<Vec<u64>>,
+    tags: Vec<u64>,
+    lens: Vec<u32>,
     ways: usize,
     num_sets: u64,
 }
@@ -242,23 +244,27 @@ impl Llc {
         let lines = (capacity / line).max(1);
         let num_sets = (lines / ways as u64).max(1);
         Llc {
-            sets: vec![Vec::with_capacity(ways); num_sets as usize],
+            tags: vec![0; num_sets as usize * ways],
+            lens: vec![0; num_sets as usize],
             ways,
             num_sets,
         }
     }
 
+    /// Touches a line; returns whether it hit.
     fn access(&mut self, line: u64) -> bool {
-        let set = &mut self.sets[(line % self.num_sets) as usize];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            let l = set.remove(pos);
-            set.insert(0, l);
+        let s = (line % self.num_sets) as usize;
+        let len = self.lens[s] as usize;
+        let set = &mut self.tags[s * self.ways..(s + 1) * self.ways];
+        if let Some(pos) = set[..len].iter().position(|&l| l == line) {
+            set[..=pos].rotate_right(1);
             true
         } else {
-            if set.len() == self.ways {
-                set.pop();
-            }
-            set.insert(0, line);
+            // The LRU way falls off the end when the set is full.
+            let kept = len.min(self.ways - 1);
+            set.copy_within(..kept, 1);
+            set[0] = line;
+            self.lens[s] = (kept + 1) as u32;
             false
         }
     }
@@ -275,6 +281,13 @@ pub struct HbSim {
     pub attr: HbAttribution,
     llc: Llc,
     time: u64,
+    /// Per-phase buffers, reused across phases: occupancy per LLC bank,
+    /// `(line, core)` pairs of demand accesses, one core's demand lines,
+    /// and one core's per-array stream buffers `(array, line)`.
+    bank_load: Vec<u64>,
+    line_users: Vec<(u64, usize)>,
+    core_lines: Vec<u64>,
+    stream: Vec<(u32, u64)>,
 }
 
 impl HbSim {
@@ -287,6 +300,10 @@ impl HbSim {
             attr: HbAttribution::default(),
             llc,
             time: 0,
+            bank_load: Vec::new(),
+            line_users: Vec::new(),
+            core_lines: Vec::new(),
+            stream: Vec::new(),
         }
     }
 
@@ -348,7 +365,9 @@ impl HbSim {
         self.stats.phases += 1;
         let stats_before = self.stats;
         let mut max_core: u64 = 0;
-        let mut bank_load: HashMap<usize, u64> = HashMap::new();
+        let banks = self.cfg.llc_banks as u64;
+        self.bank_load.clear();
+        self.bank_load.resize(self.cfg.llc_banks, 0);
         let mut phase_dram_bytes: u64 = 0;
         // Raw attribution sums in core-cycles, classifying every addition
         // to `core_time`; scaled to the phase's actual charge below.
@@ -356,44 +375,38 @@ impl HbSim {
         let mut llc_raw: u64 = 0;
         let mut dram_raw: u64 = 0;
         let mut scratch_hits: u64 = 0;
-        // (line -> (first core id, shared?)) for contention accounting.
-        let mut line_users: HashMap<u64, (usize, bool)> = HashMap::new();
+        // Distinct (line, core) demand pairs, for contention accounting.
+        self.line_users.clear();
 
         for (core_id, trace) in cores.iter().enumerate() {
             let mut core_time = trace.computes;
             // Per-array stream buffers (MSHR-like): repeated accesses to the
             // line most recently fetched from each array are free — the
-            // locality that alignment-based partitioning creates.
-            let mut stream: HashMap<u32, u64> = HashMap::new();
+            // locality that alignment-based partitioning creates. A core
+            // touches a handful of arrays, so a linear list serves.
+            self.stream.clear();
+            self.core_lines.clear();
             self.stats.compute_cycles += trace.computes;
             compute_raw += trace.computes;
             for a in &trace.accesses {
                 match *a {
                     HbAccess::Demand { prop, idx, write } => {
                         let line = self.line_of(prop, idx);
-                        if !write && stream.get(&prop) == Some(&line) {
-                            // Scratchpad/stream-buffer hit: core-local.
-                            scratch_hits += 1;
-                            compute_raw += 1;
-                            core_time += 1;
-                            continue;
-                        }
-                        stream.insert(prop, line);
-                        match line_users.entry(line) {
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                let (first, shared) = *e.get();
-                                if first != core_id && !shared {
-                                    e.insert((first, true));
-                                }
+                        let slot = self.stream.iter().position(|&(p, _)| p == prop);
+                        match slot {
+                            Some(i) if !write && self.stream[i].1 == line => {
+                                // Scratchpad/stream-buffer hit: core-local.
+                                scratch_hits += 1;
+                                compute_raw += 1;
+                                core_time += 1;
+                                continue;
                             }
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert((core_id, false));
-                            }
+                            Some(i) => self.stream[i].1 = line,
+                            None => self.stream.push((prop, line)),
                         }
+                        self.core_lines.push(line);
                         let hit = self.llc.access(line);
-                        *bank_load
-                            .entry((line % self.cfg.llc_banks as u64) as usize)
-                            .or_insert(0) += self.cfg.bank_cycles;
+                        self.bank_load[(line % banks) as usize] += self.cfg.bank_cycles;
                         let (lat, miss_stall) = if hit {
                             self.stats.llc_hits += 1;
                             (self.cfg.llc_hit_cycles, 0)
@@ -435,9 +448,8 @@ impl HbSim {
                             lines += 1;
                             let hit = self.llc.access(line);
                             // Burst transfers occupy banks at half rate.
-                            *bank_load
-                                .entry((line % self.cfg.llc_banks as u64) as usize)
-                                .or_insert(0) += self.cfg.bank_cycles.div_ceil(2);
+                            self.bank_load[(line % banks) as usize] +=
+                                self.cfg.bank_cycles.div_ceil(2);
                             if hit {
                                 self.stats.llc_hits += 1;
                             } else {
@@ -461,17 +473,20 @@ impl HbSim {
                 }
             }
             max_core = max_core.max(core_time);
+            self.core_lines.sort_unstable();
+            self.core_lines.dedup();
+            self.line_users
+                .extend(self.core_lines.iter().map(|&l| (l, core_id)));
         }
 
         // Lines shared across cores in one phase serialize at their bank.
-        for (line, (_, shared)) in &line_users {
-            if *shared {
-                *bank_load
-                    .entry((line % self.cfg.llc_banks as u64) as usize)
-                    .or_insert(0) += self.cfg.line_contention_cycles;
+        self.line_users.sort_unstable();
+        for users in self.line_users.chunk_by(|a, b| a.0 == b.0) {
+            if users.len() > 1 {
+                self.bank_load[(users[0].0 % banks) as usize] += self.cfg.line_contention_cycles;
             }
         }
-        let bank_bound = bank_load.values().copied().max().unwrap_or(0);
+        let bank_bound = self.bank_load.iter().copied().max().unwrap_or(0);
         let bw_bound = phase_dram_bytes
             / (self.cfg.hbm_channels as u64 * self.cfg.channel_bytes_per_cycle).max(1);
         self.stats.dram_bytes += phase_dram_bytes;

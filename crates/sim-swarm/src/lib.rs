@@ -32,6 +32,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 use ugc_resilience::{budget, fault};
@@ -115,6 +116,161 @@ fn counters() -> &'static Counters {
 
 /// Identifier of a task within one simulation.
 pub type TaskId = usize;
+
+/// A hasher for the simulator's `u64` keys (cache lines, hints): one
+/// multiply and a fold, where the default SipHash costs tens of cycles per
+/// lookup. The maps it serves are only ever probed by key — their
+/// iteration order is never observed — so the hash cannot move a cycle.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, k: u64) {
+        let x = (self.0 ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by cache line or hint.
+type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
+
+/// A runnable entry: `(timestamp, task)`, dispatched lowest first.
+type Entry = (u64, TaskId);
+
+/// Runnable entries found hint-blocked, parked until their hint frees.
+///
+/// Each event's dispatch walk visits runnable entries in `(ts, id)` order.
+/// A hint-blocked entry it reaches stays runnable and is a no-op, so
+/// re-examining every blocked entry on every event is pure host cost.
+/// Parked entries are skipped instead, which is exact because reaching one
+/// matters in only two ways, both kept:
+///
+/// * with the commit queue full, the first entry reached may squash the
+///   latest speculative task, blocked or not;
+/// * parked entries still count towards the task queue's occupancy.
+///
+/// (A barrier never stops the walk at one: it passed the barrier when it
+/// was parked, and the barrier only moves later.) Every parked entry is
+/// blocked and its task ready. Entries return to the runnable heap, where
+/// the walk treats them as before, when their hint frees — before any walk
+/// could dispatch their task through another entry — or when an abort
+/// squashes their task back to waiting.
+struct Parked {
+    /// Parked keys; `copies[t]` counts task `t`'s parked entries (a task
+    /// spawned twice can have two).
+    keys: BTreeSet<Entry>,
+    copies: Vec<u32>,
+    len: usize,
+    /// Parked tasks by hint. A hint with parked tasks has one wake-up
+    /// `(time, hint)` pending.
+    by_hint: KeyMap<Vec<TaskId>>,
+    wakeups: BinaryHeap<Reverse<(u64, u64)>>,
+}
+
+impl Parked {
+    fn new(num_tasks: usize) -> Self {
+        Parked {
+            keys: BTreeSet::new(),
+            copies: vec![0; num_tasks],
+            len: 0,
+            by_hint: KeyMap::default(),
+            wakeups: BinaryHeap::new(),
+        }
+    }
+
+    /// Parks `entry`, blocked on `hint` until `busy_until`.
+    fn park(&mut self, entry: Entry, hint: u64, busy_until: u64) {
+        self.keys.insert(entry);
+        self.copies[entry.1] += 1;
+        self.len += 1;
+        let waiting = self.by_hint.entry(hint).or_default();
+        if waiting.is_empty() {
+            self.wakeups.push(Reverse((busy_until, hint)));
+        }
+        waiting.push(entry.1);
+    }
+
+    /// Removes task `entry.1`'s parked entries, returning how many.
+    fn take(&mut self, entry: Entry) -> u32 {
+        let n = std::mem::take(&mut self.copies[entry.1]);
+        if n > 0 {
+            self.keys.remove(&entry);
+            self.len -= n as usize;
+        }
+        n
+    }
+
+    /// The first parked entry after `after` (from the start on `None`).
+    fn first_after(&self, after: Option<Entry>) -> Option<Entry> {
+        use std::ops::Bound::{Excluded, Unbounded};
+        match after {
+            Some(a) => self.keys.range((Excluded(a), Unbounded)).next(),
+            None => self.keys.first(),
+        }
+        .copied()
+    }
+
+    /// Returns the entries of every hint free at `now` to `runnable`.
+    fn wake(
+        &mut self,
+        now: u64,
+        hint_busy: &KeyMap<u64>,
+        tasks: &[TaskSpec],
+        runnable: &mut BinaryHeap<Reverse<Entry>>,
+    ) {
+        while let Some(&Reverse((at, hint))) = self.wakeups.peek() {
+            if at > now {
+                break;
+            }
+            self.wakeups.pop();
+            let busy = hint_busy.get(&hint).copied().unwrap_or(0);
+            if busy > now {
+                // Taken again since: wake when that task finishes.
+                self.wakeups.push(Reverse((busy, hint)));
+                continue;
+            }
+            for t in self.by_hint.remove(&hint).unwrap_or_default() {
+                let entry = (tasks[t].ts, t);
+                for _ in 0..self.take(entry) {
+                    runnable.push(Reverse(entry));
+                }
+            }
+        }
+    }
+
+    /// Unparks the entries of `reset`'s tasks, squashed back to waiting:
+    /// those the current walk has gone past (at or before `passed`) into
+    /// `stash`, the rest into `runnable`, as the walk would have left them.
+    fn release(
+        &mut self,
+        reset: &mut Vec<TaskId>,
+        tasks: &[TaskSpec],
+        passed: Option<Entry>,
+        runnable: &mut BinaryHeap<Reverse<Entry>>,
+        stash: &mut Vec<Entry>,
+    ) {
+        for c in reset.drain(..) {
+            let entry = (tasks[c].ts, c);
+            for _ in 0..self.take(entry) {
+                if passed.is_some_and(|p| entry <= p) {
+                    stash.push(entry);
+                } else {
+                    runnable.push(Reverse(entry));
+                }
+            }
+        }
+    }
+}
 
 /// Configuration of the simulated Swarm machine (Table VI flavored).
 #[derive(Debug, Clone)]
@@ -376,8 +532,8 @@ impl SwarmSim {
             runnable.push(Reverse((tasks[r].ts, r)));
         }
         let mut finish_events: BinaryHeap<Reverse<(u64, TaskId)>> = BinaryHeap::new();
-        let mut line_index: HashMap<u64, Vec<TaskId>> = HashMap::new();
-        let mut hint_busy: HashMap<u64, u64> = HashMap::new();
+        let mut line_index: KeyMap<Vec<TaskId>> = KeyMap::default();
+        let mut hint_busy: KeyMap<u64> = KeyMap::default();
         // Started (running or finished) uncommitted tasks by commit order —
         // the hardware commit queue.
         let mut window: BTreeSet<(usize, TaskId)> = BTreeSet::new();
@@ -390,15 +546,18 @@ impl SwarmSim {
 
         let mut stats = SwarmStats::default();
 
-        // Deferred-ready stash for tasks blocked by hints/barrier.
-        let mut stash: Vec<(u64, TaskId)> = Vec::new();
+        // Entries the current walk found hint-blocked (parked after it), and
+        // tasks an abort squashed back to waiting.
+        let mut stash: Vec<Entry> = Vec::new();
+        let mut parked = Parked::new(n);
+        let mut reset: Vec<TaskId> = Vec::new();
 
         loop {
             // One histogram sample of task-queue pressure per event-loop
             // iteration (deterministic: the event loop is single-threaded).
             counters()
                 .queue_occupancy
-                .record((runnable.len() + pending.len()) as u64);
+                .record((runnable.len() + parked.len + pending.len()) as u64);
             // Promote pending tasks that became available.
             while let Some(&Reverse((avail, t))) = pending.peek() {
                 if avail > now {
@@ -409,7 +568,9 @@ impl SwarmSim {
                     runnable.push(Reverse((tasks[t].ts, t)));
                 }
             }
-            // Dispatch phase at `now`.
+            parked.wake(now, &hint_busy, tasks, &mut runnable);
+            // Dispatch phase at `now`: walk the runnable entries in order.
+            // Parked entries at or before `passed` are behind the walk.
             let barrier_ts = if barrier {
                 commit_order.get(next_commit).map(|&t| tasks[t].ts)
             } else {
@@ -418,20 +579,34 @@ impl SwarmSim {
             let window_full =
                 |started: usize, cfg: &SwarmConfig| started >= cfg.commit_queue_capacity;
             stash.clear();
+            let mut passed: Option<Entry> = None;
             while idle_cores > 0 {
-                let Some(&Reverse((ts, t))) = runnable.peek() else {
+                let full = window_full(uncommitted_started, &self.cfg);
+                let top = runnable.peek().map(|&Reverse(e)| e);
+                // The walk reaches a parked entry before `top` only to
+                // evict for it: a parked entry passed the barrier once,
+                // and the barrier only ever moves later.
+                let parked_next = full
+                    .then(|| parked.first_after(passed))
+                    .flatten()
+                    .filter(|&p| top.is_none_or(|a| p < a));
+                let Some((ts, t)) = parked_next.or(top) else {
                     break;
                 };
-                let TaskState::Ready(avail) = state[t] else {
-                    runnable.pop();
-                    continue; // stale heap entry
-                };
-                if avail > now {
-                    runnable.pop();
-                    pending.push(Reverse((avail, t)));
-                    continue; // re-aborted with a delay; requeue
+                if parked_next.is_none() {
+                    let TaskState::Ready(avail) = state[t] else {
+                        runnable.pop();
+                        passed = Some((ts, t));
+                        continue; // stale heap entry
+                    };
+                    if avail > now {
+                        runnable.pop();
+                        pending.push(Reverse((avail, t)));
+                        passed = Some((ts, t));
+                        continue; // re-aborted with a delay; requeue
+                    }
                 }
-                if window_full(uncommitted_started, &self.cfg) {
+                if full {
                     // The commit queue is full. Real Swarm admits a task
                     // with earlier commit order by squashing the latest
                     // speculative task; otherwise dispatch stalls.
@@ -459,9 +634,11 @@ impl SwarmSim {
                                 &mut idle_cores,
                                 &mut uncommitted_started,
                                 &mut stats,
+                                &mut reset,
                                 now,
                                 self.cfg.abort_penalty_cycles,
                             );
+                            parked.release(&mut reset, tasks, passed, &mut runnable, &mut stash);
                             // Retry this candidate with a free slot.
                             continue;
                         }
@@ -473,6 +650,7 @@ impl SwarmSim {
                         break; // barrier: later rounds must wait
                     }
                 }
+                passed = Some((ts, t));
                 // Hint serialization.
                 if let Some(h) = tasks[t].hint {
                     if hint_busy.get(&h).copied().unwrap_or(0) > now {
@@ -495,9 +673,15 @@ impl SwarmSim {
                 idle_cores -= 1;
                 uncommitted_started += 1;
             }
+            // Blocked entries of ready tasks wait for their hint; the rest
+            // (squashed during the walk) are stale and go back as they are.
             for &(ts, t) in &stash {
-                let _ = ts;
-                runnable.push(Reverse((tasks[t].ts, t)));
+                match (state[t], tasks[t].hint) {
+                    (TaskState::Ready(a), Some(h)) if a <= now => {
+                        parked.park((ts, t), h, hint_busy.get(&h).copied().unwrap_or(0));
+                    }
+                    _ => runnable.push(Reverse((ts, t))),
+                }
             }
             window_was_full = window_full(uncommitted_started, &self.cfg) && idle_cores > 0;
 
@@ -536,7 +720,7 @@ impl SwarmSim {
                 state[t] = TaskState::Finished(start, finish);
                 idle_cores += 1;
                 // Spawn children.
-                let spill = tasks[t].children.len() + runnable.len() + pending.len()
+                let spill = tasks[t].children.len() + runnable.len() + parked.len + pending.len()
                     > self.cfg.task_queue_capacity;
                 for &c in &tasks[t].children {
                     if state[c] == TaskState::Waiting {
@@ -603,9 +787,11 @@ impl SwarmSim {
                                 &mut idle_cores,
                                 &mut uncommitted_started,
                                 &mut stats,
+                                &mut reset,
                                 now,
                                 self.cfg.abort_penalty_cycles,
                             );
+                            parked.release(&mut reset, tasks, None, &mut runnable, &mut stash);
                         }
                     }
                     _ => break,
@@ -656,11 +842,12 @@ fn abort_recursive(
     t: TaskId,
     tasks: &[TaskSpec],
     state: &mut [TaskState],
-    line_index: &mut HashMap<u64, Vec<TaskId>>,
+    line_index: &mut KeyMap<Vec<TaskId>>,
     pending: &mut BinaryHeap<Reverse<(u64, TaskId)>>,
     idle_cores: &mut usize,
     uncommitted_started: &mut usize,
     stats: &mut SwarmStats,
+    reset: &mut Vec<TaskId>,
     now: u64,
     penalty: u64,
 ) {
@@ -683,6 +870,7 @@ fn abort_recursive(
                         idle_cores,
                         uncommitted_started,
                         stats,
+                        reset,
                         now,
                         penalty,
                     ),
@@ -704,6 +892,7 @@ fn abort_recursive(
     for &c in &tasks[t].children {
         if matches!(state[c], TaskState::Ready(_)) {
             state[c] = TaskState::Waiting;
+            reset.push(c);
         }
     }
     state[t] = TaskState::Ready(now + penalty);

@@ -140,6 +140,30 @@ for spec in "tc triangles" "kcore max_coreness" "lp label_classes"; do
   done
 done
 
+echo "== simulator determinism smoke (fresh processes agree on every cycle)"
+# Simulated time is a function of the program, schedule and graph alone:
+# no per-process hash seed, thread count or allocation may move a cycle.
+# Each simulator runs the same cells in two fresh processes, and every
+# cycle count must match.
+for target in gpu swarm hb; do
+  for algo in bfs sssp cc kcore; do
+    first=""
+    for _ in 1 2; do
+      run_out="$(target/release/repro --scale tiny run "$target" "$algo" PK)"
+      cycles="$(printf '%s\n' "$run_out" | grep -o 'cycles=[0-9]*' | head -1)"
+      if [ -z "$cycles" ]; then
+        echo "determinism smoke: $target/$algo printed no cycles=: $run_out" >&2
+        exit 1
+      fi
+      if [ -n "$first" ] && [ "$cycles" != "$first" ]; then
+        echo "determinism smoke: $target/$algo ran $first, then $cycles" >&2
+        exit 1
+      fi
+      first="$cycles"
+    done
+  done
+done
+
 echo "== algorithm conformance gate (every registered algorithm is differentially tested)"
 # The frontend registry (Algorithm::ALL) is the source of truth: every
 # variant listed there must appear in the cross-backend differential
@@ -161,12 +185,12 @@ done
 echo "== backend VM containment gate"
 # GraphVM execute paths must surface failures as classed errors through
 # the contain() boundary — never unwrap or panic in production code. The
-# CPU's compiled UDF bodies run on the same path and follow the same rule
+# compiled UDF bodies run on the same path and follow the same rule
 # (their only panics are the arithmetic's own, e.g. integer division by
 # zero, exactly as the interpreter's). Test modules are exempt: the gate
 # stops scanning at the first #[cfg(test)].
 containment_bad=0
-for f in crates/backend-*/src/vm.rs crates/backend-*/src/executor.rs crates/backend-cpu/src/udf.rs; do
+for f in crates/backend-*/src/vm.rs crates/backend-*/src/executor.rs crates/runtime/src/udf.rs; do
   if ! awk '/#\[cfg\(test\)\]/{exit} /\.unwrap\(\)|panic!\(/{print FILENAME ": " $0; found=1} END{exit found}' "$f"; then
     containment_bad=1
   fi

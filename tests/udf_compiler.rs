@@ -1,4 +1,4 @@
-//! The CPU GraphVM's UDF compiler against the interpreter it replaces.
+//! The shared UDF compiler against the interpreter it replaces.
 //!
 //! A seeded property test generates random UDF bytecode — straight-line
 //! code plus forward `Jump`/`JumpIfNot` and early `Ret`, over int, float,
@@ -9,11 +9,11 @@
 //! enqueue the same vertices in the same order, notify the same priority
 //! updates, return the same bits, and panic (or not) identically. Hand
 //! cases pin the corners of `Value::bin` and `PropertyStorage` the
-//! compiler must reproduce.
+//! compiler must reproduce, and k-core on the three simulators checks that
+//! their host-side filter sweeps run compiled.
 
 use std::panic::AssertUnwindSafe;
 
-use ugc_backend_cpu::udf;
 use ugc_graph::Graph;
 use ugc_graphir::types::{BinOp, ReduceOp, Type, UnOp};
 use ugc_resilience::ErrorClass;
@@ -21,6 +21,7 @@ use ugc_runtime::bytecode::{Instr, Reg, UdfId, UdfProgram, UdfSet};
 use ugc_runtime::eval::{BufferedOutput, EdgeCtx, Evaluator, NullMemory};
 use ugc_runtime::interp::{contain, ExecError};
 use ugc_runtime::properties::{GlobalTable, PropId, PropertyStorage};
+use ugc_runtime::udf;
 use ugc_runtime::value::Value;
 use ugc_testkit::{check, gen, Config, NoShrink, Prng};
 
@@ -1027,4 +1028,35 @@ fn ill_typed_programs_stay_on_the_interpreter() {
         ],
         2,
     );
+}
+
+/// Every GraphVM runs its host-side `VertexSetFilter` sweep through the
+/// compiled body: k-core's peel filter never reaches the interpreter on the
+/// GPU, Swarm or HammerBlade simulators — below the serial cutoff or above
+/// it — and each simulator's coreness stays exact.
+#[test]
+fn kcore_filter_sweeps_run_compiled_on_every_simulator() {
+    use ugc::{Algorithm, Compiler, Target};
+    use ugc_telemetry::Counter;
+
+    let compiled = Counter::new("runtime.vertex_filter.compiled");
+    let interpreted = Counter::new("runtime.vertex_filter.interpreted");
+    let graphs = [
+        ugc_graph::generators::two_communities(),
+        ugc_graph::generators::rmat(10, 6, 3, false),
+    ];
+    for graph in &graphs {
+        let reference = ugc_algorithms::reference::coreness(graph);
+        for target in [Target::Gpu, Target::Swarm, Target::HammerBlade] {
+            let before = (compiled.get(), interpreted.get());
+            let run = Compiler::new(Algorithm::KCore)
+                .run(target, graph)
+                .unwrap_or_else(|e| panic!("{target:?}: {e}"));
+            assert_eq!(run.property_ints("core"), &reference[..], "{target:?}");
+            if ugc_telemetry::enabled() {
+                assert!(compiled.get() > before.0, "{target:?}: no compiled sweep");
+                assert_eq!(interpreted.get(), before.1, "{target:?}: interpreted");
+            }
+        }
+    }
 }
