@@ -27,8 +27,8 @@ pub mod search;
 
 pub use cache::{graph_fingerprint, CacheEntry, CacheKey, GraphShape, TuningCache};
 pub use search::{
-    dominant_component, tune, tune_warm, AxisPrune, Ranked, Sample, Strategy, TuneError,
-    TuneOutcome, Tuner, DOMINANCE_THRESHOLD,
+    tune, tune_warm, AxisPrune, Ranked, Sample, Strategy, TuneError, TuneOutcome, Tuner,
+    DOMINANCE_THRESHOLD,
 };
 
 use ugc::{Algorithm, Compiler, Target};
@@ -65,8 +65,8 @@ pub fn space_params(algo: Algorithm, graph: &Graph) -> SpaceParams {
 }
 
 /// An evaluator built on the `ugc::Compiler` facade: compiles `algo` with
-/// the candidate schedule and runs it on `target`, returning the
-/// target-appropriate time (wall-clock on CPU, simulated elsewhere).
+/// the candidate schedule, runs it on `target` and returns the run's time
+/// (wall-clock on CPU, simulated elsewhere) and attribution.
 pub fn compiler_evaluator<'a>(
     target: Target,
     algo: Algorithm,
@@ -83,7 +83,7 @@ pub fn compiler_evaluator<'a>(
         Ok(Sample {
             time_ms: run.time_ms,
             cycles: run.cycles,
-            ..Sample::default()
+            attribution: run.attribution,
         })
     }
 }
@@ -187,7 +187,7 @@ where
                 cycles: w.sample.cycles,
                 explored: outcome.explored,
                 seed: tuner.seed,
-                profile: w.sample.profile.clone(),
+                profile: w.sample.attribution.summary(),
                 shape: shape.clone(),
             })
             .map_err(TuneError::Cache)?;

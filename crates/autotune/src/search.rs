@@ -17,20 +17,21 @@
 //!
 //! On top of the blind strategies sits the **cost model** (on by default,
 //! [`Tuner::cost_model`]): after each measured candidate, the incumbent's
-//! dominant attribution component (parsed from [`Sample::profile`]) is
-//! matched against the backend's declared
+//! dominant attribution component ([`Attribution::dominant`] of
+//! [`Sample::attribution`]) is matched against the backend's declared
 //! [`PruneRule`](ugc_schedule::space::PruneRule) table, and coordinate
 //! sweeps along axes that cannot move that component are skipped. Every
-//! skip is recorded as an [`AxisPrune`] — the measured budget saved and
-//! the component that justified it — so `repro tune --explain` can print
-//! a balanced budget report. [`tune_warm`] additionally accepts a
-//! warm-start point (the cached winner of the nearest-fingerprint graph)
-//! that replaces the first random restart.
+//! skip is recorded as an [`AxisPrune`] — the measured budget saved and the
+//! component that justified it — so `repro tune --explain` can print a
+//! balanced budget report. [`tune_warm`] additionally accepts a warm-start
+//! point (the cached winner of the nearest-fingerprint graph) that replaces
+//! the first random restart.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
+use ugc::Attribution;
 use ugc_graph::prng::Prng;
 use ugc_schedule::space::{
     cardinality, point_label, Dimension, PointIter, ScheduleSpace, SpaceParams,
@@ -54,29 +55,17 @@ fn prune_saved_counter() -> &'static Counter {
     CELL.get_or_init(|| Counter::new("autotune.prune.saved"))
 }
 
-/// Parses the dominant attribution component out of a profile summary
-/// line (`"mem_stall 70% + compute 25% of 4096 cycles"`), returning the
-/// component name and its percentage share. `None` when the profile is
-/// empty (telemetry off) or not in summary form.
-pub fn dominant_component(profile: &str) -> Option<(&str, u32)> {
-    let mut words = profile.split_whitespace();
-    let comp = words.next()?;
-    let share = words.next()?.strip_suffix('%')?.parse().ok()?;
-    Some((comp, share))
-}
-
-/// Cost of one measured candidate: the target-appropriate time plus the
-/// simulator counters recorded for explainability.
+/// Cost of one measured candidate: the target-appropriate time plus where
+/// it went, which the cost model prunes on.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Sample {
     /// Milliseconds — wall-clock (CPU) or simulated (the other targets).
     pub time_ms: f64,
     /// Simulated cycles (0 on CPU).
     pub cycles: u64,
-    /// Short attribution summary (where the time went) captured from the
-    /// telemetry registry during the measurement; empty when telemetry is
-    /// disabled or the evaluator does not collect one.
-    pub profile: String,
+    /// The measured run's attribution (`RunResult::attribution`); empty
+    /// when the evaluator does not report one.
+    pub attribution: Attribution,
 }
 
 /// One measured candidate in a [`TuneOutcome`]'s ranking.
@@ -174,8 +163,9 @@ pub struct Tuner {
     pub restarts: usize,
     /// Attribution-guided pruning: skip coordinate sweeps the backend's
     /// [`PruneRule`] table says cannot move the incumbent's dominant
-    /// component. Only affects greedy descent; inert when profiles are
-    /// empty (telemetry off) or the backend declares no rules.
+    /// component. Only affects greedy descent; inert when the samples carry
+    /// no attribution (the CPU with telemetry off) or the backend declares
+    /// no rules.
     pub cost_model: bool,
 }
 
@@ -288,11 +278,11 @@ where
     }
 
     /// The incumbent point's dominant attribution component, if its
-    /// measured profile shows one above [`DOMINANCE_THRESHOLD`].
-    fn dominant_of(&self, pt: &[usize]) -> Option<(String, u32)> {
+    /// measured attribution shows one above [`DOMINANCE_THRESHOLD`].
+    fn dominant_of(&self, pt: &[usize]) -> Option<(&'static str, u32)> {
         let idx = (*self.memo.get(pt)?)?;
-        let (comp, share) = dominant_component(&self.ranked[idx].sample.profile)?;
-        (share >= DOMINANCE_THRESHOLD).then(|| (comp.to_string(), share))
+        let (comp, share) = self.ranked[idx].sample.attribution.dominant()?;
+        (share >= DOMINANCE_THRESHOLD).then_some((comp, share))
     }
 
     /// How many unmeasured candidates a sweep of dimension `d` from `pt`
@@ -479,7 +469,7 @@ where
                                 record_prune(
                                     &mut prunes,
                                     rule.axis,
-                                    &comp,
+                                    comp,
                                     share,
                                     rule.reason,
                                     saved,
@@ -810,16 +800,28 @@ mod tests {
 
     #[test]
     fn dominant_component_parses_summary_lines() {
-        assert_eq!(
-            dominant_component("mem_stall 70% + compute 25% of 4096 cycles"),
-            Some(("mem_stall", 70))
-        );
-        assert_eq!(
-            dominant_component("commit 100% of 10 cycles"),
-            Some(("commit", 100))
-        );
-        assert_eq!(dominant_component(""), None);
-        assert_eq!(dominant_component("no samples"), None);
+        // The component the cost model prunes on is the one the sample's
+        // summary line leads with, at the share that line prints.
+        let gpu = |components: &[(&'static str, u64)]| {
+            Attribution::of(ugc::Target::Gpu, components.to_vec())
+        };
+        for (attribution, line, dominant) in [
+            (
+                gpu(&[("compute", 1024), ("mem_stall", 2867), ("launch", 205)]),
+                "mem_stall 70% + compute 25% of 4096 cycles",
+                Some(("mem_stall", 70)),
+            ),
+            (
+                gpu(&[("commit", 10)]),
+                "commit 100% of 10 cycles",
+                Some(("commit", 100)),
+            ),
+            (Attribution::default(), "", None),
+            (gpu(&[("compute", 0)]), "", None),
+        ] {
+            assert_eq!(attribution.summary(), line);
+            assert_eq!(attribution.dominant(), dominant, "{line:?}");
+        }
     }
 
     /// The synthetic space with a declared prune table: the `b` axis is
@@ -851,7 +853,10 @@ mod tests {
             Ok(Sample {
                 time_ms: cost_of(s),
                 cycles: 100,
-                profile: "stalled 90% + other 10% of 100 cycles".to_string(),
+                attribution: Attribution::of(
+                    ugc::Target::Gpu,
+                    vec![("stalled", 90), ("other", 10)],
+                ),
             })
         })
         .unwrap()
@@ -892,8 +897,8 @@ mod tests {
 
     #[test]
     fn cost_model_is_inert_without_profiles() {
-        // Same space and rules, but the evaluator reports no profile
-        // (telemetry off): nothing may be pruned.
+        // Same space and rules, but the evaluator reports no attribution:
+        // nothing may be pruned.
         let out = tune(
             &SyntheticPruned,
             &params(),

@@ -9,8 +9,8 @@ use ugc_graphir::ir::{EdgeSetIteratorData, Stmt};
 use ugc_graphir::types::Direction;
 use ugc_runtime::eval::{BufferedOutput, NullMemory};
 use ugc_runtime::interp::{filter_sweep, ExecError, OperatorExecutor, ProgramState};
-use ugc_runtime::parallel::{default_threads, parallel_for_with_local};
 use ugc_runtime::pool::parallel_for_chunks_with_local;
+use ugc_runtime::pool::{default_threads, parallel_for_with_local};
 use ugc_runtime::udf::{body_of, CompiledUdf};
 use ugc_runtime::vertexset::VertexSet;
 use ugc_runtime::{EdgeOp, UdfId};

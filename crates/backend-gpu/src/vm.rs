@@ -6,7 +6,7 @@ use ugc_graph::Graph;
 use ugc_graphir::ir::Program;
 use ugc_runtime::interp::{contain, run_main, ExecError, ProgramState};
 use ugc_runtime::value::Value;
-use ugc_sim_gpu::{GpuConfig, GpuSim, GpuStats};
+use ugc_sim_gpu::{GpuAttribution, GpuConfig, GpuSim, GpuStats};
 
 use crate::executor::GpuExecutor;
 
@@ -27,6 +27,8 @@ pub struct GpuExecution<'g> {
     pub time_ms: f64,
     /// Device statistics.
     pub stats: GpuStats,
+    /// Where the simulated cycles went.
+    pub attr: GpuAttribution,
 }
 
 impl std::fmt::Debug for GpuExecution<'_> {
@@ -85,6 +87,7 @@ impl GpuGraphVm {
                 cycles: exec.sim.time_cycles(),
                 time_ms: exec.sim.time_ms(),
                 stats: exec.sim.stats,
+                attr: exec.sim.attr,
                 state,
             })
         }))

@@ -6,7 +6,7 @@ use ugc_graph::Graph;
 use ugc_graphir::ir::Program;
 use ugc_runtime::interp::{contain, run_main, ExecError, ProgramState};
 use ugc_runtime::value::Value;
-use ugc_sim_hb::{HbConfig, HbSim, HbStats};
+use ugc_sim_hb::{HbAttribution, HbConfig, HbSim, HbStats};
 
 use crate::executor::HbExecutor;
 
@@ -27,6 +27,8 @@ pub struct HbExecution<'g> {
     pub time_ms: f64,
     /// Memory-system statistics (Table IX's inputs).
     pub stats: HbStats,
+    /// Where the simulated cycles went.
+    pub attr: HbAttribution,
     /// Achieved DRAM bandwidth as a fraction of peak.
     pub bandwidth_utilization: f64,
 }
@@ -92,6 +94,7 @@ impl HbGraphVm {
                 cycles: exec.sim.time_cycles(),
                 time_ms: exec.sim.time_ms(),
                 stats: exec.sim.stats,
+                attr: exec.sim.attr,
                 bandwidth_utilization: exec.sim.bandwidth_utilization(),
                 state,
             })

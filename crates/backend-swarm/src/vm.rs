@@ -6,7 +6,7 @@ use ugc_graph::Graph;
 use ugc_graphir::ir::Program;
 use ugc_runtime::interp::{contain, run_main, ExecError, ProgramState};
 use ugc_runtime::value::Value;
-use ugc_sim_swarm::{SwarmConfig, SwarmSim, SwarmStats};
+use ugc_sim_swarm::{SwarmAttribution, SwarmConfig, SwarmSim, SwarmStats};
 
 use crate::executor::SwarmExecutor;
 
@@ -27,6 +27,8 @@ pub struct SwarmExecution<'g> {
     pub time_ms: f64,
     /// Task/abort/idle statistics (Fig. 11's categories).
     pub stats: SwarmStats,
+    /// Where the simulated cycles went.
+    pub attr: SwarmAttribution,
 }
 
 impl std::fmt::Debug for SwarmExecution<'_> {
@@ -90,6 +92,7 @@ impl SwarmGraphVm {
                 cycles: exec.sim.time_cycles(),
                 time_ms: exec.sim.time_ms(),
                 stats: exec.sim.stats,
+                attr: exec.sim.attr,
                 state,
             })
         }))

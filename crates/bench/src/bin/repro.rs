@@ -587,8 +587,9 @@ fn tune(
                 println!("... ({} more)", out.ranked.len() - 15);
             }
             let winner = out.winner();
-            if !winner.sample.profile.is_empty() {
-                println!("winner profile: {}", winner.sample.profile);
+            let profile = winner.sample.attribution.summary();
+            if !profile.is_empty() {
+                println!("winner profile: {profile}");
             }
             if let Some(hand) = out.find("hand_tuned") {
                 println!(

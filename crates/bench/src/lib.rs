@@ -13,7 +13,7 @@ pub mod harness;
 pub mod profile;
 
 pub use harness::{Harness, Stats};
-pub use profile::{attribution_from, profile_backend, try_measure_profiled, Attribution};
+pub use profile::{attribution_from, profile_backend, Attribution};
 pub use ugc_autotune::{Strategy, TuneError, TuneOutcome, Tuned, Tuner};
 
 use std::path::Path;
@@ -30,15 +30,6 @@ use ugc_backend_swarm::{Frontiers, SwarmSchedule, TaskGranularity};
 use ugc_graph::stats::DegreeProfile;
 use ugc_graph::{Dataset, Graph, Scale};
 use ugc_schedule::{Parallelization, SchedDirection, ScheduleRef};
-
-/// Which measurement a run produced.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Measurement {
-    /// Milliseconds: wall-clock (CPU) or simulated (others).
-    pub time_ms: f64,
-    /// Simulated cycles (0 on CPU).
-    pub cycles: u64,
-}
 
 /// The baseline (default) schedule of a GraphVM, as used for the
 /// "unoptimized" bars of Fig. 8. The HammerBlade baseline uses hybrid
@@ -287,7 +278,8 @@ fn tuned_schedule_sized(
 }
 
 /// Runs `(target, algo)` on `graph` with the given schedule, returning the
-/// target-appropriate time. CPU runs take the best of `cpu_reps` repeats.
+/// target-appropriate time and the run's attribution. CPU runs take the
+/// fastest of `cpu_reps` repeats.
 ///
 /// # Errors
 ///
@@ -298,29 +290,27 @@ pub fn try_measure(
     graph: &Graph,
     sched: ScheduleRef,
     cpu_reps: u32,
-) -> Result<Measurement, String> {
+) -> Result<Sample, String> {
     let mut compiler = Compiler::new(algo);
     compiler.schedule(algo.schedule_path(), sched);
     if algo.needs_start_vertex() {
         compiler.start_vertex(0);
     }
+    let run = || compiler.run(target, graph).map_err(|e| e.to_string());
+    let mut best = run()?;
     if target == Target::Cpu {
-        let mut best = f64::INFINITY;
-        for _ in 0..cpu_reps.max(1) {
-            let r = compiler.run(target, graph).map_err(|e| e.to_string())?;
-            best = best.min(r.time_ms);
+        for _ in 1..cpu_reps {
+            let r = run()?;
+            if r.time_ms < best.time_ms {
+                best = r;
+            }
         }
-        Ok(Measurement {
-            time_ms: best,
-            cycles: 0,
-        })
-    } else {
-        let r = compiler.run(target, graph).map_err(|e| e.to_string())?;
-        Ok(Measurement {
-            time_ms: r.time_ms,
-            cycles: r.cycles,
-        })
     }
+    Ok(Sample {
+        time_ms: best.time_ms,
+        cycles: best.cycles,
+        attribution: best.attribution,
+    })
 }
 
 /// Like [`try_measure`], for call sites where failure is a bug.
@@ -335,7 +325,7 @@ pub fn measure(
     graph: &Graph,
     sched: ScheduleRef,
     cpu_reps: u32,
-) -> Measurement {
+) -> Sample {
     try_measure(target, algo, graph, sched, cpu_reps).expect("bench run")
 }
 
@@ -412,12 +402,8 @@ pub fn autotune(
 ) -> Result<TuneOutcome, TuneError> {
     let params = space_params(algo, graph);
     let pinned = pinned_candidates(target, algo, graph);
-    ugc_autotune::tune(space_for(target), &params, &pinned, tuner, |sched| {
-        try_measure_profiled(target, algo, graph, sched.clone(), 2).map(|(m, profile)| Sample {
-            time_ms: m.time_ms,
-            cycles: m.cycles,
-            profile,
-        })
+    ugc_autotune::tune(space_for(target), &params, &pinned, tuner, |s| {
+        try_measure(target, algo, graph, s.clone(), 2)
     })
 }
 
@@ -439,12 +425,8 @@ pub fn autotune_warm(
 ) -> Result<TuneOutcome, TuneError> {
     let params = space_params(algo, graph);
     let pinned = pinned_candidates(target, algo, graph);
-    tune_warm(space_for(target), &params, &pinned, tuner, warm, |sched| {
-        try_measure_profiled(target, algo, graph, sched.clone(), 2).map(|(m, profile)| Sample {
-            time_ms: m.time_ms,
-            cycles: m.cycles,
-            profile,
-        })
+    tune_warm(space_for(target), &params, &pinned, tuner, warm, |s| {
+        try_measure(target, algo, graph, s.clone(), 2)
     })
 }
 
@@ -486,15 +468,7 @@ pub fn tune_dataset(
         cache.as_mut(),
         &key,
         &shape,
-        |sched| {
-            try_measure_profiled(target, algo, &graph, sched.clone(), 2).map(|(m, profile)| {
-                Sample {
-                    time_ms: m.time_ms,
-                    cycles: m.cycles,
-                    profile,
-                }
-            })
-        },
+        |s| try_measure(target, algo, &graph, s.clone(), 2),
     )
 }
 

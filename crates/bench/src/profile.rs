@@ -1,30 +1,14 @@
-//! `repro --profile` support: per-backend attribution tables built from
-//! telemetry snapshot deltas.
-//!
-//! Every backend accounts its full reported time — simulated cycles for
-//! the three simulators, wall-clock nanoseconds for the CPU GraphVM — to a
-//! fixed set of components whose sum equals the total *exactly* (the
-//! invariant `tests/telemetry_invariants.rs` enforces). This module maps
-//! the registry's counter names to those component sets and renders them.
+//! `repro --profile` support: per-backend [`Attribution`] tables built
+//! from telemetry snapshot deltas, summed over a whole workload. A single
+//! run carries its own attribution in `RunResult::attribution`; this
+//! module maps the registry's counter names to the same component sets.
 
+pub use ugc::Attribution;
 use ugc::{Algorithm, Target};
-use ugc_graph::{Dataset, Graph, Scale};
+use ugc_graph::{Dataset, Scale};
 use ugc_telemetry::{Collector, Snapshot};
 
 use crate::{baseline_schedule, try_measure};
-
-/// One backend's time attribution, extracted from a snapshot delta.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attribution {
-    /// Which backend this describes.
-    pub target: Target,
-    /// `"cycles"` for the simulators, `"ns"` for the CPU backend.
-    pub unit: &'static str,
-    /// `(component, amount)` in display order.
-    pub components: Vec<(&'static str, u64)>,
-    /// The backend's reported total for the same window.
-    pub total: u64,
-}
 
 /// The component counters of one target: `(label, registry key)`.
 /// The label order matches each simulator's `components()` accessor.
@@ -85,109 +69,18 @@ pub fn counter_prefix(target: Target) -> &'static str {
     }
 }
 
-/// Extracts `target`'s attribution from a snapshot delta.
+/// Extracts `target`'s attribution from a snapshot delta: the registry's
+/// components against the registry's total.
 #[must_use]
 pub fn attribution_from(target: Target, delta: &Snapshot) -> Attribution {
+    let components = component_keys(target)
+        .iter()
+        .map(|&(label, key)| (label, delta.value(key)))
+        .collect();
     Attribution {
-        target,
-        unit: if target == Target::Cpu {
-            "ns"
-        } else {
-            "cycles"
-        },
-        components: component_keys(target)
-            .iter()
-            .map(|&(label, key)| (label, delta.value(key)))
-            .collect(),
         total: delta.value(total_key(target)),
+        ..Attribution::of(target, components)
     }
-}
-
-impl Attribution {
-    /// Sum of the components — equal to [`Attribution::total`] whenever
-    /// telemetry was enabled for the whole measured window.
-    #[must_use]
-    pub fn component_sum(&self) -> u64 {
-        self.components.iter().map(|(_, v)| v).sum()
-    }
-
-    /// Whether the components account for the reported total exactly.
-    #[must_use]
-    pub fn is_consistent(&self) -> bool {
-        self.component_sum() == self.total
-    }
-
-    /// Renders the human-readable attribution table.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<14}{:>16}{:>8}\n",
-            "component", self.unit, "share"
-        ));
-        for &(label, v) in &self.components {
-            let pct = if self.total == 0 {
-                0.0
-            } else {
-                100.0 * v as f64 / self.total as f64
-            };
-            out.push_str(&format!("{label:<14}{v:>16}{pct:>7.1}%\n"));
-        }
-        out.push_str(&format!(
-            "{:<14}{:>16}{:>8}  ({})\n",
-            "total",
-            self.total,
-            "100.0%",
-            if self.is_consistent() {
-                "components sum to total"
-            } else {
-                "ATTRIBUTION MISMATCH"
-            }
-        ));
-        out
-    }
-
-    /// One-line summary for tuning logs: the top components by share,
-    /// e.g. `mem_stall 62% + compute 21% of 123456 cycles`. Empty when
-    /// nothing was recorded (telemetry off or an idle window).
-    #[must_use]
-    pub fn summary(&self) -> String {
-        if self.total == 0 {
-            return String::new();
-        }
-        let mut ranked: Vec<(&str, u64)> = self
-            .components
-            .iter()
-            .copied()
-            .filter(|&(_, v)| v > 0)
-            .collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        let parts: Vec<String> = ranked
-            .iter()
-            .take(2)
-            .map(|&(label, v)| format!("{label} {:.0}%", 100.0 * v as f64 / self.total as f64))
-            .collect();
-        format!("{} of {} {}", parts.join(" + "), self.total, self.unit)
-    }
-}
-
-/// Like [`try_measure`], but also captures the run's attribution summary
-/// from the telemetry registry (empty when telemetry is disabled).
-///
-/// # Errors
-///
-/// Returns the compile/execution error message on failure.
-pub fn try_measure_profiled(
-    target: Target,
-    algo: Algorithm,
-    graph: &Graph,
-    sched: ugc_schedule::ScheduleRef,
-    cpu_reps: u32,
-) -> Result<(crate::Measurement, String), String> {
-    let col = Collector::start();
-    let m = try_measure(target, algo, graph, sched, cpu_reps)?;
-    let profile = attribution_from(target, &col.snapshot()).summary();
-    Ok((m, profile))
 }
 
 /// The workload `repro --profile` runs per backend: PageRank (all-active,

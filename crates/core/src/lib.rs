@@ -91,6 +91,9 @@ pub struct RunResult {
     /// `Some(name)` when the supervisor degraded to a fallback executor
     /// (a backend name, or `"reference"` for the sequential reference).
     pub degraded_to: Option<String>,
+    /// Where the time went, as the GraphVM that ran accounted it: empty for
+    /// the sequential reference, all zeros on the CPU with telemetry off.
+    pub attribution: Attribution,
 }
 
 impl std::fmt::Debug for RunResult {
@@ -119,6 +122,131 @@ impl RunResult {
     /// Panics if the algorithm has no such property.
     pub fn property_floats(&self, name: &str) -> &[f64] {
         self.floats.get(name).expect("property exists")
+    }
+}
+
+/// Where one run's reported time went. Every GraphVM accounts its whole
+/// total — simulated cycles, or wall-clock nanoseconds on the CPU — to a
+/// fixed set of components that sum to it exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Attribution {
+    /// Which backend this describes.
+    pub target: Target,
+    /// `"cycles"` for the simulators, `"ns"` for the CPU backend.
+    pub unit: &'static str,
+    /// `(component, amount)` in display order.
+    pub components: Vec<(&'static str, u64)>,
+    /// The backend's reported total for the same window.
+    pub total: u64,
+}
+
+impl Default for Attribution {
+    /// The empty CPU attribution: nothing recorded.
+    fn default() -> Self {
+        Attribution::of(Target::Cpu, Vec::new())
+    }
+}
+
+impl Attribution {
+    /// `target`'s attribution from its named components; they sum to the total.
+    #[must_use]
+    pub fn of(target: Target, components: Vec<(&'static str, u64)>) -> Self {
+        Attribution {
+            target,
+            unit: if target == Target::Cpu {
+                "ns"
+            } else {
+                "cycles"
+            },
+            total: components.iter().map(|(_, v)| v).sum(),
+            components,
+        }
+    }
+
+    /// Sum of the components; equals the total when the books balance.
+    #[must_use]
+    pub fn component_sum(&self) -> u64 {
+        self.components.iter().map(|(_, v)| v).sum()
+    }
+
+    /// Whether the components account for the reported total exactly.
+    #[must_use]
+    pub fn is_consistent(&self) -> bool {
+        self.component_sum() == self.total
+    }
+
+    /// The nonzero components, largest first, ties broken by name.
+    fn ranked(&self) -> Vec<(&'static str, u64)> {
+        let mut ranked: Vec<_> = self
+            .components
+            .iter()
+            .copied()
+            .filter(|&(_, v)| v > 0)
+            .collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        ranked
+    }
+
+    /// `v` as a whole percentage of the total, halves rounded to even.
+    fn share(&self, v: u64) -> u32 {
+        (100.0 * v as f64 / self.total as f64).round_ties_even() as u32
+    }
+
+    /// The largest component and its whole-percent share of the total
+    /// (ties broken by name; 99 of 200 counts as 50 %). `None` when
+    /// nothing was recorded.
+    #[must_use]
+    pub fn dominant(&self) -> Option<(&'static str, u32)> {
+        if self.total == 0 {
+            return None;
+        }
+        let (label, v) = *self.ranked().first()?;
+        Some((label, self.share(v)))
+    }
+
+    /// Renders the human-readable attribution table.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        out.push_str(&format!(
+            "{:<14}{:>16}{:>8}\n",
+            "component", self.unit, "share"
+        ));
+        for &(label, v) in &self.components {
+            let pct = if self.total == 0 {
+                0.0
+            } else {
+                100.0 * v as f64 / self.total as f64
+            };
+            out.push_str(&format!("{label:<14}{v:>16}{pct:>7.1}%\n"));
+        }
+        out.push_str(&format!(
+            "{:<14}{:>16}{:>8}  ({})\n",
+            "total",
+            self.total,
+            "100.0%",
+            if self.is_consistent() {
+                "components sum to total"
+            } else {
+                "ATTRIBUTION MISMATCH"
+            }
+        ));
+        out
+    }
+
+    /// One-line summary for tuning logs: the top components by share,
+    /// e.g. `mem_stall 62% + compute 21% of 123456 cycles`, led by
+    /// [`Attribution::dominant`]. Empty when nothing was recorded.
+    #[must_use]
+    pub fn summary(&self) -> String {
+        let Some((top, share)) = self.dominant() else {
+            return String::new();
+        };
+        let mut line = format!("{top} {share}%");
+        if let Some(&(label, v)) = self.ranked().get(1) {
+            line.push_str(&format!(" + {label} {}%", self.share(v)));
+        }
+        format!("{line} of {} {}", self.total, self.unit)
     }
 }
 
@@ -544,6 +672,7 @@ impl Compiler {
             cycles: 0,
             attempts: 1,
             degraded_to: None,
+            attribution: Attribution::default(),
         })
     }
 
@@ -560,29 +689,29 @@ impl Compiler {
     ) -> Result<RunResult, UgcError> {
         // Only the VM and the clock differ per target: wall time on the
         // CPU, simulated time and cycles elsewhere.
-        let (state, time_ms, cycles) = match target {
+        let (state, time_ms, cycles, components) = match target {
             Target::Cpu => {
-                let run =
+                let r =
                     ugc_backend_cpu::CpuGraphVm::default().execute(prog, graph, &self.externs)?;
-                (run.state, run.elapsed.as_secs_f64() * 1e3, 0)
+                let ms = r.elapsed.as_secs_f64() * 1e3;
+                (r.state, ms, 0, r.attr.components().to_vec())
             }
             Target::Gpu => {
-                let run =
+                let r =
                     ugc_backend_gpu::GpuGraphVm::default().execute(prog, graph, &self.externs)?;
-                (run.state, run.time_ms, run.cycles)
+                (r.state, r.time_ms, r.cycles, r.attr.components().to_vec())
             }
             Target::Swarm => {
-                let run = ugc_backend_swarm::SwarmGraphVm::default().execute(
+                let r = ugc_backend_swarm::SwarmGraphVm::default().execute(
                     prog,
                     graph,
                     &self.externs,
                 )?;
-                (run.state, run.time_ms, run.cycles)
+                (r.state, r.time_ms, r.cycles, r.attr.components().to_vec())
             }
             Target::HammerBlade => {
-                let run =
-                    ugc_backend_hb::HbGraphVm::default().execute(prog, graph, &self.externs)?;
-                (run.state, run.time_ms, run.cycles)
+                let r = ugc_backend_hb::HbGraphVm::default().execute(prog, graph, &self.externs)?;
+                (r.state, r.time_ms, r.cycles, r.attr.components().to_vec())
             }
         };
         let (ints, floats) = state.snapshot();
@@ -594,6 +723,7 @@ impl Compiler {
             cycles,
             attempts: 1,
             degraded_to: None,
+            attribution: Attribution::of(target, components),
         })
     }
 
@@ -620,6 +750,25 @@ impl Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dominance_matches_the_summary_line() {
+        let gpu =
+            |components: &[(&'static str, u64)]| Attribution::of(Target::Gpu, components.to_vec());
+        let stalled = gpu(&[("compute", 1024), ("mem_stall", 2867), ("launch", 205)]);
+        assert_eq!(stalled.dominant(), Some(("mem_stall", 70)));
+        assert_eq!(
+            stalled.summary(),
+            "mem_stall 70% + compute 25% of 4096 cycles"
+        );
+        // Ties go to the name; half a percent rounds to even.
+        let tie = gpu(&[("launch", 99), ("compute", 99), ("host", 2)]);
+        assert_eq!(tie.dominant(), Some(("compute", 50)));
+        assert_eq!(tie.summary(), "compute 50% + launch 50% of 200 cycles");
+        assert_eq!(gpu(&[("commit", 10)]).summary(), "commit 100% of 10 cycles");
+        assert_eq!(gpu(&[("compute", 0)]).dominant(), None);
+        assert_eq!(Attribution::default().summary(), "");
+    }
 
     #[test]
     fn bfs_runs_on_all_targets() {

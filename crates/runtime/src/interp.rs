@@ -25,7 +25,7 @@ use crate::bytecode::{binding_of, compile_udfs, Binding, UdfId, UdfSet};
 use crate::eval::{EdgeCtx, NullMemory, NullOutput};
 use crate::frontier_list::FrontierList;
 use crate::host::{HostEnv, HostValue};
-use crate::parallel::{default_threads, parallel_for_with_local};
+use crate::pool::{default_threads, parallel_for_with_local};
 use crate::properties::{GlobalTable, PropertyStorage};
 use crate::udf::{self, CompiledSet, CompiledUdf};
 use crate::value::Value;

@@ -22,9 +22,9 @@
 //! * [`udf`] — the UDF compiler: bytecode lowered once per run to typed,
 //!   closure-threaded bodies, which run the CPU's operators and every
 //!   GraphVM's host-side vertex filter,
-//! * [`parallel`] / [`pool`] — work-distribution primitives for the CPU
-//!   backend, dispatching to a persistent std-only work-stealing worker
-//!   pool (`UGC_THREADS=1` forces deterministic serial execution),
+//! * [`pool`] — work-distribution primitives for the CPU backend: a
+//!   persistent std-only work-stealing worker pool (`UGC_THREADS=1`
+//!   forces deterministic serial execution),
 //! * [`host`] — host-side variable environment shared by backend
 //!   interpreters,
 //! * [`operator`] — the operator prologue and epilogue ([`EdgeOp`], output
@@ -38,7 +38,6 @@ pub mod frontier_list;
 pub mod host;
 pub mod interp;
 pub mod operator;
-pub mod parallel;
 pub mod pool;
 pub mod properties;
 pub mod udf;

@@ -2,10 +2,9 @@
 //!
 //! The CPU GraphVM calls a parallel-for once per edge/vertex operator per
 //! traversal iteration. Spawning and joining OS threads at every call (the
-//! previous [`std::thread::scope`] implementation, kept as
-//! [`crate::parallel::spawn_parallel_for_with_local`] for comparison)
-//! charges a full thread-creation round-trip to every operator — hundreds
-//! of them for a single BFS run. GraphIt's CPU runtime amortizes that cost
+//! previous [`std::thread::scope`] implementation) charges a full
+//! thread-creation round-trip to every operator — hundreds of them for a
+//! single BFS run. GraphIt's CPU runtime amortizes that cost
 //! with a persistent OpenMP worker team; this module is the equivalent for
 //! the UGC reproduction, std-only per the hermetic-workspace policy.
 //!
@@ -65,10 +64,10 @@ pub const MAX_WORKERS: usize = 128;
 
 /// Below this many items a `parallel_for` call never dispatches to the
 /// pool: the parking/handoff round-trip costs ~100ns while a tiny loop
-/// finishes in ~10ns (BENCH_3 `pool_dispatch/n=64`). Mirrors the CPU
-/// schedule's default serial threshold
-/// (`ugc_backend_cpu::CpuSchedule::serial_threshold`), applied here so
-/// every call site is protected, not just the executor's.
+/// finishes in ~10ns (the benchmark's `runtime.pool.dispatch_us` probe
+/// measures the round-trip). Mirrors the CPU schedule's default serial
+/// threshold (`ugc_backend_cpu::CpuSchedule::serial_threshold`), applied
+/// here so every call site is protected, not just the executor's.
 pub const SERIAL_DISPATCH_THRESHOLD: usize = 512;
 
 /// Number of worker threads used by default: `UGC_THREADS` when set to a
@@ -339,17 +338,17 @@ fn clamp_participants(requested: usize) -> usize {
 
 /// Feedback-driven chunk sizing.
 ///
-/// The fixed `chunk_hint` policy is what lost `pool_dispatch/n=1M` to
-/// naive spawn in BENCH_3: 16384 hint-sized handoffs swamped the
-/// scheduling win. The pool now treats the caller's hint as a floor and
-/// picks the executed chunk per size class (log2 of `total`) from
-/// feedback: the first job in a class runs a probe policy (enough chunks
-/// per participant for stealing, few enough to amortize handoff), and
-/// every dispatched job reports its throughput back, hill-climbing the
-/// class's chunk between jobs. The executed sizes land in the
-/// `pool.chunk_size` telemetry histogram (via [`count_chunk`]), so the
-/// distribution `repro --profile` reports *is* the controller's output;
-/// the controller itself stays live even under `UGC_TELEMETRY=0`.
+/// A fixed `chunk_hint` policy once lost to naive spawn-per-call at n = 1M:
+/// 16384 hint-sized handoffs swamped the scheduling win. The pool now
+/// treats the caller's hint as a floor and picks the executed chunk per
+/// size class (log2 of `total`) from feedback: the first job in a class
+/// runs a probe policy (enough chunks per participant for stealing, few
+/// enough to amortize handoff), and every dispatched job reports its
+/// throughput back, hill-climbing the class's chunk between jobs. The
+/// executed sizes land in the `pool.chunk_size` telemetry histogram (via
+/// [`count_chunk`]), so the distribution `repro --profile` reports *is* the
+/// controller's output; the controller itself stays live even under
+/// `UGC_TELEMETRY=0`.
 mod chunk_feedback {
     use super::lock;
     use std::sync::{Mutex, OnceLock};
@@ -853,6 +852,16 @@ mod tests {
         parallel_for(4, 0, 16, |_, _| panic!("must not run"));
         assert!(parallel_for_with_local::<usize, _>(4, 0, 16, |_, _, _| {}).is_empty());
         assert!(parallel_for_chunks_with_local::<usize, _>(4, Vec::new(), |_, _, _| {}).is_empty());
+    }
+
+    #[test]
+    fn local_accumulators_merge() {
+        let locals = parallel_for_with_local::<Vec<usize>, _>(4, 100, 3, |_tid, range, local| {
+            local.extend(range);
+        });
+        let mut all: Vec<usize> = locals.into_iter().flatten().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -29,11 +29,13 @@ echo "== cargo test under UGC_TELEMETRY=0 (counters compiled to no-ops)"
 # Disabled telemetry must leave results identical and registries empty;
 # telemetry_invariants asserts both, the differential suite proves the
 # answers don't change, pool_threads checks the all-zero counter branch,
-# and failure_modes drives the repro CLI's telemetry-off exit path.
+# failure_modes drives the repro CLI's telemetry-off exit path, and
+# guided_tuning proves the simulators' tunings still prune (the cost model
+# reads each run's own attribution, not the registry).
 UGC_TELEMETRY=0 cargo test -q --offline -p ugc-telemetry
 UGC_TELEMETRY=0 cargo test -q --offline -p ugc-integration \
   --test telemetry_invariants --test differential_backends \
-  --test pool_threads --test failure_modes
+  --test pool_threads --test failure_modes --test guided_tuning
 
 echo "== repro --profile smoke (attribution tables must balance)"
 # repro itself exits nonzero when a backend's components fail to sum to
@@ -247,6 +249,28 @@ awk -F'[= ]' '/^budget: /{
 }
 END { if (!found) { print "explain smoke: no budget line" > "/dev/stderr"; exit 1 } }' \
   target/ci-tune-explain.txt
+
+echo "== tune --explain smoke under UGC_TELEMETRY=0 (pruning does not need the registry)"
+# Every run returns its own attribution, so the same tune with telemetry
+# off must prune the same axes and print the same budget line and winner
+# profile.
+UGC_TELEMETRY=0 cargo run --release --offline -q -p ugc-bench --bin repro -- \
+  --scale tiny --seed 7 --budget 24 --no-cache tune --explain gpu bfs PK \
+  > target/ci-tune-explain-off.txt
+grep -q 'pruned=8 ' target/ci-tune-explain-off.txt || {
+  echo "explain smoke: telemetry-off tune did not prune 8 candidates" >&2
+  cat target/ci-tune-explain-off.txt >&2
+  exit 1
+}
+grep -q "winner profile:" target/ci-tune-explain-off.txt || {
+  echo "explain smoke: telemetry-off tune printed no winner profile" >&2
+  exit 1
+}
+if [ "$(grep '^budget: ' target/ci-tune-explain-off.txt)" != \
+  "$(grep '^budget: ' target/ci-tune-explain.txt)" ]; then
+  echo "explain smoke: budget line differs with telemetry off" >&2
+  exit 1
+fi
 
 echo "== serve smoke (unix socket; pair coalesces; no thread leak; clean shutdown)"
 # Boot the daemon on a unix socket, run a batched pair (two concurrent BFS

@@ -15,10 +15,15 @@
 //!   fewer measurements than the identical cold search, at equal-or-noise
 //!   winner quality. Deterministic on the simulated targets (cycle-exact
 //!   costs), so the strict inequality cannot flake.
+//!
+//! The tests of this binary tune concurrently. That is safe because each
+//! measured candidate carries its own run's attribution; a third test
+//! pins it down.
 
 use ugc::{Algorithm, Target};
 use ugc_autotune::TuneOutcome;
 use ugc_bench::{autotune, autotune_warm, Strategy, Tuner};
+use ugc_graph::{Dataset, Scale};
 use ugc_testkit::{check, Config, Prng};
 
 const BUDGET: usize = 64;
@@ -153,4 +158,52 @@ fn swarm_fingerprint_transfer_saves_measurements() {
 #[test]
 fn hb_fingerprint_transfer_saves_measurements() {
     check_transfer(Target::HammerBlade, Algorithm::PageRank, 37);
+}
+
+/// Tunings running at once prune exactly like the same tunings run one
+/// after another: each search ranks and prunes on its own runs'
+/// attributions, which another search in flight cannot touch. Two Swarm
+/// SSSP tunings race each other and a GPU BFS tuning; the pruned axes,
+/// the measured budget and the winner must all match the sequential runs.
+#[test]
+fn concurrent_tunings_prune_like_sequential_ones() {
+    let graph = Dataset::Pokec.generate(Scale::Tiny);
+    let t = Tuner {
+        seed: 7,
+        budget: 24,
+        strategy: Strategy::GreedyDescent,
+        restarts: 1,
+        cost_model: true,
+    };
+    let triples = [
+        (Target::Swarm, Algorithm::Sssp),
+        (Target::Swarm, Algorithm::Sssp),
+        (Target::Gpu, Algorithm::Bfs),
+    ];
+    let tune = |(target, algo): (Target, Algorithm)| {
+        let out = autotune(target, algo, &graph, &t).expect("tune");
+        (out.pruned.clone(), out.explored, out.winner().name.clone())
+    };
+    let sequential: Vec<_> = triples.into_iter().map(tune).collect();
+    assert!(
+        !sequential[0].0.is_empty(),
+        "the Swarm SSSP tuning must prune, or this test proves nothing"
+    );
+    // All three start together, so their measurements overlap.
+    let start = std::sync::Barrier::new(triples.len());
+    let concurrent: Vec<_> = std::thread::scope(|s| {
+        let runs: Vec<_> = triples
+            .map(|triple| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    tune(triple)
+                })
+            })
+            .into();
+        runs.into_iter()
+            .map(|run| run.join().expect("tuning thread"))
+            .collect()
+    });
+    assert_eq!(concurrent, sequential);
 }

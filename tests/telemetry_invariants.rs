@@ -8,6 +8,8 @@
 //!    results are unaffected (CI runs this binary under both settings).
 //! 4. Snapshots of the deterministic simulators are byte-stable across
 //!    two identical seeded runs.
+//! 5. The attribution a run returns matches the registry's delta over the
+//!    same run, label for label.
 //!
 //! Registry deltas are only exact while no other thread is mid-
 //! measurement, so every measuring test in this binary serializes on
@@ -16,7 +18,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use ugc::{Algorithm, Target};
-use ugc_bench::profile::{attribution_from, counter_prefix};
+use ugc_bench::profile::{attribution_from, component_keys, counter_prefix};
 use ugc_bench::{baseline_schedule, try_measure};
 use ugc_graph::{Dataset, Graph, Scale};
 use ugc_telemetry::Collector;
@@ -74,6 +76,34 @@ fn attribution_components_sum_to_each_backends_total() {
         } else {
             assert_eq!(attr.total, 0);
             assert_eq!(attr.component_sum(), 0);
+        }
+    }
+}
+
+#[test]
+fn run_attribution_matches_the_registry_delta() {
+    let _guard = measure_lock();
+    let graph = workload_graph();
+    for target in Target::ALL {
+        let algo = Algorithm::Bfs;
+        let col = Collector::start();
+        let run = try_measure(target, algo, &graph, baseline_schedule(target, algo), 1)
+            .unwrap_or_else(|e| panic!("{}: {e}", target.name()));
+        let record = run.attribution;
+        let keyed: Vec<_> = component_keys(target).iter().map(|&(l, _)| l).collect();
+        let recorded: Vec<_> = record.components.iter().map(|&(l, _)| l).collect();
+        assert_eq!(
+            keyed,
+            recorded,
+            "{}: component labels drifted",
+            target.name()
+        );
+        assert_eq!(record.target, target);
+        if ugc_telemetry::enabled() {
+            assert_eq!(attribution_from(target, &col.snapshot()), record);
+        } else if target != Target::Cpu {
+            // The simulators account every cycle with telemetry off too.
+            assert!(record.total > 0, "{}: empty attribution", target.name());
         }
     }
 }
