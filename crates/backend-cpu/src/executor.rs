@@ -1,6 +1,5 @@
 //! The CPU operator executor: real multithreaded traversal.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -49,22 +48,6 @@ fn counters() -> &'static CpuCounters {
         kernel_compiled: Counter::new("cpu.kernel.compiled"),
         kernel_fallback: Counter::new("cpu.kernel.fallback"),
     })
-}
-
-/// Last edge-traversal direction (0 = none yet, 1 = push, 2 = pull).
-/// Process-global: executors are cloned per run, and a schedule-driven
-/// push/pull flip is interesting wherever it happens.
-static LAST_DIRECTION: AtomicUsize = AtomicUsize::new(0);
-
-fn note_direction(direction: Direction) {
-    let code = match direction {
-        Direction::Push => 1,
-        Direction::Pull => 2,
-    };
-    let prev = LAST_DIRECTION.swap(code, Ordering::Relaxed);
-    if prev != 0 && prev != code {
-        counters().direction_switches.incr();
-    }
 }
 
 /// Per-run wall-time attribution in nanoseconds. Components sum exactly to
@@ -134,6 +117,9 @@ pub struct CpuExecutor {
     kernels: std::sync::Arc<KernelCache>,
     phase_ns: PhaseNs,
     dispatch: KernelDispatch,
+    /// The run's last edge-traversal direction, so `cpu.direction_switches`
+    /// counts flips within one run only; `Clone` starts a run without one.
+    last_direction: Option<Direction>,
 }
 
 impl Clone for CpuExecutor {
@@ -144,6 +130,7 @@ impl Clone for CpuExecutor {
             kernels: std::sync::Arc::new(KernelCache::default()),
             phase_ns: self.phase_ns,
             dispatch: KernelDispatch::default(),
+            last_direction: None,
         }
     }
 }
@@ -180,6 +167,7 @@ impl CpuExecutor {
             kernels: std::sync::Arc::new(KernelCache::default()),
             phase_ns: PhaseNs::default(),
             dispatch: KernelDispatch::default(),
+            last_direction: None,
         }
     }
 
@@ -209,6 +197,17 @@ impl CpuExecutor {
                 self.dispatch.fallback += 1;
                 c.kernel_fallback.incr();
             }
+        }
+    }
+
+    /// Counts a push/pull flip against this run's previous edge operator.
+    fn note_direction(&mut self, direction: Direction) {
+        if self
+            .last_direction
+            .replace(direction)
+            .is_some_and(|d| d != direction)
+        {
+            counters().direction_switches.incr();
         }
     }
 
@@ -324,7 +323,7 @@ impl OperatorExecutor for CpuExecutor {
         let op = EdgeOp::resolve(state, stmt, data)?;
         let plan = Self::plan(stmt);
         let direction = op.direction;
-        note_direction(direction);
+        self.note_direction(direction);
 
         let kernel = self.resolve_kernel(state, stmt, &op);
         let ev = state.evaluator();

@@ -26,6 +26,8 @@ pub struct Csr {
     offsets: Vec<usize>,
     targets: Vec<VertexId>,
     weights: Option<Vec<Weight>>,
+    /// Whether some neighbor slice repeats a target (a multi-edge).
+    repeats: bool,
 }
 
 impl Csr {
@@ -87,7 +89,9 @@ impl Csr {
             }
             cursor[s as usize] += 1;
         }
-        // Sort each neighbor slice (with weights kept parallel).
+        // Sort each neighbor slice (with weights kept parallel), noting
+        // whether any slice repeats a target.
+        let mut repeats = false;
         for v in 0..num_vertices {
             let (lo, hi) = (offsets[v], offsets[v + 1]);
             if weighted {
@@ -104,11 +108,13 @@ impl Csr {
             } else {
                 targets[lo..hi].sort_unstable();
             }
+            repeats = repeats || targets[lo..hi].windows(2).any(|w| w[0] == w[1]);
         }
         Csr {
             offsets,
             targets,
             weights: if weighted { Some(weights) } else { None },
+            repeats,
         }
     }
 
@@ -140,11 +146,18 @@ impl Csr {
         &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
+    /// Whether some neighbor slice lists a target more than once (the
+    /// graph has multi-edges). Self-loops alone do not count.
+    pub fn has_repeated_targets(&self) -> bool {
+        self.repeats
+    }
+
     /// Size of the sorted-merge intersection of the neighbor lists of `a`
     /// and `b`. Duplicate entries (multi-edges) pair up positionally, so
-    /// the count is deterministic for any CSR. This is the single shared
-    /// definition of "common neighbors" used by both the triangle-counting
-    /// runtime intrinsic and the sequential reference.
+    /// the count is deterministic for any CSR. This merge *defines* "common
+    /// neighbors": the interpreter and the sequential reference call it,
+    /// and [`IntersectScratch::count`] — a different algorithm, which the
+    /// compiled CPU path runs — is tested equal to it on every call.
     ///
     /// # Panics
     ///
@@ -237,6 +250,134 @@ impl Csr {
                 .enumerate()
                 .map(move |(i, &d)| (v, d, self.edge_weight_at(lo + i)))
         })
+    }
+}
+
+/// Per-worker state that answers [`Csr::intersect_count`] exactly, faster
+/// when one endpoint repeats from call to call.
+///
+/// An edge walker calls `intersect_count(src, dst)` with the same `src` for
+/// every out-edge in push order, and the same `dst` for every in-edge in
+/// pull order. The scratch marks that endpoint's neighbors in a bitmap
+/// once, then answers each call with branch-free bit tests over the other
+/// endpoint's list — or, when the marked list is much the shorter, with a
+/// binary search of each marked neighbor in the other list. A call whose
+/// endpoints are neither marked nor in the previous call, and every call
+/// on a CSR with repeated targets (whose positional pairing a bitmap
+/// cannot reproduce), runs the plain merge.
+///
+/// One scratch serves one CSR: its marks describe that CSR's lists. It
+/// allocates nothing until its first mark, and then `⌈n/64⌉` words.
+///
+/// ```
+/// use ugc_graph::{Csr, IntersectScratch};
+///
+/// let csr = Csr::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]);
+/// let mut scratch = IntersectScratch::default();
+/// for &d in csr.neighbors(0) {
+///     assert_eq!(scratch.count(&csr, 0, d), csr.intersect_count(0, d));
+/// }
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct IntersectScratch {
+    /// Bit `w` is set iff `w` is a neighbor of `marked`.
+    bits: Vec<u64>,
+    marked: Option<VertexId>,
+    last: Option<(VertexId, VertexId)>,
+    paths: IntersectPaths,
+}
+
+/// How many calls an [`IntersectScratch`] answered by each method.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IntersectPaths {
+    /// Plain sorted merges.
+    pub merge: u64,
+    /// Bit tests of the other list against the marked endpoint's bitmap.
+    pub probe: u64,
+    /// Binary searches of the marked list's entries in the other list.
+    pub search: u64,
+    /// Times an endpoint was (re-)marked.
+    pub mark: u64,
+}
+
+impl IntersectScratch {
+    /// `csr.intersect_count(a, b)`, by whichever exact method is cheapest
+    /// given the previous calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is out of bounds.
+    pub fn count(&mut self, csr: &Csr, a: VertexId, b: VertexId) -> usize {
+        let last = self.last.replace((a, b));
+        if csr.has_repeated_targets() {
+            return self.merge(csr, a, b);
+        }
+        let (marked, other) = if self.marked == Some(a) {
+            (a, b)
+        } else if self.marked == Some(b) {
+            (b, a)
+        } else {
+            let repeats = |v| last.is_some_and(|(x, y)| v == x || v == y);
+            let m = if repeats(a) {
+                a
+            } else if repeats(b) {
+                b
+            } else {
+                return self.merge(csr, a, b);
+            };
+            self.mark(csr, m);
+            (m, a ^ b ^ m)
+        };
+        let (mine, theirs) = (csr.neighbors(marked), csr.neighbors(other));
+        if Self::searches(mine.len(), theirs.len()) {
+            self.paths.search += 1;
+            mine.iter()
+                .filter(|w| theirs.binary_search(w).is_ok())
+                .count()
+        } else {
+            self.paths.probe += 1;
+            let bits = &self.bits;
+            theirs
+                .iter()
+                .map(|&w| (bits[w as usize >> 6] >> (w & 63) & 1) as usize)
+                .sum()
+        }
+    }
+
+    /// Whether a marked list of `mine` entries is searched in the other
+    /// list of `theirs` entries rather than probing all of `theirs`: when
+    /// `mine · log2(theirs)` is well below `theirs`.
+    fn searches(mine: usize, theirs: usize) -> bool {
+        let log2 = (usize::BITS - theirs.leading_zeros()) as usize;
+        4 * mine * log2 < theirs
+    }
+
+    /// The calls answered so far, by method.
+    pub fn paths(&self) -> IntersectPaths {
+        self.paths
+    }
+
+    fn merge(&mut self, csr: &Csr, a: VertexId, b: VertexId) -> usize {
+        self.paths.merge += 1;
+        csr.intersect_count(a, b)
+    }
+
+    /// Marks `v`'s neighbors, first clearing the previous marks by walking
+    /// the previously marked list rather than the whole bitmap.
+    fn mark(&mut self, csr: &Csr, v: VertexId) {
+        self.paths.mark += 1;
+        let words = csr.num_vertices().div_ceil(64);
+        if self.bits.len() != words {
+            self.bits = vec![0; words];
+        } else if let Some(old) = self.marked {
+            for &w in csr.neighbors(old) {
+                self.bits[w as usize >> 6] = 0;
+            }
+        }
+        for &w in csr.neighbors(v) {
+            self.bits[w as usize >> 6] |= 1 << (w & 63);
+        }
+        self.marked = Some(v);
     }
 }
 

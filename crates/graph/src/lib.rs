@@ -46,7 +46,7 @@ pub mod stats;
 
 pub use builder::GraphBuilder;
 pub use coo::EdgeList;
-pub use csr::{Csr, Graph};
+pub use csr::{Csr, Graph, IntersectScratch};
 pub use datasets::{Dataset, Scale};
 
 /// Identifier of a vertex. Vertices of an `n`-vertex graph are `0..n`.

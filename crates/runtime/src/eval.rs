@@ -6,7 +6,7 @@
 //! property access with its index — which is all they need to charge
 //! coalescing, conflicts, bank queueing, and DRAM traffic.
 
-use ugc_graph::Graph;
+use ugc_graph::{Graph, IntersectScratch};
 use ugc_graphir::types::ReduceOp;
 
 use crate::bytecode::{Instr, UdfId, UdfProgram, UdfSet};
@@ -50,6 +50,12 @@ pub trait UdfOutput {
     /// The UDF updated `queue`'s priority of vertex `v` to `new_prio`
     /// (only called when the tracked property actually changed).
     fn priority_changed(&mut self, queue: usize, v: u32, new_prio: i64);
+    /// The compiled `intersect_count(a, b)` intrinsic. A sink that lives
+    /// for one worker's share of an operator answers it from per-worker
+    /// state; the default is [`Graph::intersect_count`]'s merge.
+    fn intersect_count(&mut self, graph: &Graph, a: u32, b: u32) -> usize {
+        graph.intersect_count(a, b)
+    }
 }
 
 /// A no-op sink for UDFs without frontier/priority effects.
@@ -387,13 +393,17 @@ impl<'a> Evaluator<'a> {
 }
 
 /// A [`UdfOutput`] that buffers enqueued vertices (the common backend
-/// building block for constructing output frontiers).
+/// building block for constructing output frontiers). Operators hand one
+/// to each worker, so it also carries the worker's intersection scratch.
 #[derive(Debug, Default, Clone)]
 pub struct BufferedOutput {
     /// Vertices enqueued so far.
     pub enqueued: Vec<u32>,
     /// `(queue, vertex, new_priority)` updates so far.
     pub priority_updates: Vec<(usize, u32, i64)>,
+    /// Answers compiled `intersect_count` calls; bound to the one graph
+    /// of the operator this sink serves.
+    intersect: IntersectScratch,
 }
 
 impl UdfOutput for BufferedOutput {
@@ -403,6 +413,10 @@ impl UdfOutput for BufferedOutput {
 
     fn priority_changed(&mut self, queue: usize, v: u32, new_prio: i64) {
         self.priority_updates.push((queue, v, new_prio));
+    }
+
+    fn intersect_count(&mut self, graph: &Graph, a: u32, b: u32) -> usize {
+        self.intersect.count(graph.out_csr(), a, b)
     }
 }
 

@@ -414,9 +414,10 @@ mod tests {
         let mut state = state(&graph);
         let (mut stmt, mut data) = iterator("count");
         let outs = || {
-            [3u32, 1, 3].map(|v| BufferedOutput {
-                enqueued: vec![v],
-                priority_updates: vec![],
+            [3u32, 1, 3].map(|v| {
+                let mut out = BufferedOutput::default();
+                out.enqueued.push(v);
+                out
             })
         };
         // No output requested: buffers are consumed, nothing is built.

@@ -989,7 +989,7 @@ impl Lower<'_> {
                 let (d, a, b) = (d(dst), self.integral(*a)?, self.integral(*b)?);
                 link(next, move |r, e| {
                     let (a, b) = (a.get(r, e) as u32, b.get(r, e) as u32);
-                    r[d] = e.graph.intersect_count(a, b) as u64;
+                    r[d] = e.out.intersect_count(e.graph, a, b) as u64;
                 })
             }
             Instr::JumpIfNot { cond, target } => {

@@ -120,23 +120,34 @@ echo "== algorithm suite differential smoke (tc/kcore/lp across all four backend
 # Each new algorithm's headline scalar must exist and agree across every
 # backend at tiny scale: the triangle total, the maximum coreness, and the
 # number of label classes are all backend-independent facts about the
-# graph, so any divergence is a wrong answer, not noise.
-for spec in "tc triangles" "kcore max_coreness" "lp label_classes"; do
-  algo="${spec% *}"
-  key="${spec#* }"
+# graph, so any divergence is a wrong answer, not noise. tc also runs on
+# PK, whose skewed degrees drive the compiled CPU path's intersection
+# through its bitmap probe and its binary search, and adds a fifth column:
+# the CPU forced onto the interpreter, which counts by the plain merge.
+for spec in "tc triangles RN" "tc triangles PK" "kcore max_coreness RN" "lp label_classes RN"; do
+  read -r algo key graph <<<"$spec"
+  columns="cpu gpu swarm hb"
+  if [ "$algo" = tc ]; then
+    columns="$columns interp"
+  fi
   want=""
-  for target in cpu gpu swarm hb; do
-    run_out="$(cargo run --release --offline -q -p ugc-bench --bin repro -- \
-      --scale tiny run "$target" "$algo" RN)"
+  for target in $columns; do
+    if [ "$target" = interp ]; then
+      run_out="$(UGC_CPU_KERNELS=0 cargo run --release --offline -q -p ugc-bench --bin repro -- \
+        --scale tiny run cpu "$algo" "$graph")"
+    else
+      run_out="$(cargo run --release --offline -q -p ugc-bench --bin repro -- \
+        --scale tiny run "$target" "$algo" "$graph")"
+    fi
     val="$(printf '%s\n' "$run_out" | grep -o "${key}=[0-9]*" | head -1 | cut -d= -f2)"
     if [ -z "$val" ]; then
-      echo "algorithm smoke: $target/$algo printed no ${key}=: $run_out" >&2
+      echo "algorithm smoke: $target/$algo/$graph printed no ${key}=: $run_out" >&2
       exit 1
     fi
     if [ -z "$want" ]; then
       want="$val"
     elif [ "$val" != "$want" ]; then
-      echo "algorithm smoke: $target/$algo ${key}=$val diverges from $want" >&2
+      echo "algorithm smoke: $target/$algo/$graph ${key}=$val diverges from $want" >&2
       exit 1
     fi
   done

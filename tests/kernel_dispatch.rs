@@ -420,26 +420,52 @@ fn kernels_match_interpreter_under_threads() {
     // Triangle counts are integer sums and coreness is a fixpoint: both
     // are exact under any interleaving, so the compiled TC edge body and
     // the compiled k-core filter/applies must reproduce the interpreter.
+    // Compiled TC counts through each worker's `IntersectScratch`, the
+    // interpreter by the merge, so the inputs cover both walk orders, one
+    // and eight workers, the R-MAT graph (whose push walk takes the
+    // scratch's binary search), a star's hub, and a multigraph (on which
+    // the scratch must merge).
+    let out = graph.out_csr();
+    let mut scratch = ugc_graph::IntersectScratch::default();
+    for (s, d, _) in out.iter_edges() {
+        scratch.count(out, s, d);
+    }
+    assert!(scratch.paths().search > 0, "{:?}", scratch.paths());
+    let mut doubled: Vec<_> = out.iter_edges().map(|(s, d, _)| (s, d)).collect();
+    doubled.extend(doubled.clone().into_iter().step_by(7));
+    let multigraph = ugc_graph::Graph::from_edges(graph.num_vertices(), &doubled);
+    assert!(multigraph.out_csr().has_repeated_targets());
+    let graphs = [
+        ("rmat", graph.clone()),
+        ("star", ugc_graph::generators::star(600)),
+        ("multigraph", multigraph),
+    ];
     for (algo, prop) in [(Algorithm::Tc, "tri"), (Algorithm::KCore, "core")] {
-        let result_of = |kernels_on: bool| {
-            let run = CpuGraphVm::with_threads(8)
-                .with_kernels(kernels_on)
-                .execute(
-                    compile(algo, Some(sched.clone())),
-                    &graph,
-                    &externs_for(algo, 0),
-                )
-                .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
-            (run.property_ints(prop), run.dispatch)
-        };
-        let ((compiled, on), (interpreted, off)) = (result_of(true), result_of(false));
-        assert!(
-            on.compiled > 0 && on.fallback == 0,
-            "{}: {on:?}",
-            algo.name()
-        );
-        assert_eq!(off.compiled, 0, "{}: {off:?}", algo.name());
-        assert_eq!(compiled, interpreted, "{} `{prop}` diverges", algo.name());
+        for (name, graph) in &graphs {
+            for direction in [SchedDirection::Push, SchedDirection::Pull] {
+                let sched = CpuSchedule::new()
+                    .with_serial_threshold(0)
+                    .with_direction(direction);
+                for threads in [1, 8] {
+                    let result_of = |kernels_on: bool| {
+                        let run = CpuGraphVm::with_threads(threads)
+                            .with_kernels(kernels_on)
+                            .execute(
+                                compile(algo, Some(ScheduleRef::simple(sched.clone()))),
+                                graph,
+                                &externs_for(algo, 0),
+                            )
+                            .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+                        (run.property_ints(prop), run.dispatch)
+                    };
+                    let ((compiled, on), (interpreted, off)) = (result_of(true), result_of(false));
+                    let case = format!("{} {name} {direction:?} {threads}t", algo.name());
+                    assert!(on.compiled > 0 && on.fallback == 0, "{case}: {on:?}");
+                    assert_eq!(off.compiled, 0, "{case}: {off:?}");
+                    assert_eq!(compiled, interpreted, "{case}: `{prop}` diverges");
+                }
+            }
+        }
     }
 }
 

@@ -10,6 +10,8 @@
 //!    two identical seeded runs.
 //! 5. The attribution a run returns matches the registry's delta over the
 //!    same run, label for label.
+//! 6. `cpu.direction_switches` counts push/pull flips within one run, never
+//!    across runs.
 //!
 //! Registry deltas are only exact while no other thread is mid-
 //! measurement, so every measuring test in this binary serializes on
@@ -18,9 +20,12 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use ugc::{Algorithm, Target};
+use ugc_backend_cpu::{CpuGraphVm, CpuSchedule};
 use ugc_bench::profile::{attribution_from, component_keys, counter_prefix};
 use ugc_bench::{baseline_schedule, try_measure};
 use ugc_graph::{Dataset, Graph, Scale};
+use ugc_integration::{compile, externs_for};
+use ugc_schedule::{SchedDirection, ScheduleRef};
 use ugc_telemetry::Collector;
 
 fn measure_lock() -> MutexGuard<'static, ()> {
@@ -257,6 +262,24 @@ fn serve_accounting_balances_served_plus_errored_plus_shed() {
             "registry and wire disagree on the linger ledger: {snap:?}"
         );
     }
+}
+
+#[test]
+fn direction_switches_do_not_carry_across_runs() {
+    let _guard = measure_lock();
+    let graph = workload_graph();
+    let col = Collector::start();
+    for direction in [SchedDirection::Pull, SchedDirection::Push] {
+        let sched = ScheduleRef::simple(CpuSchedule::new().with_direction(direction));
+        CpuGraphVm::with_threads(2)
+            .execute(
+                compile(Algorithm::Bfs, Some(sched)),
+                &graph,
+                &externs_for(Algorithm::Bfs, 0),
+            )
+            .expect("bfs runs");
+    }
+    assert_eq!(col.snapshot().value("cpu.direction_switches"), 0);
 }
 
 #[test]
