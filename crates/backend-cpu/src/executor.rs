@@ -8,16 +8,18 @@ use ugc_graphir::ir::{EdgeSetIteratorData, Stmt};
 use ugc_graphir::types::Direction;
 use ugc_runtime::eval::{BufferedOutput, NullMemory};
 use ugc_runtime::interp::{filter_sweep, ExecError, OperatorExecutor, ProgramState};
-use ugc_runtime::pool::parallel_for_chunks_with_local;
-use ugc_runtime::pool::{default_threads, parallel_for_with_local};
-use ugc_runtime::udf::{body_of, CompiledUdf};
+use ugc_runtime::pool::{
+    default_threads, parallel_for_chunks_with_local, parallel_for_with_local,
+    SERIAL_DISPATCH_THRESHOLD,
+};
+use ugc_runtime::udf::{body_of, CompiledUdf, Frame};
 use ugc_runtime::vertexset::VertexSet;
 use ugc_runtime::{EdgeOp, UdfId};
 use ugc_schedule::{schedule_as, SchedulePoint};
 
 use ugc_telemetry::{Counter, Span};
 
-use crate::kernels::{self, EdgeKernel, Io, KernelCache, KernelKey, Tier};
+use crate::kernels::{self, EdgeKernel, Io, KernelCache, KernelKey, Tier, Walk};
 use crate::schedule::CpuSchedule;
 
 /// Telemetry handles for the CPU executor, registered once per process.
@@ -29,7 +31,6 @@ struct CpuCounters {
     elapsed_ns: Counter,
     runs: Counter,
     direction_switches: Counter,
-    kernel_specialized: Counter,
     kernel_compiled: Counter,
     kernel_fallback: Counter,
 }
@@ -44,7 +45,6 @@ fn counters() -> &'static CpuCounters {
         elapsed_ns: Counter::new("cpu.elapsed.ns"),
         runs: Counter::new("cpu.runs"),
         direction_switches: Counter::new("cpu.direction_switches"),
-        kernel_specialized: Counter::new("cpu.kernel.specialized"),
         kernel_compiled: Counter::new("cpu.kernel.compiled"),
         kernel_fallback: Counter::new("cpu.kernel.fallback"),
     })
@@ -84,12 +84,11 @@ impl CpuAttribution {
 }
 
 /// The operators of one run by the tier that ran them: the per-run view of
-/// the `cpu.kernel.{specialized,compiled,fallback}` counters.
+/// the `cpu.kernel.{compiled,fallback}` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelDispatch {
-    /// Edge operators run by a monomorphized kernel.
-    pub specialized: u64,
-    /// Edge and vertex operators run by compiled UDF bodies.
+    /// Edge operators compiled whole, and vertex operators run by compiled
+    /// UDF bodies.
     pub compiled: u64,
     /// Edge and vertex operators run by the interpreter.
     pub fallback: u64,
@@ -107,9 +106,9 @@ struct PhaseNs {
 pub struct CpuExecutor {
     /// Worker thread count (defaults to available parallelism).
     pub num_threads: usize,
-    /// Whether operators may use monomorphized kernels and compiled UDF
-    /// bodies (default: on, unless `UGC_CPU_KERNELS=0`). Off forces the
-    /// interpreter everywhere — the differential oracle.
+    /// Whether operators may run compiled (default: on, unless
+    /// `UGC_CPU_KERNELS=0`). Off forces the interpreter everywhere — the
+    /// differential oracle.
     pub use_kernels: bool,
     /// Per-run kernel table. [`UdfId`]s are only meaningful within one
     /// compiled program, so `Clone` (the per-`execute` entry point) resets
@@ -185,10 +184,6 @@ impl CpuExecutor {
     fn count(&mut self, tier: Tier) {
         let c = counters();
         match tier {
-            Tier::Specialized => {
-                self.dispatch.specialized += 1;
-                c.kernel_specialized.incr();
-            }
             Tier::Compiled => {
                 self.dispatch.compiled += 1;
                 c.kernel_compiled.incr();
@@ -217,7 +212,7 @@ impl CpuExecutor {
         state: &ProgramState<'_>,
         stmt: &Stmt,
         op: &EdgeOp<'_>,
-    ) -> std::sync::Arc<dyn EdgeKernel> {
+    ) -> Arc<EdgeKernel> {
         let key = KernelKey {
             point: SchedulePoint::of_stmt(stmt),
             udf: op.udf,
@@ -225,18 +220,18 @@ impl CpuExecutor {
             dst_filter: op.dst_filter,
             weighted: op.takes_weight,
         };
-        let (tier, kernel) = self.kernels.resolve(key, || {
+        let kernel = self.kernels.resolve(key, || {
             kernels::select(
                 &state.udfs,
                 &state.props,
-                self.compiled(state),
+                &state.globals,
                 op.udf,
                 op.src_filter,
                 op.dst_filter,
                 self.use_kernels,
             )
         });
-        self.count(tier);
+        self.count(kernel.tier());
         kernel
     }
 
@@ -283,7 +278,9 @@ impl CpuExecutor {
     fn plan(stmt: &Stmt) -> OpPlan {
         let sched = schedule_as::<CpuSchedule>(stmt);
         OpPlan {
-            serial_threshold: sched.as_ref().map_or(512, |s| s.serial_threshold()),
+            serial_threshold: sched
+                .as_ref()
+                .map_or(SERIAL_DISPATCH_THRESHOLD, |s| s.serial_threshold()),
             edge_aware: stmt
                 .meta
                 .get_str("parallelization")
@@ -331,13 +328,13 @@ impl OperatorExecutor for CpuExecutor {
             Direction::Push => {
                 let members = state.input_set(&data.input)?.iter();
                 let io = Io {
-                    props: &state.props,
                     ev: &ev,
                     csr: op.fwd,
                 };
                 // The tier is chosen once per operator, never per edge.
                 let run = |range: std::ops::Range<usize>, out: &mut BufferedOutput| {
-                    kernel.run_push(&io, &members, range, out)
+                    let members = &members[..];
+                    kernel.run(&io, Walk::Push { members, range }, out)
                 };
                 if plan.cache_blocking && data.input.is_none() {
                     // EdgeBlocking: iterate destination blocks for locality.
@@ -367,12 +364,12 @@ impl OperatorExecutor for CpuExecutor {
             Direction::Pull => {
                 let n = state.graph.num_vertices();
                 let io = Io {
-                    props: &state.props,
                     ev: &ev,
                     csr: op.bwd,
                 };
                 let run = |range: std::ops::Range<usize>, out: &mut BufferedOutput| {
-                    kernel.run_pull(&io, op.pull_membership.as_ref(), range, out)
+                    let membership = op.pull_membership.as_ref();
+                    kernel.run(&io, Walk::Pull { membership, range }, out)
                 };
                 if n < plan.serial_threshold {
                     let mut out = BufferedOutput::default();
@@ -419,14 +416,17 @@ impl OperatorExecutor for CpuExecutor {
         let body = self.vertex_body(state, udf);
         let ev = state.evaluator();
         let run = |vs: &[u32], out: &mut BufferedOutput| match &body {
-            Some(c) => vs.iter().for_each(|&v| {
-                c.call(&ev, &[v as i64], 1, out);
-            }),
+            Some(c) => {
+                let mut frame = Frame::new(&ev, out);
+                vs.iter().for_each(|&v| {
+                    c.run(&mut frame, &[v as i64], 1);
+                });
+            }
             None => vs.iter().for_each(|&v| {
                 ev.apply_vertex(udf, v, out, &mut NullMemory);
             }),
         };
-        let locals: Vec<BufferedOutput> = if members.len() < 512 {
+        let locals: Vec<BufferedOutput> = if members.len() < SERIAL_DISPATCH_THRESHOLD {
             let mut out = BufferedOutput::default();
             run(&members, &mut out);
             vec![out]
@@ -473,7 +473,7 @@ impl OperatorExecutor for CpuExecutor {
 /// processed in blocks sized to the last-level cache so random writes stay
 /// resident (GraphIt's EdgeBlocking / NUMA optimization for PageRank).
 fn cache_blocked_push(
-    kernel: &dyn EdgeKernel,
+    kernel: &EdgeKernel,
     io: &Io<'_>,
     members: &[u32],
     num_threads: usize,
@@ -489,7 +489,16 @@ fn cache_blocked_push(
             members.len(),
             64,
             |_tid, range, local: &mut BufferedOutput| {
-                kernel.run_push_block(io, members, range, lo, hi, local);
+                kernel.run(
+                    io,
+                    Walk::Block {
+                        members,
+                        range,
+                        lo,
+                        hi,
+                    },
+                    local,
+                );
             },
         );
         all.extend(locals);

@@ -1,41 +1,30 @@
-//! Monomorphized edge-traversal kernels: the CPU GraphVM's answer to the
-//! interpreter tax.
+//! The CPU GraphVM's edge traversals: one walker per direction, generic
+//! over the per-edge step of the tier an operator runs in.
 //!
-//! The generic executor pays per-edge for genericity — a `Vec<Value>` of
-//! arguments, a register frame, and an instruction-dispatch loop per UDF
-//! call. This module recognizes the traversal shapes the midend actually
-//! produces (CAS-claim, property reduction, priority relaxation, plus
-//! `prop[v] == const` filters) by symbolically executing the compiled
-//! bytecode, and builds a specialized closed-form loop for each
-//! combination — one monomorphized `Kernel<Op, SrcFilter, DstFilter>`
-//! instantiation per shape, selected **once per run** and cached by
-//! [`KernelKey`] (the [`ugc_schedule::SchedulePoint`] plus the operator
-//! facts only this backend sees).
-//!
-//! Anything the recognizer does not understand runs through the same
-//! walker with its UDFs' compiled bodies ([`ugc_runtime::udf`]) and, when
-//! a UDF does not compile, through the interpreter — [`select`] picks the
-//! [`Tier`]. The interpreter also remains the differential oracle: every
-//! kernel reproduces the evaluator's observable semantics exactly — the
-//! same [`PropertyStorage`] atomics (`cas`/`reduce`/`reduce_relaxed`), the
-//! same enqueue and priority-notification conditions, in the same order.
+//! An edge operator is compiled whole ([`CompiledOp`]): the filter the
+//! walker checks per edge spliced in front of the apply, run in one
+//! register frame per chunk. When a UDF does not compile, or with kernels
+//! off, it runs on the interpreter — one [`Evaluator::call`] per UDF call.
+//! [`select`] picks the [`Tier`] once per run, cached by [`KernelKey`]
+//! (the [`ugc_schedule::SchedulePoint`] plus the operator facts only this
+//! backend sees). Both tiers go through the same walker, so they visit
+//! edges in the same order and single-threaded runs are bit-identical;
+//! the interpreter is the differential oracle.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ugc_graph::Csr;
-use ugc_graphir::types::{BinOp, ReduceOp, Type};
-use ugc_runtime::bytecode::{Instr, UdfProgram};
-use ugc_runtime::eval::{BufferedOutput, EdgeCtx, Evaluator, NullMemory, NullOutput, UdfOutput};
-use ugc_runtime::properties::{GlobalTable, PropId, PropertyStorage};
-use ugc_runtime::udf::{self, body_of, CompiledUdf};
+use ugc_runtime::eval::{BufferedOutput, EdgeCtx, Evaluator, NullMemory};
+use ugc_runtime::properties::{GlobalTable, PropertyStorage};
+use ugc_runtime::udf::{CompiledOp, Frame};
 use ugc_runtime::value::Value;
 use ugc_runtime::vertexset::VertexSet;
 use ugc_runtime::{UdfId, UdfSet};
 use ugc_schedule::SchedulePoint;
 
-/// Whether compiled kernels and UDF bodies are enabled for this process
+/// Whether compiled operators and UDF bodies are enabled for this process
 /// (default yes). `UGC_CPU_KERNELS=0|off|false` forces the interpreter
 /// everywhere — the CI smoke uses this to assert the fallback path stays
 /// alive.
@@ -49,8 +38,8 @@ pub fn kernels_enabled_by_env() -> bool {
     })
 }
 
-/// Identity of one specialized traversal: the hardware-independent
-/// schedule point plus the operator facts that select a kernel body.
+/// Identity of one edge traversal: the hardware-independent schedule
+/// point plus the operator facts that select its body.
 ///
 /// UDF ids are only meaningful within one compiled program, so keys must
 /// not outlive the run they were built for — [`KernelCache`] enforces this
@@ -69,832 +58,307 @@ pub struct KernelKey {
     pub weighted: bool,
 }
 
-/// Everything a kernel needs per range: the program state (behind the
+/// Everything a traversal needs per range: the program state (behind the
 /// evaluator that would interpret it) and the CSR for the traversal
 /// direction (forward for push, backward for pull).
 pub struct Io<'a> {
-    /// Property vectors — `ev.props`, held directly so the monomorphized
-    /// bodies reach a cell through one pointer, as they always have.
-    pub props: &'a PropertyStorage,
     /// Properties, globals, graph and UDFs of the run.
     pub ev: &'a Evaluator<'a>,
     /// Adjacency in the traversal direction.
     pub csr: &'a Csr,
 }
 
-/// An edge-traversal loop. One object serves every direction — the
-/// executor picks the entry point, the monomorphized body does the
-/// per-edge work in whichever [`Tier`] [`select`] chose. Every tier walks
-/// edges in the same order, so single-threaded runs are bit-identical
-/// across tiers.
-pub trait EdgeKernel: Send + Sync {
-    /// Short name of the recognized operator shape, or of the tier (for
-    /// emitter comments and tests).
-    fn name(&self) -> &'static str;
-
-    /// Push traversal over `members[range]`: every out-edge of a source
-    /// that passes the source filter, to a destination that passes the
-    /// destination filter.
-    fn run_push(&self, io: &Io<'_>, members: &[u32], range: Range<usize>, out: &mut BufferedOutput);
-
-    /// Pull traversal over destination vertices `range`, with optional
-    /// input-frontier membership, stopping a destination's in-edges once
-    /// it no longer passes its filter (direction-optimizing early exit).
-    fn run_pull(
-        &self,
-        io: &Io<'_>,
-        membership: Option<&VertexSet>,
-        range: Range<usize>,
-        out: &mut BufferedOutput,
-    );
-
-    /// Cache-blocked push: only edges with destination in `lo..hi`
-    /// (the EdgeBlocking inner loop).
-    fn run_push_block(
-        &self,
-        io: &Io<'_>,
-        members: &[u32],
-        range: Range<usize>,
-        lo: u32,
-        hi: u32,
-        out: &mut BufferedOutput,
-    );
-}
-
-/// How an operator's UDFs run: the three tiers of the CPU hot path, in
-/// the order [`select`] tries them.
+/// How an operator's UDFs run: the two tiers of the CPU hot path, in the
+/// order [`select`] tries them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// A monomorphized kernel body the recognizer matched.
-    Specialized,
-    /// The UDFs' compiled bodies ([`ugc_runtime::udf`]).
+    /// Compiled whole ([`CompiledOp`]).
     Compiled,
     /// One [`Evaluator::call`] per UDF call.
     Interpreted,
 }
 
-/// An edge operator's traversal and the tier it runs in.
-pub type Selection = (Tier, Arc<dyn EdgeKernel>);
-
-/// Per-run kernel table: `KernelKey → (tier, kernel)`, so recognition runs
-/// once per key. The compiled UDF bodies the walker uses are the run's own
-/// ([`ugc_runtime::interp::ProgramState::compiled`]).
-#[derive(Default)]
-pub struct KernelCache {
-    map: Mutex<HashMap<KernelKey, Selection>>,
-}
-
-impl KernelCache {
-    /// Looks up `key`, selecting on first use via `build`.
-    pub fn resolve(&self, key: KernelKey, build: impl FnOnce() -> Selection) -> Selection {
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(key).or_insert_with(build).clone()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Recognition: symbolic execution of UDF bytecode.
-// ---------------------------------------------------------------------------
-
-/// Symbolic value of a register during recognition.
-#[derive(Debug, Clone, PartialEq)]
-enum Sym {
-    /// UDF parameter `i` (0 = src, 1 = dst, 2 = weight for 3-param UDFs).
-    Param(usize),
-    /// A literal constant.
-    Lit(Value),
-    /// The edge weight (the `EdgeWeight` intrinsic).
-    Weight,
-    /// `prop[idx]`.
-    Load(PropId, Box<Sym>),
-    /// `a + b`.
-    Add(Box<Sym>, Box<Sym>),
-    /// `a == b`.
-    Eq(Box<Sym>, Box<Sym>),
-    /// The success/changed flag of effect `k`.
-    Flag(usize),
-    /// Anything the recognizer does not model.
-    Opaque,
-}
-
-/// One side effect in program order.
+/// The edges one call of [`EdgeKernel::run`] walks.
 #[derive(Debug, Clone)]
-enum Effect {
-    Cas {
-        prop: PropId,
-        idx: Sym,
-        expected: Sym,
-        new: Sym,
+pub enum Walk<'m> {
+    /// Every out-edge of each source in `members[range]` that passes the
+    /// source filter, to a destination that passes the destination filter.
+    Push {
+        /// The input frontier.
+        members: &'m [u32],
+        /// The sources of this call.
+        range: Range<usize>,
     },
-    Reduce {
-        prop: PropId,
-        idx: Sym,
-        op: ReduceOp,
-        val: Sym,
-        atomic: bool,
+    /// The in-edges of each destination in `range` that passes its filter,
+    /// from sources in `membership` (all, without one) that pass theirs,
+    /// stopping once the destination no longer passes (the
+    /// direction-optimizing early exit).
+    Pull {
+        /// The input frontier, when there is one.
+        membership: Option<&'m VertexSet>,
+        /// The destinations of this call.
+        range: Range<usize>,
     },
-    UpdatePrio {
-        queue: usize,
-        vertex: Sym,
-        op: ReduceOp,
-        val: Sym,
-        atomic: bool,
-    },
-    Enqueue {
-        vertex: Sym,
-        /// Effect index whose success/changed flag guards this enqueue.
-        guard: Option<usize>,
+    /// [`Walk::Push`] over only the edges with destination in `lo..hi`
+    /// (the EdgeBlocking inner loop).
+    Block {
+        /// The input frontier.
+        members: &'m [u32],
+        /// The sources of this call.
+        range: Range<usize>,
+        /// First destination of the block.
+        lo: u32,
+        /// One past the last destination of the block.
+        hi: u32,
     },
 }
 
-/// Symbolically executes a UDF. Returns its effects in order plus the
-/// symbolic return value, or `None` when the program uses anything outside
-/// the modeled subset (stores, globals, calls, loops, non-flag branches).
-fn symexec(u: &UdfProgram) -> Option<(Vec<Effect>, Option<Sym>)> {
-    let mut regs: Vec<Sym> = (0..u.num_regs)
-        .map(|i| {
-            if i < u.num_params {
-                Sym::Param(i)
-            } else {
-                Sym::Lit(Value::Int(0))
-            }
-        })
-        .collect();
-    let mut effects: Vec<Effect> = Vec::new();
-    let mut pc = 0usize;
-    while pc < u.instrs.len() {
-        match &u.instrs[pc] {
-            Instr::Const { dst, v } => regs[*dst as usize] = Sym::Lit(*v),
-            Instr::Mov { dst, src } => regs[*dst as usize] = regs[*src as usize].clone(),
-            Instr::Bin { op, dst, a, b } => {
-                let (a, b) = (regs[*a as usize].clone(), regs[*b as usize].clone());
-                regs[*dst as usize] = match op {
-                    BinOp::Add => Sym::Add(Box::new(a), Box::new(b)),
-                    BinOp::Eq => Sym::Eq(Box::new(a), Box::new(b)),
-                    _ => Sym::Opaque,
-                };
-            }
-            Instr::EdgeWeight { dst } => regs[*dst as usize] = Sym::Weight,
-            Instr::LoadProp { dst, prop, idx } => {
-                regs[*dst as usize] = Sym::Load(*prop, Box::new(regs[*idx as usize].clone()));
-            }
-            Instr::Cas {
-                dst,
-                prop,
-                idx,
-                expected,
-                new,
-                ..
-            } => {
-                let k = effects.len();
-                effects.push(Effect::Cas {
-                    prop: *prop,
-                    idx: regs[*idx as usize].clone(),
-                    expected: regs[*expected as usize].clone(),
-                    new: regs[*new as usize].clone(),
-                });
-                regs[*dst as usize] = Sym::Flag(k);
-            }
-            Instr::ReduceProp {
-                prop,
-                idx,
-                op,
-                val,
-                atomic,
-                changed,
-            } => {
-                let k = effects.len();
-                effects.push(Effect::Reduce {
-                    prop: *prop,
-                    idx: regs[*idx as usize].clone(),
-                    op: *op,
-                    val: regs[*val as usize].clone(),
-                    atomic: *atomic,
-                });
-                if let Some(c) = changed {
-                    regs[*c as usize] = Sym::Flag(k);
-                }
-            }
-            Instr::UpdatePrio {
-                queue,
-                vertex,
-                op,
-                val,
-                atomic,
-            } => {
-                effects.push(Effect::UpdatePrio {
-                    queue: *queue,
-                    vertex: regs[*vertex as usize].clone(),
-                    op: *op,
-                    val: regs[*val as usize].clone(),
-                    atomic: *atomic,
-                });
-            }
-            Instr::Enqueue { vertex } => {
-                effects.push(Effect::Enqueue {
-                    vertex: regs[*vertex as usize].clone(),
-                    guard: None,
-                });
-            }
-            Instr::JumpIfNot { cond, target } => {
-                // The only branch shape modeled: `if <flag> { enqueue… }`,
-                // exactly what the tracking pass emits.
-                let Sym::Flag(k) = regs[*cond as usize] else {
-                    return None;
-                };
-                if *target <= pc || *target > u.instrs.len() {
-                    return None;
-                }
-                for j in pc + 1..*target {
-                    match &u.instrs[j] {
-                        Instr::Enqueue { vertex } => effects.push(Effect::Enqueue {
-                            vertex: regs[*vertex as usize].clone(),
-                            guard: Some(k),
-                        }),
-                        _ => return None,
+/// The per-edge work of one operator in one tier, for one chunk.
+trait Step {
+    fn has_dst_filter(&self) -> bool;
+    fn src_passes(&mut self, v: u32) -> bool;
+    fn dst_passes(&mut self, v: u32) -> bool;
+    /// The apply, if `dst` passes the destination filter.
+    fn push_edge(&mut self, src: u32, dst: u32, w: i64);
+    /// The apply, if `src` passes the source filter.
+    fn pull_edge(&mut self, src: u32, dst: u32, w: i64);
+}
+
+impl Walk<'_> {
+    fn over<S: Step>(self, csr: &Csr, step: &mut S) {
+        match self {
+            Walk::Push { members, range } => {
+                for &src in &members[range] {
+                    if !step.src_passes(src) {
+                        continue;
+                    }
+                    let weights = csr.neighbor_weights(src);
+                    for (k, &dst) in csr.neighbors(src).iter().enumerate() {
+                        step.push_edge(src, dst, weights.map_or(1, |ws| ws[k]) as i64);
                     }
                 }
-                pc = *target;
-                continue;
             }
-            Instr::Ret => break,
-            // Stores, globals, calls, degrees, loops, unary ops: out of
-            // the modeled subset — the interpreter handles these.
-            _ => return None,
-        }
-        pc += 1;
-    }
-    Some((effects, u.ret_reg.map(|r| regs[r as usize].clone())))
-}
-
-// ---------------------------------------------------------------------------
-// Kernel bodies.
-// ---------------------------------------------------------------------------
-
-/// The per-edge operator of a kernel.
-trait KOp: Send + Sync + 'static {
-    fn apply(&self, io: &Io<'_>, src: u32, dst: u32, w: i64, out: &mut BufferedOutput);
-}
-
-/// `CAS(prop[dst], expected, src)`, enqueueing `dst` on success (BFS
-/// parent-claim, as lowered by the tracking pass).
-struct CasClaim {
-    prop: PropId,
-    expected: Value,
-    enqueue: bool,
-}
-
-impl KOp for CasClaim {
-    #[inline]
-    fn apply(&self, io: &Io<'_>, src: u32, dst: u32, _w: i64, out: &mut BufferedOutput) {
-        if io
-            .props
-            .cas(self.prop, dst, self.expected, Value::Int(src as i64))
-            && self.enqueue
-        {
-            out.enqueue(dst);
-        }
-    }
-}
-
-/// `dst_prop[dst] op= src_prop[src]`, optionally enqueueing `dst` when the
-/// cell changed (CC label-min, PageRank rank-sum, BC path/deps-sum).
-struct PropReduce {
-    dst_prop: PropId,
-    src_prop: PropId,
-    op: ReduceOp,
-    atomic: bool,
-    enqueue: bool,
-}
-
-impl KOp for PropReduce {
-    #[inline]
-    fn apply(&self, io: &Io<'_>, src: u32, dst: u32, _w: i64, out: &mut BufferedOutput) {
-        let props = io.props;
-        let v = props.read(self.src_prop, src);
-        let (changed, _) = if self.atomic {
-            props.reduce(self.dst_prop, dst, self.op, v)
-        } else {
-            props.reduce_relaxed(self.dst_prop, dst, self.op, v)
-        };
-        if changed && self.enqueue {
-            out.enqueue(dst);
+            Walk::Pull { membership, range } => {
+                let early_exit = step.has_dst_filter();
+                for dst in range {
+                    let dst = dst as u32;
+                    if !step.dst_passes(dst) {
+                        continue;
+                    }
+                    let weights = csr.neighbor_weights(dst);
+                    for (k, &src) in csr.neighbors(dst).iter().enumerate() {
+                        if membership.is_some_and(|m| !m.contains(src)) {
+                            continue;
+                        }
+                        step.pull_edge(src, dst, weights.map_or(1, |ws| ws[k]) as i64);
+                        if early_exit && !step.dst_passes(dst) {
+                            break;
+                        }
+                    }
+                }
+            }
+            Walk::Block {
+                members,
+                range,
+                lo,
+                hi,
+            } => {
+                for &src in &members[range] {
+                    if !step.src_passes(src) {
+                        continue;
+                    }
+                    let neigh = csr.neighbors(src);
+                    let weights = csr.neighbor_weights(src);
+                    let start = neigh.partition_point(|&d| d < lo);
+                    for (k, &dst) in neigh.iter().enumerate().skip(start) {
+                        if dst >= hi {
+                            break;
+                        }
+                        step.push_edge(src, dst, weights.map_or(1, |ws| ws[k]) as i64);
+                    }
+                }
+            }
         }
     }
 }
 
-/// Priority-queue relaxation: `pq.updatePriorityMin(dst, prop[src] + weight)`
-/// (SSSP) or `pq.updatePrioritySum(dst, prop[src] [+ weight])` (delta-sum
-/// accumulation).
-struct RelaxPrio {
-    queue: usize,
-    qprop: PropId,
-    prop: PropId,
-    add_weight: bool,
-    op: ReduceOp,
-    atomic: bool,
+/// The compiled operator, in one chunk's frame.
+struct Compiled<'a, 'e, 'o> {
+    op: &'a CompiledOp,
+    frame: Frame<'e, 'o>,
 }
 
-impl KOp for RelaxPrio {
+impl Step for Compiled<'_, '_, '_> {
+    fn has_dst_filter(&self) -> bool {
+        self.op.has_dst_filter()
+    }
     #[inline]
-    fn apply(&self, io: &Io<'_>, src: u32, dst: u32, w: i64, out: &mut BufferedOutput) {
-        let props = io.props;
-        let mut nd = props.read(self.prop, src).as_int();
-        if self.add_weight {
-            nd += w;
-        }
-        let v = Value::Int(nd);
-        let (changed, _) = if self.atomic {
-            props.reduce(self.qprop, dst, self.op, v)
-        } else {
-            props.reduce_relaxed(self.qprop, dst, self.op, v)
-        };
-        if changed {
-            // The interpreter notifies Sum updates with the post-reduce cell
-            // value (a re-read), and every other op with the proposed value.
-            let newp = match self.op {
-                ReduceOp::Sum => props.read(self.qprop, dst).as_int(),
-                _ => nd,
-            };
-            out.priority_changed(self.queue, dst, newp);
-        }
+    fn src_passes(&mut self, v: u32) -> bool {
+        self.op.src_passes(&mut self.frame, v)
+    }
+    #[inline]
+    fn dst_passes(&mut self, v: u32) -> bool {
+        self.op.dst_passes(&mut self.frame, v)
+    }
+    #[inline]
+    fn push_edge(&mut self, src: u32, dst: u32, w: i64) {
+        self.op.push_edge(&mut self.frame, src, dst, w);
+    }
+    #[inline]
+    fn pull_edge(&mut self, src: u32, dst: u32, w: i64) {
+        self.op.pull_edge(&mut self.frame, src, dst, w);
     }
 }
 
-/// A vertex filter, monomorphized so the no-filter case compiles away.
-trait KFilter: Send + Sync + 'static {
-    const ACTIVE: bool;
-    fn pass(&self, io: &Io<'_>, v: u32) -> bool;
-}
-
-/// No filter: always passes.
-struct NoFilter;
-
-impl KFilter for NoFilter {
-    const ACTIVE: bool = false;
-    #[inline]
-    fn pass(&self, _io: &Io<'_>, _v: u32) -> bool {
-        true
-    }
-}
-
-/// How an [`EqConst`] filter compares the cell against its literal.
-#[derive(Clone, Copy)]
-enum EqCmp {
-    /// Raw bit comparison (int/bool/vertex cells with a matching literal).
-    Bits(u64),
-    /// IEEE-754 `==` on the decoded float cell, matching the interpreter's
-    /// `Eq`: a NaN literal matches nothing, and `-0.0 == 0.0` admits both
-    /// zero encodings (see DESIGN.md, "Float equality and NaN policy").
-    Float(f64),
-    /// IEEE-754 `==` on an int/vertex cell widened to float, matching the
-    /// interpreter's mixed-type `Eq` (`as_float` widens the int side). A
-    /// NaN literal matches nothing here too.
-    IntWiden(f64),
-}
-
-/// `prop[v] == const`, with the comparison mode fixed at recognition time
-/// so it coincides exactly with the interpreter's `Eq`.
-struct EqConst {
-    prop: PropId,
-    cmp: EqCmp,
-}
-
-impl KFilter for EqConst {
-    const ACTIVE: bool = true;
-    #[inline]
-    fn pass(&self, io: &Io<'_>, v: u32) -> bool {
-        let cell = io.props.read_bits(self.prop, v);
-        match self.cmp {
-            EqCmp::Bits(bits) => cell == bits,
-            EqCmp::Float(c) => f64::from_bits(cell) == c,
-            EqCmp::IntWiden(c) => (cell as i64) as f64 == c,
-        }
-    }
-}
-
-/// The apply UDF's compiled body, called as `(src, dst[, weight])`.
-struct CompiledApply {
-    body: Arc<CompiledUdf>,
-    arity: usize,
-}
-
-impl KOp for CompiledApply {
-    #[inline]
-    fn apply(&self, io: &Io<'_>, src: u32, dst: u32, w: i64, out: &mut BufferedOutput) {
-        let args = [src as i64, dst as i64, w];
-        self.body.call(io.ev, &args[..self.arity], w, out);
-    }
-}
-
-/// A filter UDF's compiled body; one without a return value passes.
-struct CompiledFilter(Arc<CompiledUdf>);
-
-impl KFilter for CompiledFilter {
-    const ACTIVE: bool = true;
-    #[inline]
-    fn pass(&self, io: &Io<'_>, v: u32) -> bool {
-        self.0
-            .call(io.ev, &[v as i64], 1, &mut NullOutput)
-            .is_none_or(|r| r.as_bool())
-    }
-}
-
-/// The apply UDF run by the interpreter.
-struct InterpApply {
+/// An operator's UDFs, run by the interpreter.
+pub struct InterpOp {
     udf: UdfId,
+    /// `(src, dst, weight)` for a three-parameter UDF, `(src, dst)`
+    /// otherwise.
     arity: usize,
+    src_filter: Option<UdfId>,
+    dst_filter: Option<UdfId>,
 }
 
-impl KOp for InterpApply {
-    #[inline]
-    fn apply(&self, io: &Io<'_>, src: u32, dst: u32, w: i64, out: &mut BufferedOutput) {
+/// The interpreted operator, writing to one chunk's output.
+struct Interpreted<'a, 'o> {
+    op: &'a InterpOp,
+    ev: &'a Evaluator<'a>,
+    out: &'o mut BufferedOutput,
+}
+
+impl Interpreted<'_, '_> {
+    fn apply(&mut self, src: u32, dst: u32, w: i64) {
         let args = [
             Value::Int(src as i64),
             Value::Int(dst as i64),
             Value::Int(w),
         ];
         let ctx = EdgeCtx { weight: w };
-        io.ev
-            .call(self.udf, &args[..self.arity], ctx, out, &mut NullMemory);
+        self.ev.call(
+            self.op.udf,
+            &args[..self.op.arity],
+            ctx,
+            self.out,
+            &mut NullMemory,
+        );
     }
 }
 
-/// A filter UDF run by the interpreter.
-struct InterpFilter(UdfId);
-
-impl KFilter for InterpFilter {
-    const ACTIVE: bool = true;
-    #[inline]
-    fn pass(&self, io: &Io<'_>, v: u32) -> bool {
-        io.ev.passes(Some(self.0), v, &mut NullMemory)
+impl Step for Interpreted<'_, '_> {
+    fn has_dst_filter(&self) -> bool {
+        self.op.dst_filter.is_some()
+    }
+    fn src_passes(&mut self, v: u32) -> bool {
+        self.ev.passes(self.op.src_filter, v, &mut NullMemory)
+    }
+    fn dst_passes(&mut self, v: u32) -> bool {
+        self.ev.passes(self.op.dst_filter, v, &mut NullMemory)
+    }
+    fn push_edge(&mut self, src: u32, dst: u32, w: i64) {
+        if self.dst_passes(dst) {
+            self.apply(src, dst, w);
+        }
+    }
+    fn pull_edge(&mut self, src: u32, dst: u32, w: i64) {
+        if self.src_passes(src) {
+            self.apply(src, dst, w);
+        }
     }
 }
 
-/// One monomorphized traversal: operator × source filter × dst filter.
-struct Kernel<O: KOp, SF: KFilter, DF: KFilter> {
-    op: O,
-    sf: SF,
-    df: DF,
-    name: &'static str,
+/// One edge operator's traversal, in the tier [`select`] chose.
+pub enum EdgeKernel {
+    /// Compiled whole.
+    Compiled(CompiledOp),
+    /// On the interpreter.
+    Interpreted(InterpOp),
 }
 
-impl<O: KOp, SF: KFilter, DF: KFilter> EdgeKernel for Kernel<O, SF, DF> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn run_push(
-        &self,
-        io: &Io<'_>,
-        members: &[u32],
-        range: Range<usize>,
-        out: &mut BufferedOutput,
-    ) {
-        for &src in &members[range] {
-            if !self.sf.pass(io, src) {
-                continue;
-            }
-            let weights = io.csr.neighbor_weights(src);
-            for (k, &dst) in io.csr.neighbors(src).iter().enumerate() {
-                if !self.df.pass(io, dst) {
-                    continue;
-                }
-                let w = weights.map_or(1, |ws| ws[k]) as i64;
-                self.op.apply(io, src, dst, w, out);
-            }
+impl EdgeKernel {
+    /// The tier the operator runs in.
+    pub fn tier(&self) -> Tier {
+        match self {
+            EdgeKernel::Compiled(_) => Tier::Compiled,
+            EdgeKernel::Interpreted(_) => Tier::Interpreted,
         }
     }
 
-    fn run_pull(
-        &self,
-        io: &Io<'_>,
-        membership: Option<&VertexSet>,
-        range: Range<usize>,
-        out: &mut BufferedOutput,
-    ) {
-        for dst in range {
-            let dst = dst as u32;
-            if !self.df.pass(io, dst) {
-                continue;
-            }
-            let weights = io.csr.neighbor_weights(dst);
-            for (k, &src) in io.csr.neighbors(dst).iter().enumerate() {
-                if let Some(m) = membership {
-                    if !m.contains(src) {
-                        continue;
-                    }
-                }
-                if !self.sf.pass(io, src) {
-                    continue;
-                }
-                let w = weights.map_or(1, |ws| ws[k]) as i64;
-                self.op.apply(io, src, dst, w, out);
-                // Direction-optimizing early exit, same as the interpreter.
-                if DF::ACTIVE && !self.df.pass(io, dst) {
-                    break;
-                }
-            }
+    /// The tier's name, for emitter comments and tests.
+    pub fn name(&self) -> &'static str {
+        match self {
+            EdgeKernel::Compiled(_) => "compiled operator",
+            EdgeKernel::Interpreted(_) => "interpreter fallback",
         }
     }
 
-    fn run_push_block(
-        &self,
-        io: &Io<'_>,
-        members: &[u32],
-        range: Range<usize>,
-        lo: u32,
-        hi: u32,
-        out: &mut BufferedOutput,
-    ) {
-        for &src in &members[range] {
-            if !self.sf.pass(io, src) {
-                continue;
-            }
-            let neigh = io.csr.neighbors(src);
-            let weights = io.csr.neighbor_weights(src);
-            let start = neigh.partition_point(|&d| d < lo);
-            for k in start..neigh.len() {
-                let dst = neigh[k];
-                if dst >= hi {
-                    break;
-                }
-                if !self.df.pass(io, dst) {
-                    continue;
-                }
-                let w = weights.map_or(1, |ws| ws[k]) as i64;
-                self.op.apply(io, src, dst, w, out);
+    /// Walks `walk`'s edges, sending the operator's effects to `out`.
+    pub fn run(&self, io: &Io<'_>, walk: Walk<'_>, out: &mut BufferedOutput) {
+        match self {
+            EdgeKernel::Compiled(op) => walk.over(
+                io.csr,
+                &mut Compiled {
+                    op,
+                    frame: Frame::new(io.ev, out),
+                },
+            ),
+            EdgeKernel::Interpreted(op) => {
+                walk.over(io.csr, &mut Interpreted { op, ev: io.ev, out })
             }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pattern matching and construction.
-// ---------------------------------------------------------------------------
-
-fn is_src(s: &Sym) -> bool {
-    matches!(s, Sym::Param(0))
+/// Per-run kernel table: `KernelKey → kernel`, so each operator compiles
+/// once per key.
+#[derive(Default)]
+pub struct KernelCache {
+    map: Mutex<HashMap<KernelKey, Arc<EdgeKernel>>>,
 }
 
-fn is_dst(s: &Sym) -> bool {
-    matches!(s, Sym::Param(1))
-}
-
-/// Recognizes a `prop[v] == const` filter whose comparison coincides with
-/// the interpreter's `Eq`: bit equality for int/bool/vertex cells with a
-/// matching literal, IEEE `==` for float cells (int literals widen,
-/// exactly like `as_float`), and IEEE `==` with the cell widened for an
-/// int/vertex cell against a float literal (the interpreter's mixed-type
-/// promotion). Only bool cells against non-bool literals fall back.
-fn recognize_filter(u: &UdfProgram, props: &PropertyStorage) -> Option<EqConst> {
-    if u.num_params != 1 {
-        return None;
-    }
-    let (effects, ret) = symexec(u)?;
-    if !effects.is_empty() {
-        return None;
-    }
-    let Some(Sym::Eq(a, b)) = ret else {
-        return None;
-    };
-    let (prop, lit) = match (&*a, &*b) {
-        (Sym::Load(p, i), Sym::Lit(c)) if matches!(**i, Sym::Param(0)) => (*p, *c),
-        (Sym::Lit(c), Sym::Load(p, i)) if matches!(**i, Sym::Param(0)) => (*p, *c),
-        _ => return None,
-    };
-    let cmp = match (props.ty(prop), lit) {
-        (Type::Float, Value::Float(c)) => EqCmp::Float(c),
-        (Type::Float, Value::Int(c)) => EqCmp::Float(c as f64),
-        (Type::Bool, Value::Bool(_)) => EqCmp::Bits(props.bits_of(prop, lit)),
-        (Type::Bool, _) => return None,
-        (_, Value::Int(_)) => EqCmp::Bits(props.bits_of(prop, lit)),
-        (_, Value::Float(c)) => EqCmp::IntWiden(c),
-        _ => return None,
-    };
-    Some(EqConst { prop, cmp })
-}
-
-/// Builds the kernel object once both filters resolved.
-fn assemble<O: KOp, F: KFilter>(
-    op: O,
-    name: &'static str,
-    sf: Option<F>,
-    df: Option<F>,
-) -> Arc<dyn EdgeKernel> {
-    match (sf, df) {
-        (None, None) => Arc::new(Kernel {
-            op,
-            sf: NoFilter,
-            df: NoFilter,
-            name,
-        }),
-        (Some(sf), None) => Arc::new(Kernel {
-            op,
-            sf,
-            df: NoFilter,
-            name,
-        }),
-        (None, Some(df)) => Arc::new(Kernel {
-            op,
-            sf: NoFilter,
-            df,
-            name,
-        }),
-        (Some(sf), Some(df)) => Arc::new(Kernel { op, sf, df, name }),
+impl KernelCache {
+    /// Looks up `key`, selecting on first use via `build`.
+    pub fn resolve(&self, key: KernelKey, build: impl FnOnce() -> EdgeKernel) -> Arc<EdgeKernel> {
+        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
+        map.entry(key).or_insert_with(|| Arc::new(build())).clone()
     }
 }
 
-/// Builds the traversal of one edge operator in the best tier available:
-/// the specialized kernel if the recognizer matches, else the walker over
-/// the compiled bodies of the apply UDF and both filters, else (or with
-/// `use_kernels` off) the walker over the interpreter.
-pub(crate) fn select(
+/// Builds the traversal of one edge operator: compiled whole when every
+/// UDF compiles and `use_kernels` is on, else on the interpreter.
+pub fn select(
     udfs: &UdfSet,
     props: &PropertyStorage,
-    compiled: &[Option<Arc<CompiledUdf>>],
+    globals: &GlobalTable,
     udf: UdfId,
     src_filter: Option<UdfId>,
     dst_filter: Option<UdfId>,
     use_kernels: bool,
-) -> Selection {
-    // The evaluator's edge arity: `(src, dst, weight)` for a
-    // three-parameter UDF, `(src, dst)` otherwise.
-    let arity = if udfs.get(udf).num_params == 3 { 3 } else { 2 };
+) -> EdgeKernel {
     if use_kernels {
-        if let Some(k) = recognize(udfs, props, udf, src_filter, dst_filter) {
-            return (Tier::Specialized, k);
-        }
-        let filter = |f: Option<UdfId>| match f {
-            None => Some(None),
-            Some(id) => body_of(compiled, udfs, id, 1).map(|b| Some(CompiledFilter(b))),
-        };
-        if let (Some(body), Some(sf), Some(df)) = (
-            body_of(compiled, udfs, udf, arity),
-            filter(src_filter),
-            filter(dst_filter),
-        ) {
-            let op = CompiledApply { body, arity };
-            return (Tier::Compiled, assemble(op, "compiled udf", sf, df));
+        if let Some(op) = CompiledOp::new(udfs, props, globals, udf, src_filter, dst_filter) {
+            return EdgeKernel::Compiled(op);
         }
     }
-    let op = InterpApply { udf, arity };
-    let (sf, df) = (src_filter.map(InterpFilter), dst_filter.map(InterpFilter));
-    (
-        Tier::Interpreted,
-        assemble(op, "interpreter fallback", sf, df),
-    )
+    EdgeKernel::Interpreted(InterpOp {
+        udf,
+        arity: if udfs.get(udf).num_params == 3 { 3 } else { 2 },
+        src_filter,
+        dst_filter,
+    })
 }
 
-/// Recognizes the apply UDF + filters of one edge traversal and builds the
-/// specialized kernel, or returns `None` when no kernel shape matches.
-pub fn recognize(
+/// [`select`] against `prog`'s declared property and global types, kernels
+/// on, for callers (the C++ emitter, tests) that reason about programs
+/// before any graph is loaded: `compiled operator` or `interpreter
+/// fallback`.
+pub fn select_name(
+    prog: &ugc_graphir::ir::Program,
     udfs: &UdfSet,
-    props: &PropertyStorage,
     udf: UdfId,
     src_filter: Option<UdfId>,
     dst_filter: Option<UdfId>,
-) -> Option<Arc<dyn EdgeKernel>> {
-    let u = udfs.get(udf);
-    if !(u.num_params == 2 || u.num_params == 3) || u.ret_reg.is_some() {
-        return None;
-    }
-    let (effects, _) = symexec(u)?;
-    let weight_like =
-        |s: &Sym| matches!(s, Sym::Weight) || (u.num_params == 3 && matches!(s, Sym::Param(2)));
-
-    // Resolve filters first: an unrecognized filter leaves the operator to
-    // the compiled tier even when the apply itself is specializable.
-    let sf = match src_filter {
-        None => None,
-        Some(f) => Some(recognize_filter(udfs.get(f), props)?),
-    };
-    let df = match dst_filter {
-        None => None,
-        Some(f) => Some(recognize_filter(udfs.get(f), props)?),
-    };
-
-    match &effects[..] {
-        // BFS-style parent claim, with or without tracked enqueue.
-        [Effect::Cas {
-            prop,
-            idx,
-            expected,
-            new,
-        }, rest @ ..]
-            if is_dst(idx) && is_src(new) && matches!(expected, Sym::Lit(_)) =>
-        {
-            let enqueue = match rest {
-                [] => false,
-                [Effect::Enqueue {
-                    vertex,
-                    guard: Some(0),
-                }] if is_dst(vertex) => true,
-                _ => return None,
-            };
-            let Sym::Lit(expected) = expected else {
-                return None;
-            };
-            Some(assemble(
-                CasClaim {
-                    prop: *prop,
-                    expected: *expected,
-                    enqueue,
-                },
-                "cas_claim",
-                sf,
-                df,
-            ))
-        }
-        // CC / PageRank / BC style reduction, optionally with tracked
-        // enqueue.
-        [Effect::Reduce {
-            prop,
-            idx,
-            op,
-            val,
-            atomic,
-        }, rest @ ..]
-            if is_dst(idx) && matches!(val, Sym::Load(_, i) if is_src(i)) =>
-        {
-            let enqueue = match rest {
-                [] => false,
-                [Effect::Enqueue {
-                    vertex,
-                    guard: Some(0),
-                }] if is_dst(vertex) => true,
-                _ => return None,
-            };
-            let Sym::Load(src_prop, _) = val else {
-                return None;
-            };
-            Some(assemble(
-                PropReduce {
-                    dst_prop: *prop,
-                    src_prop: *src_prop,
-                    op: *op,
-                    atomic: *atomic,
-                    enqueue,
-                },
-                match op {
-                    ReduceOp::Sum => "reduce_sum",
-                    ReduceOp::Min => "reduce_min",
-                    ReduceOp::Max => "reduce_max",
-                    ReduceOp::Or => "reduce_or",
-                },
-                sf,
-                df,
-            ))
-        }
-        // Priority-queue relaxation: SSSP min over `prop[src] + weight`, or
-        // delta-sum accumulation over `prop[src] [+ weight]`. The Sum kernel
-        // replicates the interpreter's re-read-after-reduce notification.
-        [Effect::UpdatePrio {
-            queue,
-            vertex,
-            op: op @ (ReduceOp::Min | ReduceOp::Sum),
-            val,
-            atomic,
-        }] if is_dst(vertex) => {
-            let (prop, add_weight) = match val {
-                Sym::Add(a, b) => match (&**a, &**b) {
-                    (Sym::Load(d, i), other) if is_src(i) && weight_like(other) => (*d, true),
-                    (other, Sym::Load(d, i)) if is_src(i) && weight_like(other) => (*d, true),
-                    _ => return None,
-                },
-                Sym::Load(d, i) if is_src(&**i) => (*d, false),
-                _ => return None,
-            };
-            // `as_int` on the loaded operand must match the interpreter's
-            // integer arithmetic: any non-float cell qualifies.
-            if props.ty(prop) == Type::Float {
-                return None;
-            }
-            Some(assemble(
-                RelaxPrio {
-                    queue: *queue,
-                    qprop: udfs.queue_props[*queue],
-                    prop,
-                    add_weight,
-                    op: *op,
-                    atomic: *atomic,
-                },
-                match op {
-                    ReduceOp::Min => "relax_min",
-                    _ => "relax_sum",
-                },
-                sf,
-                df,
-            ))
-        }
-        _ => None,
-    }
-}
-
-/// Property and global tables carrying only `prog`'s declared types, for
-/// callers (the C++ emitter, tests) that reason about programs before any
-/// graph is loaded.
-fn declared(prog: &ugc_graphir::ir::Program) -> (PropertyStorage, GlobalTable) {
+) -> &'static str {
     let mut props = PropertyStorage::new(0);
     for p in &prog.properties {
         props.add(p.name.clone(), p.ty, Value::zero_of(p.ty));
@@ -903,45 +367,18 @@ fn declared(prog: &ugc_graphir::ir::Program) -> (PropertyStorage, GlobalTable) {
     for g in &prog.globals {
         globals.add(g.name.clone(), g.ty, Value::zero_of(g.ty));
     }
-    (props, globals)
-}
-
-/// Recognition without property arrays: the specialized kernel's name, or
-/// `None` when no kernel shape matches.
-pub fn recognize_name(
-    prog: &ugc_graphir::ir::Program,
-    udfs: &UdfSet,
-    udf: UdfId,
-    src_filter: Option<UdfId>,
-    dst_filter: Option<UdfId>,
-) -> Option<&'static str> {
-    let (props, _) = declared(prog);
-    recognize(udfs, &props, udf, src_filter, dst_filter).map(|k| k.name())
-}
-
-/// [`select`] without property arrays, kernels on: the name of the
-/// traversal the executor will run — a kernel name, `compiled udf` or
-/// `interpreter fallback`.
-pub fn select_name(
-    prog: &ugc_graphir::ir::Program,
-    udfs: &UdfSet,
-    udf: UdfId,
-    src_filter: Option<UdfId>,
-    dst_filter: Option<UdfId>,
-) -> &'static str {
-    let (props, globals) = declared(prog);
-    let compiled = udf::compile_all(udfs, &props, &globals);
-    select(udfs, &props, &compiled, udf, src_filter, dst_filter, true)
-        .1
-        .name()
+    select(udfs, &props, &globals, udf, src_filter, dst_filter, true).name()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ugc_graph::Graph;
     use ugc_graphir::ir::{Expr, Function, LValue, Param, Program, Stmt, StmtKind};
     use ugc_graphir::keys;
+    use ugc_graphir::types::{BinOp, ReduceOp, Type};
     use ugc_runtime::bytecode::{binding_of, compile_udfs};
+    use ugc_runtime::properties::PropId;
 
     fn props_of(prog: &Program, n: usize) -> PropertyStorage {
         let mut props = PropertyStorage::new(n);
@@ -1001,44 +438,6 @@ mod tests {
         p
     }
 
-    #[test]
-    fn recognizes_bfs_cas_claim_with_filter() {
-        let prog = bfs_program();
-        let udfs = compile_udfs(&prog, &binding_of(&prog)).unwrap();
-        let props = props_of(&prog, 4);
-        let k = recognize(
-            &udfs,
-            &props,
-            udfs.id_of("updateEdge").unwrap(),
-            None,
-            Some(udfs.id_of("toFilter").unwrap()),
-        )
-        .expect("BFS shape must specialize");
-        assert_eq!(k.name(), "cas_claim");
-    }
-
-    #[test]
-    fn cas_claim_kernel_matches_semantics() {
-        let prog = bfs_program();
-        let udfs = compile_udfs(&prog, &binding_of(&prog)).unwrap();
-        let props = props_of(&prog, 4);
-        let graph = ugc_graph::Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2)]);
-        let k = recognize(&udfs, &props, udfs.id_of("updateEdge").unwrap(), None, None).unwrap();
-        let globals = GlobalTable::new();
-        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
-        let io = Io {
-            props: &props,
-            ev: &ev,
-            csr: graph.out_csr(),
-        };
-        let mut out = BufferedOutput::default();
-        k.run_push(&io, &[0, 1], 0..2, &mut out);
-        // Vertex 2 claimed exactly once (second CAS fails), 1 claimed by 0.
-        assert_eq!(out.enqueued, vec![1, 2]);
-        let parent = props.id_of("parent").unwrap();
-        assert_eq!(props.read(parent, 2), Value::Int(0));
-    }
-
     fn float_filter_program(literal: Expr) -> Program {
         let mut p = Program::new();
         p.add_property("rank", Type::Float, Expr::float(0.0));
@@ -1071,118 +470,6 @@ mod tests {
         }));
         p.add_function(filt);
         p
-    }
-
-    #[test]
-    fn float_filter_specializes_with_ieee_semantics() {
-        let p = float_filter_program(Expr::float(0.0));
-        let udfs = compile_udfs(&p, &binding_of(&p)).unwrap();
-        let props = props_of(&p, 5);
-        let k = recognize(
-            &udfs,
-            &props,
-            udfs.id_of("upd").unwrap(),
-            None,
-            Some(udfs.id_of("floatFilter").unwrap()),
-        )
-        .expect("float-equality filter must specialize under IEEE ==");
-        assert_eq!(k.name(), "reduce_sum");
-
-        // Drive the kernel over cells {0.0, -0.0, NaN, 1.0} and check the
-        // filter against the interpreter's own Eq on the same operands.
-        let rank = props.id_of("rank").unwrap();
-        let acc = props.id_of("acc").unwrap();
-        let cells = [(1u32, 0.0_f64), (2, -0.0), (3, f64::NAN), (4, 1.0)];
-        props.write(rank, 0, Value::Float(2.5));
-        for &(v, c) in &cells {
-            props.write(rank, v, Value::Float(c));
-        }
-        let graph = ugc_graph::Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let globals = GlobalTable::new();
-        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
-        let io = Io {
-            props: &props,
-            ev: &ev,
-            csr: graph.out_csr(),
-        };
-        let mut out = BufferedOutput::default();
-        k.run_push(&io, &[0], 0..1, &mut out);
-        for &(v, c) in &cells {
-            let reference = Value::bin(BinOp::Eq, Value::Float(c), Value::Float(0.0)).as_bool();
-            let kernel_passed = props.read(acc, v) != Value::Float(0.0);
-            assert_eq!(
-                kernel_passed, reference,
-                "cell {c} must match the interpreter's Eq"
-            );
-        }
-        // IEEE: -0.0 == 0.0 admits both zero encodings, NaN never matches.
-        assert_eq!(props.read(acc, 1), Value::Float(2.5));
-        assert_eq!(props.read(acc, 2), Value::Float(2.5));
-        assert_eq!(props.read(acc, 3), Value::Float(0.0));
-        assert_eq!(props.read(acc, 4), Value::Float(0.0));
-    }
-
-    #[test]
-    fn nan_literal_matches_nothing() {
-        let p = float_filter_program(Expr::float(f64::NAN));
-        let udfs = compile_udfs(&p, &binding_of(&p)).unwrap();
-        let props = props_of(&p, 3);
-        let rank = props.id_of("rank").unwrap();
-        let acc = props.id_of("acc").unwrap();
-        props.write(rank, 0, Value::Float(1.0));
-        props.write(rank, 2, Value::Float(f64::NAN));
-        let k = recognize(
-            &udfs,
-            &props,
-            udfs.id_of("upd").unwrap(),
-            None,
-            Some(udfs.id_of("floatFilter").unwrap()),
-        )
-        .unwrap();
-        let graph = ugc_graph::Graph::from_edges(3, &[(0, 1), (0, 2)]);
-        let globals = GlobalTable::new();
-        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
-        let io = Io {
-            props: &props,
-            ev: &ev,
-            csr: graph.out_csr(),
-        };
-        let mut out = BufferedOutput::default();
-        k.run_push(&io, &[0], 0..1, &mut out);
-        // Not even a bit-identical NaN cell passes `rank[v] == NaN`.
-        assert_eq!(props.read(acc, 1), Value::Float(0.0));
-        assert_eq!(props.read(acc, 2), Value::Float(0.0));
-    }
-
-    #[test]
-    fn int_literal_widens_against_float_cell() {
-        let p = float_filter_program(Expr::int(0));
-        let udfs = compile_udfs(&p, &binding_of(&p)).unwrap();
-        let props = props_of(&p, 2);
-        props.write(props.id_of("rank").unwrap(), 0, Value::Float(3.0));
-        let k = recognize(
-            &udfs,
-            &props,
-            udfs.id_of("upd").unwrap(),
-            None,
-            Some(udfs.id_of("floatFilter").unwrap()),
-        )
-        .expect("int literal widens to float, like the interpreter");
-        let graph = ugc_graph::Graph::from_edges(2, &[(0, 1)]);
-        let globals = GlobalTable::new();
-        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
-        let io = Io {
-            props: &props,
-            ev: &ev,
-            csr: graph.out_csr(),
-        };
-        let mut out = BufferedOutput::default();
-        k.run_push(&io, &[0], 0..1, &mut out);
-        // rank[1] is 0.0 == 0 → passes; acc[1] accumulates rank[0].
-        assert_eq!(
-            props.read(props.id_of("acc").unwrap(), 1),
-            Value::Float(3.0)
-        );
     }
 
     /// A program with an int property `x`, a Reduce-Sum `upd`, and a
@@ -1224,85 +511,6 @@ mod tests {
         p
     }
 
-    #[test]
-    fn int_cell_against_float_literal_specializes_and_matches_interpreter() {
-        let p = mixed_filter_program(1.0);
-        let udfs = compile_udfs(&p, &binding_of(&p)).unwrap();
-        let props = props_of(&p, 5);
-        let x = props.id_of("x").unwrap();
-        let k = recognize(
-            &udfs,
-            &props,
-            udfs.id_of("upd").unwrap(),
-            None,
-            Some(udfs.id_of("mixedFilter").unwrap()),
-        )
-        .expect("int cell vs float literal must widen like the interpreter");
-        assert_eq!(k.name(), "reduce_sum");
-
-        // Differential oracle: drive the kernel over int cells
-        // {1, 0, -1, 7} and check each dst's pass/fail against the
-        // interpreter's own mixed-type Eq on the same operands.
-        let cells = [(1u32, 1i64), (2, 0), (3, -1), (4, 7)];
-        props.write(x, 0, Value::Int(10));
-        for &(v, c) in &cells {
-            props.write(x, v, Value::Int(c));
-        }
-        let graph = ugc_graph::Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let globals = GlobalTable::new();
-        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
-        let io = Io {
-            props: &props,
-            ev: &ev,
-            csr: graph.out_csr(),
-        };
-        let mut out = BufferedOutput::default();
-        k.run_push(&io, &[0], 0..1, &mut out);
-        for &(v, c) in &cells {
-            let reference = Value::bin(BinOp::Eq, Value::Int(c), Value::Float(1.0)).as_bool();
-            let kernel_passed = props.read(x, v) != Value::Int(c);
-            assert_eq!(
-                kernel_passed, reference,
-                "int cell {c} vs float literal 1.0 must match the interpreter's Eq"
-            );
-        }
-        // Only x[1] == 1 widens to 1.0 and passes the dst filter.
-        assert_eq!(props.read(x, 1), Value::Int(11));
-        assert_eq!(props.read(x, 2), Value::Int(0));
-        assert_eq!(props.read(x, 3), Value::Int(-1));
-        assert_eq!(props.read(x, 4), Value::Int(7));
-    }
-
-    #[test]
-    fn nan_float_literal_never_matches_int_cells() {
-        let p = mixed_filter_program(f64::NAN);
-        let udfs = compile_udfs(&p, &binding_of(&p)).unwrap();
-        let props = props_of(&p, 3);
-        let x = props.id_of("x").unwrap();
-        props.write(x, 0, Value::Int(5));
-        let k = recognize(
-            &udfs,
-            &props,
-            udfs.id_of("upd").unwrap(),
-            None,
-            Some(udfs.id_of("mixedFilter").unwrap()),
-        )
-        .unwrap();
-        let graph = ugc_graph::Graph::from_edges(3, &[(0, 1), (0, 2)]);
-        let globals = GlobalTable::new();
-        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
-        let io = Io {
-            props: &props,
-            ev: &ev,
-            csr: graph.out_csr(),
-        };
-        let mut out = BufferedOutput::default();
-        k.run_push(&io, &[0], 0..1, &mut out);
-        // `x[v] == NaN` is false for every widened int, as in `Value::bin`.
-        assert_eq!(props.read(x, 1), Value::Int(0));
-        assert_eq!(props.read(x, 2), Value::Int(0));
-    }
-
     fn prio_sum_program() -> Program {
         let mut p = Program::new();
         p.add_property("delta", Type::Int, Expr::int(0));
@@ -1328,35 +536,185 @@ mod tests {
         p
     }
 
+    /// Runs a push over `members` of `graph` with `prog`'s operator `apply`
+    /// under destination filter `df`, compiled and on the interpreter, each
+    /// on its own state set up by `init`. Both must leave the same cells
+    /// and output; returns the compiled run's.
+    fn both_tiers(
+        prog: &Program,
+        graph: &Graph,
+        apply: &str,
+        df: Option<&str>,
+        members: &[u32],
+        init: impl Fn(&PropertyStorage),
+    ) -> (PropertyStorage, BufferedOutput) {
+        let udfs = compile_udfs(prog, &binding_of(prog)).unwrap();
+        let id = |n: &str| udfs.id_of(n).unwrap();
+        let globals = GlobalTable::new();
+        let run = |compiled: bool| {
+            let props = props_of(prog, graph.num_vertices());
+            init(&props);
+            let k = select(
+                &udfs,
+                &props,
+                &globals,
+                id(apply),
+                None,
+                df.map(id),
+                compiled,
+            );
+            assert_eq!(k.tier() == Tier::Compiled, compiled);
+            let mut out = BufferedOutput::default();
+            {
+                let ev = Evaluator::new(&udfs, &props, &globals, graph);
+                let io = Io {
+                    ev: &ev,
+                    csr: graph.out_csr(),
+                };
+                let range = 0..members.len();
+                k.run(&io, Walk::Push { members, range }, &mut out);
+            }
+            let cells: Vec<Vec<u64>> = (0..prog.properties.len())
+                .map(|p| {
+                    (0..graph.num_vertices() as u32)
+                        .map(|v| props.read_bits(PropId(p), v))
+                        .collect()
+                })
+                .collect();
+            (props, out, cells)
+        };
+        let (props, out, cells) = run(true);
+        let (_, want_out, want_cells) = run(false);
+        assert_eq!(cells, want_cells, "cells diverge from the interpreter");
+        assert_eq!(out.enqueued, want_out.enqueued);
+        assert_eq!(out.priority_updates, want_out.priority_updates);
+        (props, out)
+    }
+
     #[test]
-    fn recognizes_update_prio_sum() {
-        let p = prio_sum_program();
-        let udfs = compile_udfs(&p, &binding_of(&p)).unwrap();
-        let props = props_of(&p, 3);
-        let k = recognize(&udfs, &props, udfs.id_of("updDelta").unwrap(), None, None)
-            .expect("UpdatePrio Sum must specialize");
-        assert_eq!(k.name(), "relax_sum");
+    fn cas_claim_kernel_matches_semantics() {
+        let graph = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2)]);
+        let (props, out) = both_tiers(&bfs_program(), &graph, "updateEdge", None, &[0, 1], |_| {});
+        // Vertex 2 claimed exactly once (second CAS fails), 1 claimed by 0.
+        assert_eq!(out.enqueued, vec![1, 2]);
+        let parent = props.id_of("parent").unwrap();
+        assert_eq!(props.read(parent, 2), Value::Int(0));
+    }
+
+    #[test]
+    fn float_filter_specializes_with_ieee_semantics() {
+        // Drive the operator over cells {0.0, -0.0, NaN, 1.0} and check the
+        // filter against the interpreter's own Eq on the same operands.
+        let cells = [(1u32, 0.0_f64), (2, -0.0), (3, f64::NAN), (4, 1.0)];
+        let graph = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let p = float_filter_program(Expr::float(0.0));
+        let (props, _) = both_tiers(&p, &graph, "upd", Some("floatFilter"), &[0], |props| {
+            let rank = props.id_of("rank").unwrap();
+            props.write(rank, 0, Value::Float(2.5));
+            for &(v, c) in &cells {
+                props.write(rank, v, Value::Float(c));
+            }
+        });
+        let acc = props.id_of("acc").unwrap();
+        for &(v, c) in &cells {
+            let reference = Value::bin(BinOp::Eq, Value::Float(c), Value::Float(0.0)).as_bool();
+            let passed = props.read(acc, v) != Value::Float(0.0);
+            assert_eq!(
+                passed, reference,
+                "cell {c} must match the interpreter's Eq"
+            );
+        }
+        // IEEE: -0.0 == 0.0 admits both zero encodings, NaN never matches.
+        assert_eq!(props.read(acc, 1), Value::Float(2.5));
+        assert_eq!(props.read(acc, 2), Value::Float(2.5));
+        assert_eq!(props.read(acc, 3), Value::Float(0.0));
+        assert_eq!(props.read(acc, 4), Value::Float(0.0));
+    }
+
+    #[test]
+    fn nan_literal_matches_nothing() {
+        let graph = Graph::from_edges(3, &[(0, 1), (0, 2)]);
+        let p = float_filter_program(Expr::float(f64::NAN));
+        let (props, _) = both_tiers(&p, &graph, "upd", Some("floatFilter"), &[0], |props| {
+            let rank = props.id_of("rank").unwrap();
+            props.write(rank, 0, Value::Float(1.0));
+            props.write(rank, 2, Value::Float(f64::NAN));
+        });
+        // Not even a bit-identical NaN cell passes `rank[v] == NaN`.
+        let acc = props.id_of("acc").unwrap();
+        assert_eq!(props.read(acc, 1), Value::Float(0.0));
+        assert_eq!(props.read(acc, 2), Value::Float(0.0));
+    }
+
+    #[test]
+    fn int_literal_widens_against_float_cell() {
+        let graph = Graph::from_edges(2, &[(0, 1)]);
+        let p = float_filter_program(Expr::int(0));
+        let (props, _) = both_tiers(&p, &graph, "upd", Some("floatFilter"), &[0], |props| {
+            props.write(props.id_of("rank").unwrap(), 0, Value::Float(3.0));
+        });
+        // rank[1] is 0.0 == 0 → passes; acc[1] accumulates rank[0].
+        assert_eq!(
+            props.read(props.id_of("acc").unwrap(), 1),
+            Value::Float(3.0)
+        );
+    }
+
+    #[test]
+    fn int_cell_against_float_literal_specializes_and_matches_interpreter() {
+        // Int cells {1, 0, -1, 7} against the float literal 1.0: the
+        // interpreter's mixed-type Eq widens the cell.
+        let cells = [(1u32, 1i64), (2, 0), (3, -1), (4, 7)];
+        let graph = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let p = mixed_filter_program(1.0);
+        let (props, _) = both_tiers(&p, &graph, "upd", Some("mixedFilter"), &[0], |props| {
+            let x = props.id_of("x").unwrap();
+            props.write(x, 0, Value::Int(10));
+            for &(v, c) in &cells {
+                props.write(x, v, Value::Int(c));
+            }
+        });
+        let x = props.id_of("x").unwrap();
+        for &(v, c) in &cells {
+            let reference = Value::bin(BinOp::Eq, Value::Int(c), Value::Float(1.0)).as_bool();
+            let passed = props.read(x, v) != Value::Int(c);
+            assert_eq!(passed, reference, "int cell {c} vs float literal 1.0");
+        }
+        // Only x[1] == 1 widens to 1.0 and passes the dst filter.
+        assert_eq!(props.read(x, 1), Value::Int(11));
+        assert_eq!(props.read(x, 2), Value::Int(0));
+        assert_eq!(props.read(x, 3), Value::Int(-1));
+        assert_eq!(props.read(x, 4), Value::Int(7));
+    }
+
+    #[test]
+    fn nan_float_literal_never_matches_int_cells() {
+        let graph = Graph::from_edges(3, &[(0, 1), (0, 2)]);
+        let p = mixed_filter_program(f64::NAN);
+        let (props, _) = both_tiers(&p, &graph, "upd", Some("mixedFilter"), &[0], |props| {
+            props.write(props.id_of("x").unwrap(), 0, Value::Int(5));
+        });
+        // `x[v] == NaN` is false for every widened int, as in `Value::bin`.
+        let x = props.id_of("x").unwrap();
+        assert_eq!(props.read(x, 1), Value::Int(0));
+        assert_eq!(props.read(x, 2), Value::Int(0));
     }
 
     #[test]
     fn relax_sum_notifies_post_reduce_value() {
-        let p = prio_sum_program();
-        let udfs = compile_udfs(&p, &binding_of(&p)).unwrap();
-        let props = props_of(&p, 3);
-        let delta = props.id_of("delta").unwrap();
-        props.write(delta, 0, Value::Int(5));
-        props.write(delta, 1, Value::Int(7));
-        let k = recognize(&udfs, &props, udfs.id_of("updDelta").unwrap(), None, None).unwrap();
-        let graph = ugc_graph::Graph::from_edges(3, &[(0, 2), (1, 2)]);
-        let globals = GlobalTable::new();
-        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
-        let io = Io {
-            props: &props,
-            ev: &ev,
-            csr: graph.out_csr(),
-        };
-        let mut out = BufferedOutput::default();
-        k.run_push(&io, &[0, 1], 0..2, &mut out);
+        let graph = Graph::from_edges(3, &[(0, 2), (1, 2)]);
+        let (props, out) = both_tiers(
+            &prio_sum_program(),
+            &graph,
+            "updDelta",
+            None,
+            &[0, 1],
+            |props| {
+                let delta = props.id_of("delta").unwrap();
+                props.write(delta, 0, Value::Int(5));
+                props.write(delta, 1, Value::Int(7));
+            },
+        );
         // Sum notifications carry the accumulated cell (interpreter re-read
         // semantics): 0+5 = 5, then 5+7 = 12 — not the increment 7.
         assert_eq!(out.priority_updates, vec![(0, 2, 5), (0, 2, 12)]);
@@ -1364,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn opaque_udf_falls_back() {
+    fn plain_store_udf_compiles_and_matches_interpreter() {
         let mut p = Program::new();
         p.add_property("x", Type::Int, Expr::int(0));
         let mut f = Function::new(
@@ -1375,15 +733,18 @@ mod tests {
             ],
             None,
         );
-        // Plain (untracked) store: outside the modeled subset.
+        // A plain (untracked) store.
         f.body.push(Stmt::new(StmtKind::Assign {
             target: LValue::prop("x", Expr::var("dst")),
             value: Expr::var("src"),
         }));
         p.add_function(f);
-        let udfs = compile_udfs(&p, &binding_of(&p)).unwrap();
-        let props = props_of(&p, 4);
-        assert!(recognize(&udfs, &props, udfs.id_of("storeUdf").unwrap(), None, None).is_none());
+        let graph = Graph::from_edges(4, &[(0, 1), (2, 1), (2, 3)]);
+        let (props, _) = both_tiers(&p, &graph, "storeUdf", None, &[0, 2], |_| {});
+        assert_eq!(
+            props.snapshot(props.id_of("x").unwrap()),
+            [0, 2, 0, 2].map(Value::Int).to_vec()
+        );
     }
 
     #[test]
@@ -1391,6 +752,7 @@ mod tests {
         let prog = bfs_program();
         let udfs = compile_udfs(&prog, &binding_of(&prog)).unwrap();
         let props = props_of(&prog, 4);
+        let globals = GlobalTable::new();
         let cache = KernelCache::default();
         let key = KernelKey {
             point: SchedulePoint::default(),
@@ -1401,12 +763,12 @@ mod tests {
         };
         let mut builds = 0;
         for _ in 0..3 {
-            let (tier, _) = cache.resolve(key, || {
+            let k = cache.resolve(key, || {
                 builds += 1;
-                select(&udfs, &props, &[], key.udf, None, None, true)
+                select(&udfs, &props, &globals, key.udf, None, None, true)
             });
-            assert_eq!(tier, Tier::Specialized);
+            assert_eq!(k.tier(), Tier::Compiled);
         }
-        assert_eq!(builds, 1, "recognition must run once per key");
+        assert_eq!(builds, 1, "selection must run once per key");
     }
 }

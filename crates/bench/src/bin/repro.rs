@@ -257,14 +257,13 @@ fn profile(targets: &[Target], scale: Scale) {
         ));
         lines.push_str(&delta.to_json_lines());
         if target == Target::Cpu {
-            // Kernel selection + pool chunk feedback: the two knobs the
-            // compiled-kernel path adds to the CPU hot loop. Pool counters
-            // live outside the `cpu.` prefix, so read them from a full
+            // Operator tiers + pool chunk feedback: the two knobs the
+            // compiled path adds to the CPU hot loop. Pool counters live
+            // outside the `cpu.` prefix, so read them from a full
             // collector delta spanning the same window.
             let pool = col.snapshot();
             println!(
-                "kernel dispatch: {} specialized, {} compiled, {} interpreter fallback",
-                delta.value("cpu.kernel.specialized"),
+                "kernel dispatch: {} compiled, {} interpreter fallback",
                 delta.value("cpu.kernel.compiled"),
                 delta.value("cpu.kernel.fallback"),
             );

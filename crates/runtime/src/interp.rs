@@ -25,9 +25,9 @@ use crate::bytecode::{binding_of, compile_udfs, Binding, UdfId, UdfSet};
 use crate::eval::{EdgeCtx, NullMemory, NullOutput};
 use crate::frontier_list::FrontierList;
 use crate::host::{HostEnv, HostValue};
-use crate::pool::{default_threads, parallel_for_with_local};
+use crate::pool::{default_threads, parallel_for_with_local, SERIAL_DISPATCH_THRESHOLD};
 use crate::properties::{GlobalTable, PropertyStorage};
-use crate::udf::{self, CompiledSet, CompiledUdf};
+use crate::udf::{self, CompiledSet, CompiledUdf, Frame};
 use crate::value::Value;
 use crate::vertexset::VertexSet;
 
@@ -154,10 +154,6 @@ pub trait OperatorExecutor {
     }
 }
 
-/// Below this many candidates a filter sweep runs on the calling thread:
-/// pool dispatch would cost more than the sweep.
-const SERIAL_FILTER_MAX: usize = 512;
-
 /// The `runtime.vertex_filter.{compiled,interpreted}` counters: filter
 /// sweeps by the tier their UDF ran in.
 fn filter_counters() -> &'static [Counter; 2] {
@@ -173,8 +169,9 @@ fn filter_counters() -> &'static [Counter; 2] {
 /// The host-side `VertexSetFilter` sweep behind every GraphVM's
 /// [`OperatorExecutor::vertex_filter`]: filter UDF `id` on every candidate,
 /// through its compiled `body` when it has one and the interpreter
-/// otherwise, on up to `threads` pool workers above [`SERIAL_FILTER_MAX`]
-/// candidates. A serial sweep keeps candidate order; a parallel one
+/// otherwise, on up to `threads` pool workers from
+/// [`SERIAL_DISPATCH_THRESHOLD`] candidates (below it, pool dispatch would
+/// cost more than the sweep). A serial sweep keeps candidate order; a parallel one
 /// returns its members ascending, since workers steal chunks and their
 /// outputs interleave. Counts one sweep in its tier.
 pub fn filter_sweep(
@@ -186,23 +183,34 @@ pub fn filter_sweep(
 ) -> VertexSet {
     filter_counters()[usize::from(body.is_none())].incr();
     let ev = state.evaluator();
-    let keep = |v: u32| {
+    // One frame per chunk of candidates.
+    let sweep = |vs: &[u32], kept: &mut Vec<u32>| {
+        let passes = |r: Option<Value>| r.is_some_and(|r| r.as_bool());
         match body {
-            Some(c) => c.call(&ev, &[v as i64], 1, &mut NullOutput),
-            None => ev.apply_vertex(id, v, &mut NullOutput, &mut NullMemory),
+            Some(c) => {
+                let mut sink = NullOutput;
+                let mut frame = Frame::new(&ev, &mut sink);
+                kept.extend(
+                    vs.iter()
+                        .filter(|&&v| passes(c.run(&mut frame, &[v as i64], 1))),
+                );
+            }
+            None => kept
+                .extend(vs.iter().filter(|&&v| {
+                    passes(ev.apply_vertex(id, v, &mut NullOutput, &mut NullMemory))
+                })),
         }
-        .is_some_and(|r| r.as_bool())
     };
-    let members: Vec<u32> = if candidates.len() < SERIAL_FILTER_MAX {
-        candidates.iter().copied().filter(|&v| keep(v)).collect()
+    let members: Vec<u32> = if candidates.len() < SERIAL_DISPATCH_THRESHOLD {
+        let mut kept = Vec::new();
+        sweep(candidates, &mut kept);
+        kept
     } else {
         let locals = parallel_for_with_local(
             threads,
             candidates.len(),
             256,
-            |_tid, range, local: &mut Vec<u32>| {
-                local.extend(candidates[range].iter().copied().filter(|&v| keep(v)));
-            },
+            |_tid, range, local: &mut Vec<u32>| sweep(&candidates[range], local),
         );
         let mut all: Vec<u32> = locals.into_iter().flatten().collect();
         all.sort_unstable();

@@ -118,6 +118,7 @@ impl PropertyStorage {
     }
 
     /// Plain read.
+    #[inline]
     pub fn read(&self, id: PropId, idx: u32) -> Value {
         let a = &self.arrays[id.0];
         Value::from_bits(a.data[idx as usize].load(Ordering::Relaxed), a.ty)
@@ -126,6 +127,7 @@ impl PropertyStorage {
     /// Raw 64-bit cell read: the stored bit pattern, relaxed. Compiled
     /// kernels compare cells against precomputed constants ([`Self::bits_of`])
     /// without constructing a [`Value`].
+    #[inline]
     pub fn read_bits(&self, id: PropId, idx: u32) -> u64 {
         self.arrays[id.0].data[idx as usize].load(Ordering::Relaxed)
     }
@@ -138,6 +140,7 @@ impl PropertyStorage {
 
     /// Raw 64-bit cell write, relaxed: the caller has already encoded the
     /// value the way [`Self::write`] would for this property's type.
+    #[inline]
     pub fn write_bits(&self, id: PropId, idx: u32, bits: u64) {
         self.arrays[id.0].data[idx as usize].store(bits, Ordering::Relaxed);
     }
@@ -173,11 +176,17 @@ impl PropertyStorage {
 
     /// Compare-and-swap; returns whether the swap happened.
     pub fn cas(&self, id: PropId, idx: u32, expected: Value, new: Value) -> bool {
-        let a = &self.arrays[id.0];
-        a.data[idx as usize]
+        self.cas_as(id, idx, expected, new, self.arrays[id.0].ty)
+    }
+
+    /// [`Self::cas`] on a property whose type the caller passes, as
+    /// [`Self::reduce_as`].
+    #[inline(always)]
+    pub fn cas_as(&self, id: PropId, idx: u32, expected: Value, new: Value, ty: Type) -> bool {
+        self.arrays[id.0].data[idx as usize]
             .compare_exchange(
-                expected.to_bits(a.ty),
-                new.to_bits(a.ty),
+                expected.to_bits(ty),
+                new.to_bits(ty),
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             )
@@ -190,9 +199,22 @@ impl PropertyStorage {
     /// and reports `changed` when the addend is non-zero; `Or` stores a
     /// boolean OR.
     pub fn reduce(&self, id: PropId, idx: u32, op: ReduceOp, v: Value) -> (bool, Value) {
-        let a = &self.arrays[id.0];
-        let cell = &a.data[idx as usize];
-        let ty = a.ty;
+        self.reduce_as(id, idx, op, v, self.arrays[id.0].ty)
+    }
+
+    /// [`Self::reduce`] of a property whose type the caller passes: a
+    /// caller that knows the op and the type at compile time gets the
+    /// reduction specialised to them.
+    #[inline(always)]
+    pub fn reduce_as(
+        &self,
+        id: PropId,
+        idx: u32,
+        op: ReduceOp,
+        v: Value,
+        ty: Type,
+    ) -> (bool, Value) {
+        let cell = &self.arrays[id.0].data[idx as usize];
         let mut cur = cell.load(Ordering::SeqCst);
         loop {
             let old = Value::from_bits(cur, ty);
@@ -215,12 +237,25 @@ impl PropertyStorage {
     /// Non-atomic reduction (single-threaded backends); same result
     /// contract as [`PropertyStorage::reduce`].
     pub fn reduce_relaxed(&self, id: PropId, idx: u32, op: ReduceOp, v: Value) -> (bool, Value) {
-        let a = &self.arrays[id.0];
-        let cell = &a.data[idx as usize];
-        let old = Value::from_bits(cell.load(Ordering::Relaxed), a.ty);
-        let (newv, changed) = apply_reduce(op, old, v, a.ty);
+        self.reduce_relaxed_as(id, idx, op, v, self.arrays[id.0].ty)
+    }
+
+    /// [`Self::reduce_relaxed`] of a property whose type the caller passes,
+    /// as [`Self::reduce_as`].
+    #[inline(always)]
+    pub fn reduce_relaxed_as(
+        &self,
+        id: PropId,
+        idx: u32,
+        op: ReduceOp,
+        v: Value,
+        ty: Type,
+    ) -> (bool, Value) {
+        let cell = &self.arrays[id.0].data[idx as usize];
+        let old = Value::from_bits(cell.load(Ordering::Relaxed), ty);
+        let (newv, changed) = apply_reduce(op, old, v, ty);
         if changed {
-            cell.store(newv.to_bits(a.ty), Ordering::Relaxed);
+            cell.store(newv.to_bits(ty), Ordering::Relaxed);
         }
         (changed, old)
     }
@@ -256,6 +291,7 @@ const PARALLEL_PROP_THRESHOLD: usize = 1 << 15;
 /// Elements per chunk for pool-parallel fill/snapshot.
 const PARALLEL_PROP_CHUNK: usize = 4096;
 
+#[inline(always)]
 fn apply_reduce(op: ReduceOp, old: Value, v: Value, ty: Type) -> (Value, bool) {
     match op {
         ReduceOp::Sum => {
@@ -279,6 +315,7 @@ fn apply_reduce(op: ReduceOp, old: Value, v: Value, ty: Type) -> (Value, bool) {
     }
 }
 
+#[inline(always)]
 fn coerce(v: Value, ty: Type) -> Value {
     match ty {
         Type::Float => Value::Float(v.as_float()),

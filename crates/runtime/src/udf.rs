@@ -1,45 +1,63 @@
 //! The UDF compiler every GraphVM shares: each UDF's bytecode is lowered
 //! once per run ([`crate::interp::ProgramState::compiled`]) into
-//! closure-threaded code over typed registers.
+//! closure-threaded code over typed registers, and each CPU edge operator
+//! is compiled whole ([`CompiledOp`]).
 //!
-//! The paper's CPU GraphVM emits C++ whose UDFs compile inline. These
-//! GraphVMs execute GraphIR instead, so this module is their codegen: every
-//! [`UdfProgram`] becomes one closure per live instruction, each calling
-//! its successor itself, run over a stack frame of raw `u64` registers.
-//! The CPU runs its operators through it, and every GraphVM runs its
-//! uncharged host-side `VertexSetFilter` sweep through it
-//! ([`crate::interp::filter_sweep`]). Charged calls on the simulators stay
-//! on [`Evaluator::call`], whose [`crate::eval::MemoryModel`] sees each
-//! access in the order the cost model charges it.
+//! The paper's CPU GraphVM emits C++ whose UDFs compile inline into the
+//! traversal loop. These GraphVMs execute GraphIR instead, so this module
+//! is their codegen: every [`UdfProgram`] becomes one closure per live
+//! instruction, each calling its successor itself, run over a frame of raw
+//! `u64` registers ([`Frame`]) that a caller sets up once per chunk of
+//! work and reuses for every call in it. The CPU runs its operators
+//! through it, and every GraphVM runs its uncharged host-side
+//! `VertexSetFilter` sweep through it ([`crate::interp::filter_sweep`]).
+//! Charged calls on the simulators stay on [`Evaluator::call`], whose
+//! [`crate::eval::MemoryModel`] sees each access in the order the cost
+//! model charges it.
 //!
 //! Against [`Evaluator::call`] — a frame of 16-byte [`Value`]s and one
-//! `match` per instruction at a single dispatch site — four things make it
+//! `match` per instruction at a single dispatch site — five things make it
 //! cheap:
 //!
 //! * **Static kinds.** Every register holds one kind (int, float or bool)
 //!   fixed before the first call, from the parameters, constants, property
 //!   and global types, the intrinsics and [`Value::bin`]'s promotion rule.
 //!   Operators are chosen at compile time, so a register is its bit
-//!   pattern and nothing else.
+//!   pattern and nothing else; each reduction, priority update and CAS is
+//!   built for its op and its cell's encoding, so it runs the
+//!   [`PropertyStorage`] call specialised to them (`with_cell_op!`).
+//! * **Cleaned bytecode.** A `Mov` of the value the instruction before it
+//!   computed, read nowhere else, becomes that instruction writing the
+//!   `Mov`'s destination, and a pure write no path reads is dropped
+//!   ([`simplify`]).
 //! * **Folded operands.** A register written once, by `Const`, becomes an
 //!   immediate. A property or global load whose only reader follows it
 //!   with nothing but pure instructions in between is performed inside
 //!   that reader, so `deg[v] < cur_k` costs one closure, not three.
-//! * **Fused branches.** A comparison read only by the `JumpIfNot` right
-//!   after it becomes one compare-and-branch closure; `Jump`s, `Ret`s and
-//!   folded instructions are threaded through at compile time, and a
-//!   `Const`/`Mov` of the value its register already holds on every path
-//!   (the zeroed frame's 0 included) is dropped.
+//! * **Fused tails.** A comparison read only by the `JumpIfNot` right
+//!   after it becomes one compare-and-branch closure. A `Cas` or tracked
+//!   reduction whose flag only guards the one `Enqueue` after it enqueues
+//!   inside its own closure, and an `UpdatePrio` of `a + b` computed right
+//!   before it adds inside its own. `Jump`s, `Ret`s and folded
+//!   instructions are threaded through at compile time, and a `Const`/`Mov`
+//!   of the value its register already holds on every path is dropped.
 //! * **Threaded successors.** Control flow in a UDF body is forward-only,
 //!   so each closure is built after the ones it continues into and calls
 //!   them directly: every call site has the one or two targets its
 //!   instruction always has, where a dispatch loop would make one site
 //!   jump everywhere.
 //!
+//! A frame is not cleared between calls: a body writes its parameters and
+//! zeroes only the registers whose entry value it may observe (those read
+//! before any write, and those a dropped write left at the entry 0), so a
+//! call costs no frame set-up beyond that.
+//!
 //! Every effect goes through the same [`PropertyStorage`]/[`GlobalTable`]
 //! call the interpreter makes, in the same program order, so a compiled
 //! body is observably the interpreter: same cells, same enqueue order,
-//! same priority notifications, same integer division panic.
+//! same priority notifications, same integer division panic. A
+//! [`CompiledOp`] is observably the interpreter's filter call followed by
+//! its apply call.
 //!
 //! A UDF is left to the interpreter when a register's kind cannot be
 //! fixed — a `Call`, a float where an integer or a bool is required, a
@@ -52,7 +70,7 @@
 use std::sync::Arc;
 
 use ugc_graph::Graph;
-use ugc_graphir::types::{BinOp, Type, UnOp};
+use ugc_graphir::types::{BinOp, ReduceOp, Type, UnOp};
 
 use crate::bytecode::{Instr, Reg, UdfId, UdfProgram, UdfSet};
 use crate::eval::{Evaluator, UdfOutput};
@@ -247,6 +265,26 @@ macro_rules! with_bin_fn {
     };
 }
 
+/// Evaluates `$body` with `$TY` bound to a constant standing for `$ty`'s
+/// encoding (every non-float, non-bool type encodes as an int) and `$OP`
+/// to the constant `$op`, so each arm's closures are specialised to them.
+macro_rules! with_cell_op {
+    ($ty:expr, $op:expr, $TY:ident, $OP:ident => $body:expr) => {
+        with_cell_op!(@arms (Kind::of_type($ty), $op), $TY, $OP, $body;
+            Int Sum, Int Min, Int Max, Int Or, Float Sum, Float Min,
+            Float Max, Float Or, Bool Sum, Bool Min, Bool Max, Bool Or)
+    };
+    (@arms $scrutinee:expr, $TY:ident, $OP:ident, $body:expr; $($k:ident $o:ident),*) => {
+        match $scrutinee {
+            $((Kind::$k, ReduceOp::$o) => {
+                const $TY: Type = Type::$k;
+                const $OP: ReduceOp = ReduceOp::$o;
+                $body
+            })*
+        }
+    };
+}
+
 /// `body`, then `next` (nothing after the last instruction).
 fn link(
     next: Option<Op>,
@@ -282,11 +320,37 @@ fn branch<F: BinFn>(a: Opnd, b: Opnd, then: Option<Op>, otherwise: Option<Op>) -
     })
 }
 
+/// A register frame and the state every body runs against, set up once
+/// per chunk of work and reused by each call in it.
+pub struct Frame<'e, 'o> {
+    regs: [u64; MAX_REGS],
+    env: Env<'e, 'o>,
+}
+
+impl<'e, 'o> Frame<'e, 'o> {
+    /// A frame over `ev`'s state whose effects go to `out`.
+    pub fn new(ev: &Evaluator<'e>, out: &'o mut dyn UdfOutput) -> Self {
+        Frame {
+            regs: [0; MAX_REGS],
+            env: Env {
+                props: ev.props,
+                globals: ev.globals,
+                graph: ev.graph,
+                atomic: ev.really_atomic,
+                weight: 1,
+                out,
+            },
+        }
+    }
+}
+
 /// A UDF lowered to closure-threaded code.
 pub struct CompiledUdf {
     entry: Option<Op>,
     num_params: usize,
-    num_regs: usize,
+    /// Registers (bit `r` = register `r`) whose entry value the body may
+    /// observe, zeroed on each call.
+    resets: u64,
     ret: Option<(usize, Kind)>,
 }
 
@@ -294,50 +358,46 @@ impl std::fmt::Debug for CompiledUdf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledUdf")
             .field("num_params", &self.num_params)
-            .field("num_regs", &self.num_regs)
+            .field("resets", &self.resets)
             .finish()
     }
 }
 
 impl CompiledUdf {
-    /// Runs the body on `args` against `ev`'s state, as
-    /// `ev.call(id, args, EdgeCtx { weight }, out, &mut NullMemory)` would,
-    /// and returns the named return value, if the UDF has one.
-    pub fn call(
-        &self,
-        ev: &Evaluator<'_>,
-        args: &[i64],
-        weight: i64,
-        out: &mut dyn UdfOutput,
-    ) -> Option<Value> {
-        let env = Env {
-            props: ev.props,
-            globals: ev.globals,
-            graph: ev.graph,
-            atomic: ev.really_atomic,
-            weight,
-            out,
-        };
-        if self.num_regs <= 16 {
-            self.run::<16>(args, env)
-        } else if self.num_regs <= 32 {
-            self.run::<32>(args, env)
-        } else {
-            self.run::<MAX_REGS>(args, env)
-        }
-    }
-
-    fn run<const N: usize>(&self, args: &[i64], mut env: Env<'_, '_>) -> Option<Value> {
-        // Every register but the parameters starts at 0, which the
-        // compiler relies on (see `Plan::drop_redundant_writes`).
-        let mut regs = [0u64; N];
-        for (slot, &a) in regs.iter_mut().zip(args).take(self.num_params) {
+    /// Runs the body on `args` in `frame`, as `ev.call(id, args, EdgeCtx {
+    /// weight }, out, &mut NullMemory)` would on the frame's state and
+    /// output, and returns the named return value, if the UDF has one.
+    #[inline]
+    pub fn run(&self, frame: &mut Frame<'_, '_>, args: &[i64], weight: i64) -> Option<Value> {
+        for (slot, &a) in frame.regs.iter_mut().zip(&args[..self.num_params]) {
             *slot = a as u64;
         }
-        if let Some(op) = &self.entry {
-            op(&mut regs, &mut env);
+        self.exec(frame, weight);
+        self.ret.map(|(r, k)| value_of(k, frame.regs[r]))
+    }
+
+    /// Whether `v` passes this filter body, as [`Evaluator::passes`] decides.
+    #[inline]
+    fn passes(&self, frame: &mut Frame<'_, '_>, v: u32) -> bool {
+        frame.regs[0] = v as u64;
+        self.exec(frame, 1);
+        self.ret.is_none_or(|(r, _)| frame.regs[r] != 0)
+    }
+
+    /// Runs the body on the parameters already in `frame`: zeroes the
+    /// registers whose entry value it may observe, then enters it.
+    #[inline]
+    fn exec(&self, frame: &mut Frame<'_, '_>, weight: i64) {
+        let regs = &mut frame.regs;
+        let mut m = self.resets;
+        while m != 0 {
+            regs[m.trailing_zeros() as usize] = 0;
+            m &= m - 1;
         }
-        self.ret.map(|(r, k)| value_of(k, regs[r]))
+        frame.env.weight = weight;
+        if let Some(op) = &self.entry {
+            op(regs, &mut frame.env);
+        }
     }
 }
 
@@ -380,6 +440,7 @@ pub fn compile(
     if u.num_regs > MAX_REGS || u.num_params > u.num_regs || u.instrs.len() > MAX_INSTRS {
         return None;
     }
+    let u = &simplify(u)?;
     let kinds = infer_kinds(u, props, globals)?;
     let plan = Plan::new(u, &kinds)?;
     let lower = Lower {
@@ -398,8 +459,146 @@ pub fn compile(
     Some(CompiledUdf {
         entry: plan.resolve(0).and_then(|pc| built[pc].clone()),
         num_params: u.num_params,
-        num_regs: u.num_regs,
+        resets: plan.resets,
         ret: u.ret_reg.map(|r| (r as usize, kinds[r as usize])),
+    })
+}
+
+/// One edge operator compiled whole, for a walker that checks one filter
+/// per vertex and the other per edge: the apply with the per-edge filter
+/// spliced in front of it, once per direction, and each filter alone.
+pub struct CompiledOp {
+    /// The destination filter, then the apply: a push edge.
+    push: CompiledUdf,
+    /// The source filter, then the apply: a pull edge.
+    pull: CompiledUdf,
+    src: Option<CompiledUdf>,
+    dst: Option<CompiledUdf>,
+}
+
+impl CompiledOp {
+    /// Compiles the operator applying `apply` (two or three parameters:
+    /// `(src, dst[, weight])`) under the given filters, or returns `None`
+    /// when any part is left to the interpreter — a UDF that does not
+    /// compile, a filter with a float verdict, or a filter that writes its
+    /// parameter or enqueues or updates a priority (the interpreter sends
+    /// a filter's effects to a sink that discards them).
+    pub fn new(
+        udfs: &UdfSet,
+        props: &PropertyStorage,
+        globals: &GlobalTable,
+        apply: UdfId,
+        src_filter: Option<UdfId>,
+        dst_filter: Option<UdfId>,
+    ) -> Option<Self> {
+        let a = udfs.get(apply);
+        if !matches!(a.num_params, 2 | 3) {
+            return None;
+        }
+        let build = |u: &UdfProgram| compile(u, &udfs.queue_props, props, globals);
+        let step = |filter: Option<UdfId>, on: Reg| match filter {
+            None => build(a),
+            Some(f) => build(&splice(udfs.get(f), on, a)?),
+        };
+        let alone = |filter: Option<UdfId>| match filter {
+            None => Some(None),
+            Some(f) => build(udfs.get(f))
+                .filter(|c| c.ret.is_none_or(|(_, k)| k != Kind::Float))
+                .map(Some),
+        };
+        Some(CompiledOp {
+            push: step(dst_filter, 1)?,
+            pull: step(src_filter, 0)?,
+            src: alone(src_filter)?,
+            dst: alone(dst_filter)?,
+        })
+    }
+
+    /// Whether the operator has a destination filter.
+    pub fn has_dst_filter(&self) -> bool {
+        self.dst.is_some()
+    }
+
+    /// Whether `v` passes the source filter (no filter passes all).
+    #[inline]
+    pub fn src_passes(&self, frame: &mut Frame<'_, '_>, v: u32) -> bool {
+        self.src.as_ref().is_none_or(|f| f.passes(frame, v))
+    }
+
+    /// Whether `v` passes the destination filter (no filter passes all).
+    #[inline]
+    pub fn dst_passes(&self, frame: &mut Frame<'_, '_>, v: u32) -> bool {
+        self.dst.as_ref().is_none_or(|f| f.passes(frame, v))
+    }
+
+    /// The edge `src → dst` of weight `w` in a push: the apply, if `dst`
+    /// passes the destination filter.
+    #[inline]
+    pub fn push_edge(&self, frame: &mut Frame<'_, '_>, src: u32, dst: u32, w: i64) {
+        frame.regs[..3].copy_from_slice(&[src as u64, dst as u64, w as u64]);
+        self.push.exec(frame, w);
+    }
+
+    /// The edge `src → dst` of weight `w` in a pull: the apply, if `src`
+    /// passes the source filter.
+    #[inline]
+    pub fn pull_edge(&self, frame: &mut Frame<'_, '_>, src: u32, dst: u32, w: i64) {
+        frame.regs[..3].copy_from_slice(&[src as u64, dst as u64, w as u64]);
+        self.pull.exec(frame, w);
+    }
+}
+
+/// One program doing what `filter` on `apply`'s parameter `on`, then (if it
+/// passed) `apply`, do when the interpreter calls them in turn. The
+/// filter's registers follow the apply's, its parameter is `on`, each of
+/// its `Ret`s jumps to the end when the verdict fails and into the apply
+/// when it passes, and its edge weight is the 1 a filter call sees. `None`
+/// for a filter [`CompiledOp::new`] leaves to the interpreter.
+fn splice(filter: &UdfProgram, on: Reg, apply: &UdfProgram) -> Option<UdfProgram> {
+    let effect = |i: &Instr| {
+        matches!(i, Instr::Enqueue { .. } | Instr::UpdatePrio { .. }) || write_of(i) == Some(0)
+    };
+    if filter.num_params != 1 || filter.instrs.iter().any(effect) {
+        return None;
+    }
+    let base = apply.num_regs as Reg - 1;
+    let reg = |r: Reg| if r == 0 { on } else { base + r };
+    // Where each filter instruction lands: a `Ret` takes two.
+    let mut at = Vec::with_capacity(filter.instrs.len() + 1);
+    let mut start = 0;
+    for ins in &filter.instrs {
+        at.push(start);
+        start += if matches!(ins, Instr::Ret) { 2 } else { 1 };
+    }
+    at.push(start);
+    let end = start + apply.instrs.len();
+    let mut instrs = Vec::with_capacity(end);
+    for ins in &filter.instrs {
+        match ins {
+            Instr::Ret => {
+                instrs.push(match filter.ret_reg {
+                    Some(r) => Instr::JumpIfNot {
+                        cond: reg(r),
+                        target: end,
+                    },
+                    None => Instr::Jump { target: start },
+                });
+                instrs.push(Instr::Jump { target: start });
+            }
+            Instr::EdgeWeight { dst } => instrs.push(Instr::Const {
+                dst: reg(*dst),
+                v: Value::Int(1),
+            }),
+            _ => instrs.push(rename(ins, reg, |t| at[t])),
+        }
+    }
+    instrs.extend(apply.instrs.iter().map(|i| rename(i, |r| r, |t| t + start)));
+    Some(UdfProgram {
+        name: format!("{}+{}", filter.name, apply.name),
+        num_regs: apply.num_regs + filter.num_regs - 1,
+        num_params: apply.num_params,
+        ret_reg: None,
+        instrs,
     })
 }
 
@@ -460,6 +659,141 @@ fn successors(pc: usize, ins: &Instr) -> Vec<usize> {
         Instr::Ret => Vec::new(),
         _ => vec![pc + 1],
     }
+}
+
+/// `ins` with every register `r` it names renamed to `reg(r)` and every
+/// jump target `t` moved to `target(t)`.
+fn rename(ins: &Instr, reg: impl Fn(Reg) -> Reg, target: impl Fn(usize) -> usize) -> Instr {
+    let mut ins = ins.clone();
+    match &mut ins {
+        Instr::Const { dst, .. } | Instr::EdgeWeight { dst } | Instr::LoadGlobal { dst, .. } => {
+            *dst = reg(*dst)
+        }
+        Instr::Mov { dst, src: a }
+        | Instr::Un { dst, a, .. }
+        | Instr::Abs { dst, a }
+        | Instr::LoadProp { dst, idx: a, .. }
+        | Instr::OutDegree { dst, v: a }
+        | Instr::InDegree { dst, v: a } => (*dst, *a) = (reg(*dst), reg(*a)),
+        Instr::Bin { dst, a, b, .. } | Instr::Intersect { dst, a, b } => {
+            (*dst, *a, *b) = (reg(*dst), reg(*a), reg(*b))
+        }
+        Instr::StoreProp { idx: a, val: b, .. }
+        | Instr::UpdatePrio {
+            vertex: a, val: b, ..
+        } => (*a, *b) = (reg(*a), reg(*b)),
+        Instr::Cas {
+            dst,
+            idx,
+            expected,
+            new,
+            ..
+        } => (*dst, *idx, *expected, *new) = (reg(*dst), reg(*idx), reg(*expected), reg(*new)),
+        Instr::ReduceProp {
+            idx, val, changed, ..
+        } => {
+            (*idx, *val) = (reg(*idx), reg(*val));
+            *changed = changed.map(&reg);
+        }
+        Instr::StoreGlobal { val, .. } | Instr::Enqueue { vertex: val } => *val = reg(*val),
+        Instr::ReduceGlobal { val, changed, .. } => {
+            *val = reg(*val);
+            *changed = changed.map(&reg);
+        }
+        Instr::Call { dst, args, .. } => {
+            *dst = dst.map(&reg);
+            args.iter_mut().for_each(|a| *a = reg(*a));
+        }
+        Instr::Jump { target: t } => *t = target(*t),
+        Instr::JumpIfNot { cond, target: t } => (*cond, *t) = (reg(*cond), target(*t)),
+        Instr::Ret => {}
+    }
+    ins
+}
+
+/// Pure instructions that cannot panic on any operands: a write of one no
+/// path reads can go.
+fn removable(ins: &Instr) -> bool {
+    match ins {
+        Instr::Const { .. } | Instr::Mov { .. } | Instr::EdgeWeight { .. } => true,
+        Instr::Bin { op, .. } => !matches!(op, BinOp::Div | BinOp::Mod | BinOp::And | BinOp::Or),
+        _ => false,
+    }
+}
+
+/// The equivalent loop-free program the planner starts from: a `Mov` of the
+/// value the instruction right before it computed, read nowhere else (and
+/// not the named return), becomes that instruction writing the `Mov`'s
+/// destination; then every [`removable`] write that no path reads is
+/// dropped. `None` for a program that jumps backwards.
+fn simplify(u: &UdfProgram) -> Option<UdfProgram> {
+    let len = u.instrs.len();
+    let mut instrs = u.instrs.clone();
+    let mut reads = vec![0u32; u.num_regs];
+    let mut is_target = vec![false; len + 1];
+    for (pc, ins) in instrs.iter().enumerate() {
+        for r in reads_of(ins, u.ret_reg) {
+            reads[r as usize] += 1;
+        }
+        if let Instr::Jump { target } | Instr::JumpIfNot { target, .. } = ins {
+            if *target <= pc || *target > len {
+                return None;
+            }
+            is_target[*target] = true;
+        }
+    }
+    let mut keep = vec![true; len];
+    for pc in 1..len {
+        let Instr::Mov { dst, src } = instrs[pc] else {
+            continue;
+        };
+        if keep[pc - 1]
+            && !is_target[pc]
+            && reads[src as usize] == 1
+            && src as usize >= u.num_params
+            && Some(src) != u.ret_reg
+            && write_of(&instrs[pc - 1]) == Some(src)
+        {
+            instrs[pc - 1] = rename(&instrs[pc - 1], |r| if r == src { dst } else { r }, |t| t);
+            keep[pc] = false;
+        }
+    }
+    // Backward liveness (bit `r` = register `r`); every jump is forward,
+    // so one reverse pass is exact. The end returns the named return.
+    let mut live = vec![0u64; len + 1];
+    live[len] = u.ret_reg.map_or(0, |r| 1 << r);
+    for pc in (0..len).rev() {
+        let ins = &instrs[pc];
+        let after = successors(pc, ins).iter().fold(0, |m, &s| m | live[s]);
+        let w = write_of(ins).map_or(0, |r| 1u64 << r);
+        if !keep[pc] || (w != 0 && after & w == 0 && removable(ins)) {
+            keep[pc] = false;
+            live[pc] = live[pc + 1];
+            continue;
+        }
+        live[pc] = reads_of(ins, u.ret_reg)
+            .iter()
+            .fold(after & !w, |m, &r| m | 1 << r);
+    }
+    // Drop what went; a jump to a dropped instruction lands on the next
+    // kept one.
+    let mut at = vec![0; len + 1];
+    let mut n = 0;
+    for pc in 0..len {
+        at[pc] = n;
+        n += usize::from(keep[pc]);
+    }
+    at[len] = n;
+    let instrs = instrs
+        .iter()
+        .zip(&keep)
+        .filter(|(_, &k)| k)
+        .map(|(ins, _)| rename(ins, |r| r, |t| at[t]))
+        .collect();
+    Some(UdfProgram {
+        instrs,
+        ..u.clone()
+    })
 }
 
 /// The kind `ins` gives its destination, or `None` while an operand's kind
@@ -590,8 +924,16 @@ struct Plan<'u> {
     /// Instructions whose compare-and-branch closure also does the
     /// following `JumpIfNot`.
     fused: Vec<bool>,
+    /// `Some(v)`: this `Cas`/`ReduceProp` also does the `JumpIfNot` and the
+    /// `Enqueue { vertex: v }` after it.
+    enqueue_if: Vec<Option<Reg>>,
+    /// `Some((a, b))`: the register is `a + b` (int), added inside the
+    /// `UpdatePrio` right after the `Bin` that computes it.
+    sum: Vec<Option<(Reg, Reg)>>,
     /// Instructions folded into another closure (or dead).
     skip: Vec<bool>,
+    /// Registers whose entry value the compiled body may observe.
+    resets: u64,
 }
 
 impl<'u> Plan<'u> {
@@ -646,7 +988,10 @@ impl<'u> Plan<'u> {
             konst: vec![None; n],
             deferred: vec![None; n],
             fused: vec![false; len],
+            enqueue_if: vec![None; len],
+            sum: vec![None; n],
             skip: vec![false; len],
+            resets: 0,
         };
         for (pc, ins) in instrs.iter().enumerate() {
             match ins {
@@ -692,28 +1037,66 @@ impl<'u> Plan<'u> {
                     plan.fused[pc] = true;
                     plan.skip[pc + 1] = true;
                 }
+                Instr::Cas { dst: c, .. }
+                | Instr::ReduceProp {
+                    changed: Some(c), ..
+                } if reads[*c as usize] == 1
+                    && Some(*c) != u.ret_reg
+                    && !is_target[pc + 1]
+                    && matches!(instrs.get(pc + 1), Some(Instr::JumpIfNot { cond, target }) if cond == c && *target == pc + 3)
+                    && !is_target[pc + 2] =>
+                {
+                    if let Some(Instr::Enqueue { vertex }) = instrs.get(pc + 2) {
+                        plan.enqueue_if[pc] = Some(*vertex);
+                        plan.skip[pc + 1] = true;
+                        plan.skip[pc + 2] = true;
+                    }
+                }
+                Instr::Bin {
+                    op: BinOp::Add,
+                    dst,
+                    a,
+                    b,
+                } if foldable(*dst)
+                    && reads[*dst as usize] == 1
+                    && kinds[*a as usize] != Kind::Float
+                    && kinds[*b as usize] != Kind::Float
+                    && !is_target[pc + 1]
+                    && matches!(instrs.get(pc + 1), Some(Instr::UpdatePrio { val, .. }) if val == dst) =>
+                {
+                    plan.sum[*dst as usize] = Some((*a, *b));
+                    plan.skip[pc] = true;
+                }
                 _ => {}
             }
         }
-        plan.drop_redundant_writes(u.num_params);
+        plan.resets = plan.drop_redundant_writes(u.num_params)
+            | maybe_unwritten
+                .iter()
+                .enumerate()
+                .fold(0, |m, (r, &maybe)| m | u64::from(maybe) << r);
         Some(plan)
     }
 
     /// Marks each `Const`/`Mov` that writes the value its register already
-    /// holds on every path to it — the zeroed frame's 0 included — as
-    /// needing no closure.
-    fn drop_redundant_writes(&mut self, num_params: usize) {
+    /// holds on every path to it — the entry 0 included — as needing no
+    /// closure. Returns the registers (bit `r` = register `r`) such a drop
+    /// left holding the entry value, which the frame must then zero.
+    fn drop_redundant_writes(&mut self, num_params: usize) -> u64 {
         let len = self.instrs.len();
-        // The known bits of each register before each instruction; `None`
-        // for an instruction no path reaches.
-        let mut before: Vec<Option<Vec<Option<u64>>>> = vec![None; len + 1];
-        before[0] = Some(
+        // The known bits of each register before each instruction, and the
+        // registers no closure may have written yet; `None` for an
+        // instruction no path reaches.
+        let mut before: Vec<Option<(Vec<Option<u64>>, u64)>> = vec![None; len + 1];
+        before[0] = Some((
             (0..self.konst.len())
                 .map(|r| (r >= num_params).then_some(0))
                 .collect(),
-        );
+            u64::MAX.checked_shl(num_params as u32).unwrap_or(0),
+        ));
+        let mut resets = 0;
         for (pc, ins) in self.instrs.iter().enumerate() {
-            let Some(mut known) = before[pc].take() else {
+            let Some((mut known, mut entry)) = before[pc].take() else {
                 continue;
             };
             if let Some(d) = write_of(ins) {
@@ -724,22 +1107,31 @@ impl<'u> Plan<'u> {
                 };
                 if value.is_some() && value == known[d as usize] {
                     self.skip[pc] = true;
+                    // A folded constant is never read from the frame.
+                    if self.konst[d as usize].is_none() {
+                        resets |= entry & 1 << d;
+                    }
+                } else {
+                    entry &= !(1 << d);
                 }
                 known[d as usize] = value;
             }
             for s in successors(pc, ins) {
                 if let Some(slot) = before.get_mut(s) {
                     *slot = Some(match slot.take() {
-                        None => known.clone(),
-                        Some(prev) => prev
-                            .iter()
-                            .zip(&known)
-                            .map(|(a, b)| if a == b { *a } else { None })
-                            .collect(),
+                        None => (known.clone(), entry),
+                        Some((prev, prev_entry)) => (
+                            prev.iter()
+                                .zip(&known)
+                                .map(|(a, b)| if a == b { *a } else { None })
+                                .collect(),
+                            prev_entry | entry,
+                        ),
                     });
                 }
             }
         }
+        resets
     }
 
     /// Whether instruction `pc` runs a closure of its own.
@@ -794,6 +1186,15 @@ impl Lower<'_> {
 
     fn raw(&self, r: Reg) -> Opnd {
         self.opnd(r, false)
+    }
+
+    /// The vertex operand of the `Enqueue` the `Cas`/`ReduceProp` at `pc`
+    /// does itself, if it does one.
+    fn enqueue_if(&self, pc: usize) -> Option<Option<Opnd>> {
+        match self.plan.enqueue_if[pc] {
+            Some(v) => Some(Some(self.integral(v)?)),
+            None => Some(None),
+        }
     }
 
     /// `r` where the interpreter calls `as_int`/`as_bool`, which panic on a
@@ -872,13 +1273,30 @@ impl Lower<'_> {
                     self.raw(*new),
                     self.kind(*new),
                 );
-                link(next, move |r, e| {
-                    let (i, x, y) = (
-                        i.get(r, e) as u32,
-                        value_of(kx, x.get(r, e)),
-                        value_of(ky, y.get(r, e)),
-                    );
-                    r[d] = e.props.cas(p, i, x, y) as u64;
+                let tail = self.enqueue_if(pc)?;
+                let after = succ(pc + 3);
+                // The cell type is fixed here, so each arm's CAS encodes
+                // its operands without looking the type up.
+                with_cell_op!(self.props.ty(p), ReduceOp::Sum, TY, _OP => {
+                    let cas = move |r: &[u64], e: &Env<'_, '_>| {
+                        let (i, x, y) = (
+                            i.get(r, e) as u32,
+                            value_of(kx, x.get(r, e)),
+                            value_of(ky, y.get(r, e)),
+                        );
+                        e.props.cas_as(p, i, x, y, TY)
+                    };
+                    match tail {
+                        Some(v) => link(after, move |r, e| {
+                            if cas(r, e) {
+                                let v = v.get(r, e) as u32;
+                                e.out.enqueue(v);
+                            }
+                        }),
+                        None => link(next, move |r, e| {
+                            r[d] = cas(r, e) as u64;
+                        }),
+                    }
                 })
             }
             Instr::ReduceProp {
@@ -889,18 +1307,32 @@ impl Lower<'_> {
                 atomic,
                 changed,
             } => {
-                let (p, op, atomic, changed) = (*prop, *op, *atomic, changed.map(|c| c as usize));
+                let (p, atomic, changed) = (*prop, *atomic, changed.map(|c| c as usize));
                 let (i, v, kv) = (self.integral(*idx)?, self.raw(*val), self.kind(*val));
-                link(next, move |r, e| {
-                    let (i, v) = (i.get(r, e) as u32, value_of(kv, v.get(r, e)));
-                    let props = e.props;
-                    let (ch, _) = if atomic && e.atomic {
-                        props.reduce(p, i, op, v)
-                    } else {
-                        props.reduce_relaxed(p, i, op, v)
+                let tail = self.enqueue_if(pc)?;
+                let after = succ(pc + 3);
+                with_cell_op!(self.props.ty(p), *op, TY, OP => {
+                    let reduce = move |r: &[u64], e: &Env<'_, '_>| {
+                        let (i, v) = (i.get(r, e) as u32, value_of(kv, v.get(r, e)));
+                        if atomic && e.atomic {
+                            e.props.reduce_as(p, i, OP, v, TY).0
+                        } else {
+                            e.props.reduce_relaxed_as(p, i, OP, v, TY).0
+                        }
                     };
-                    if let Some(c) = changed {
-                        r[c] = ch as u64;
+                    match tail {
+                        Some(v) => link(after, move |r, e| {
+                            if reduce(r, e) {
+                                let v = v.get(r, e) as u32;
+                                e.out.enqueue(v);
+                            }
+                        }),
+                        None => link(next, move |r, e| {
+                            let ch = reduce(r, e);
+                            if let Some(c) = changed {
+                                r[c] = ch as u64;
+                            }
+                        }),
                     }
                 })
             }
@@ -947,25 +1379,33 @@ impl Lower<'_> {
             } => {
                 let (q, op, atomic) = (*queue, *op, *atomic);
                 let p = *self.queue_props.get(q)?;
-                let (v, x, kx) = (self.integral(*vertex)?, self.raw(*val), self.kind(*val));
-                link(next, move |r, e| {
-                    let (v, x) = (v.get(r, e) as u32, value_of(kx, x.get(r, e)));
+                let v = self.integral(*vertex)?;
+                let (x, y, kx) = match self.plan.sum[*val as usize] {
+                    Some((a, b)) => (self.raw(a), Some(self.raw(b)), Kind::Int),
+                    None => (self.raw(*val), None, self.kind(*val)),
+                };
+                with_cell_op!(self.props.ty(p), op, TY, OP => link(next, move |r, e| {
+                    let x = match y {
+                        Some(y) => AddI::eval(x.get(r, e), y.get(r, e)),
+                        None => x.get(r, e),
+                    };
+                    let (v, x) = (v.get(r, e) as u32, value_of(kx, x));
                     let props = e.props;
                     let (ch, _) = if atomic && e.atomic {
-                        props.reduce(p, v, op, x)
+                        props.reduce_as(p, v, OP, x, TY)
                     } else {
-                        props.reduce_relaxed(p, v, op, x)
+                        props.reduce_relaxed_as(p, v, OP, x, TY)
                     };
                     if ch {
                         // As the interpreter: a Sum notifies the re-read
                         // cell, every other op the proposed value.
-                        let prio = match op {
-                            ugc_graphir::types::ReduceOp::Sum => props.read(p, v).as_int(),
+                        let prio = match OP {
+                            ReduceOp::Sum => props.read(p, v).as_int(),
                             _ => x.as_int(),
                         };
                         e.out.priority_changed(q, v, prio);
                     }
-                })
+                }))
             }
             Instr::OutDegree { dst, v } => {
                 let (d, v) = (d(dst), self.integral(*v)?);
@@ -1159,16 +1599,138 @@ mod tests {
                 &mut NullOutput,
                 &mut NullMemory,
             );
-            assert_eq!(c.call(&ev, &[v], 1, &mut NullOutput), want, "vertex {v}");
+            let got = c.run(&mut Frame::new(&ev, &mut NullOutput), &[v], 1);
+            assert_eq!(got, want, "vertex {v}");
         }
         assert_eq!(
             (0..4)
-                .map(|v| c.call(&ev, &[v], 1, &mut NullOutput))
+                .map(|v| c.run(&mut Frame::new(&ev, &mut NullOutput), &[v], 1))
                 .collect::<Vec<_>>(),
             [true, false, false, true]
                 .map(|b| Some(Value::Bool(b)))
                 .to_vec()
         );
+    }
+
+    /// The closures `u` runs as, once cleaned and planned.
+    fn live_closures(u: &UdfProgram, props: &PropertyStorage, globals: &GlobalTable) -> usize {
+        let u = simplify(u).unwrap();
+        let plan = Plan::new(&u, &infer_kinds(&u, props, globals).unwrap()).unwrap();
+        (0..u.instrs.len()).filter(|&pc| plan.live(pc)).count()
+    }
+
+    #[test]
+    fn effect_tails_fuse_into_one_closure_per_edge_step() {
+        use ugc_graphir::keys;
+        use ugc_graphir::types::ReduceOp;
+        let edge = |name: &str, weighted: bool| {
+            let mut params = vec![
+                Param::new("src", Type::Vertex),
+                Param::new("dst", Type::Vertex),
+            ];
+            if weighted {
+                params.push(Param::new("weight", Type::Int));
+            }
+            Function::new(name, params, None)
+        };
+        let enqueue_if = |flag: &str| {
+            Stmt::new(StmtKind::If {
+                cond: Expr::var(flag),
+                then_body: vec![Stmt::new(StmtKind::EnqueueVertex {
+                    set: None,
+                    vertex: Expr::var("dst"),
+                })],
+                else_body: vec![],
+            })
+        };
+        let mut p = Program::new();
+        p.add_property("parent", Type::Vertex, Expr::int(-1));
+        p.add_property("dist", Type::Int, Expr::int(0));
+        p.add_queue("pq", "dist", Expr::int(0));
+        // BFS: `toFilter(v) = parent[v] == -1`, then the tracked claim.
+        let mut filter = Function::new(
+            "toFilter",
+            vec![Param::new("v", Type::Vertex)],
+            Some(Param::new("output", Type::Bool)),
+        );
+        filter.body.push(Stmt::new(StmtKind::Assign {
+            target: LValue::Var("output".into()),
+            value: Expr::bin(
+                BinOp::Eq,
+                Expr::prop("parent", Expr::var("v")),
+                Expr::int(-1),
+            ),
+        }));
+        p.add_function(filter);
+        let mut claim = edge("claim", false);
+        let mut cas = Expr::cas("parent", Expr::var("dst"), Expr::int(-1), Expr::var("src"));
+        cas.meta.set(keys::IS_ATOMIC, true);
+        claim.body.push(Stmt::new(StmtKind::VarDecl {
+            name: "won".into(),
+            ty: Type::Bool,
+            init: Some(cas),
+        }));
+        claim.body.push(enqueue_if("won"));
+        p.add_function(claim);
+        // SSSP: `pq.updatePriorityMin(dst, dist[src] + weight)`.
+        let mut relax = edge("relax", true);
+        let mut upd = Stmt::new(StmtKind::UpdatePriority {
+            queue: "pq".into(),
+            vertex: Expr::var("dst"),
+            op: ReduceOp::Min,
+            value: Expr::bin(
+                BinOp::Add,
+                Expr::prop("dist", Expr::var("src")),
+                Expr::var("weight"),
+            ),
+        });
+        upd.meta.set(keys::IS_ATOMIC, true);
+        relax.body.push(upd);
+        p.add_function(relax);
+        // CC: `dist[dst] min= dist[src]`, enqueueing `dst` if it changed.
+        let mut label = edge("label", false);
+        label.body.push(Stmt::new(StmtKind::Reduce {
+            target: LValue::prop("dist", Expr::var("dst")),
+            op: ReduceOp::Min,
+            value: Expr::prop("dist", Expr::var("src")),
+            tracking: Some("changed".into()),
+        }));
+        label.body.push(enqueue_if("changed"));
+        p.add_function(label);
+        // BC-style `unreached(v) = dist[v] == 0`: a zero literal.
+        let mut unreached = Function::new(
+            "unreached",
+            vec![Param::new("v", Type::Vertex)],
+            Some(Param::new("output", Type::Bool)),
+        );
+        unreached.body.push(Stmt::new(StmtKind::Assign {
+            target: LValue::Var("output".into()),
+            value: Expr::bin(BinOp::Eq, Expr::prop("dist", Expr::var("v")), Expr::int(0)),
+        }));
+        p.add_function(unreached);
+
+        let (udfs, props, globals) = state(&p, 4);
+        let get = |n: &str| udfs.get(udfs.id_of(n).unwrap());
+        // The filter's compare-and-branch passes straight into a CAS that
+        // enqueues; the relaxation adds and reduces in one closure; the
+        // tracked reduction enqueues inside its own.
+        let push = splice(get("toFilter"), 1, get("claim")).unwrap();
+        assert_eq!(
+            live_closures(&push, &props, &globals),
+            2,
+            "{:?}",
+            push.instrs
+        );
+        for one in ["relax", "label"] {
+            assert_eq!(live_closures(get(one), &props, &globals), 1, "{one}");
+        }
+        // No register is read before it is written: a call resets none,
+        // not even for a verdict against the literal 0 the frame starts at.
+        let unreached = splice(get("unreached"), 1, get("label")).unwrap();
+        for step in [&push, &unreached] {
+            let c = compile(step, &udfs.queue_props, &props, &globals).unwrap();
+            assert_eq!(c.resets, 0, "{:?}", step.instrs);
+        }
     }
 
     #[test]
@@ -1229,9 +1791,11 @@ mod tests {
         let ev = Evaluator::new(&udfs, &props, &globals, &graph);
         let c = compile(&udfs.udfs[0], &udfs.queue_props, &props, &globals).expect("compiles");
         let mut out = BufferedOutput::default();
+        let mut frame = Frame::new(&ev, &mut out);
         for (s, d) in [(3, 0), (3, 0), (2, 1)] {
-            c.call(&ev, &[s, d], 1, &mut out);
+            c.run(&mut frame, &[s, d], 1);
         }
+        drop(frame);
         assert_eq!(out.enqueued, vec![0, 1]);
         assert_eq!(props.snapshot(ids), [0, 1, 1, 0].map(Value::Int).to_vec());
     }

@@ -31,6 +31,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics when the value is a float (programs never implicitly narrow).
+    #[inline]
     pub fn as_int(self) -> i64 {
         match self {
             Value::Int(v) => v,
@@ -40,6 +41,7 @@ impl Value {
     }
 
     /// Interprets as float (ints widen).
+    #[inline]
     pub fn as_float(self) -> f64 {
         match self {
             Value::Float(v) => v,
@@ -53,6 +55,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics when the value is not a boolean or integer.
+    #[inline]
     pub fn as_bool(self) -> bool {
         match self {
             Value::Bool(b) => b,
@@ -62,6 +65,7 @@ impl Value {
     }
 
     /// Bit-encodes into a `u64` cell for atomic storage.
+    #[inline]
     pub fn to_bits(self, ty: Type) -> u64 {
         match ty {
             Type::Float => self.as_float().to_bits(),
@@ -71,6 +75,7 @@ impl Value {
     }
 
     /// Decodes from a `u64` cell.
+    #[inline]
     pub fn from_bits(bits: u64, ty: Type) -> Value {
         match ty {
             Type::Float => Value::Float(f64::from_bits(bits)),
@@ -85,6 +90,7 @@ impl Value {
     ///
     /// Panics on division/modulo by zero for integers (as C++ would trap),
     /// and on boolean operands to arithmetic operators.
+    #[inline]
     pub fn bin(op: BinOp, a: Value, b: Value) -> Value {
         use BinOp::*;
         let both_int = matches!(a, Value::Int(_) | Value::Bool(_))

@@ -225,12 +225,11 @@ impl ScheduleRef {
 }
 
 /// The hardware-independent *schedule point* of one edge traversal: the
-/// subset of a schedule that selects a specialized kernel.
+/// subset of a schedule that selects its compiled traversal.
 ///
-/// Backends that compile monomorphized traversal kernels (rather than
-/// interpreting GraphIR per edge) key their kernel tables on this value
-/// plus operator-level facts only they can see (UDF shape, property
-/// widths, weightedness). Deriving the point here — next to the schedule
+/// Backends that compile edge operators (rather than interpreting GraphIR
+/// per edge) key their kernel tables on this value plus operator-level
+/// facts only they can see (UDF ids, weightedness). Deriving the point here — next to the schedule
 /// types themselves — keeps the key space in one place: a new knob on
 /// [`SimpleSchedule`] that affects traversal must be added to this struct
 /// before any backend can specialize on it.

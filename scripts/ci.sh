@@ -54,22 +54,16 @@ grep -q '"counter":"sim_gpu.cycles.total"' target/ci-profile-smoke.json || {
   exit 1
 }
 
-echo "== kernel dispatch smoke (kernels and compiled UDFs engage; fallback env honored)"
-# A default CPU profile run must dispatch through the compiled kernel
-# library (nonzero cpu.kernel.specialized in the snapshot), run whatever no
-# kernel matches as compiled UDF bodies (nonzero cpu.kernel.compiled) and
-# leave nothing to the interpreter (no nonzero cpu.kernel.fallback); the
-# same run under UGC_CPU_KERNELS=0 must go entirely through the
-# interpreter — the specialized and compiled counters never move, the
-# fallback counter does.
+echo "== kernel dispatch smoke (operators compile; fallback env honored)"
+# A default CPU profile run must run its operators compiled (nonzero
+# cpu.kernel.compiled in the snapshot) and leave nothing to the interpreter
+# (no nonzero cpu.kernel.fallback); the same run under UGC_CPU_KERNELS=0
+# must go entirely through the interpreter — the compiled counter never
+# moves, the fallback counter does.
 rm -f target/ci-kernels-on.json target/ci-kernels-off.json
 UGC_BENCH_OUT=target/ci-kernels-on.json \
   cargo run --release --offline -q -p ugc-bench --bin repro -- --scale tiny --profile cpu \
   > /dev/null
-grep -Eq '"counter":"cpu.kernel.specialized","value":[1-9]' target/ci-kernels-on.json || {
-  echo "kernel smoke: cpu.kernel.specialized is zero/absent on a default run" >&2
-  exit 1
-}
 grep -Eq '"counter":"cpu.kernel.compiled","value":[1-9]' target/ci-kernels-on.json || {
   echo "kernel smoke: cpu.kernel.compiled is zero/absent on a default run" >&2
   exit 1
@@ -81,8 +75,8 @@ fi
 UGC_CPU_KERNELS=0 UGC_BENCH_OUT=target/ci-kernels-off.json \
   cargo run --release --offline -q -p ugc-bench --bin repro -- --scale tiny --profile cpu \
   > /dev/null
-if grep -Eq '"counter":"cpu.kernel.(specialized|compiled)","value":[1-9]' target/ci-kernels-off.json; then
-  echo "kernel smoke: UGC_CPU_KERNELS=0 still dispatched kernels or compiled UDFs" >&2
+if grep -Eq '"counter":"cpu.kernel.compiled","value":[1-9]' target/ci-kernels-off.json; then
+  echo "kernel smoke: UGC_CPU_KERNELS=0 still compiled operators" >&2
   exit 1
 fi
 grep -Eq '"counter":"cpu.kernel.fallback","value":[1-9]' target/ci-kernels-off.json || {

@@ -1,43 +1,37 @@
-//! Compiled dispatch: the CPU executor's monomorphized edge kernels and
-//! compiled UDF bodies versus the interpreter they replace.
+//! Compiled dispatch: the CPU executor's compiled edge operators and UDF
+//! bodies versus the interpreter they replace.
 //!
 //! Three guarantees:
 //!
 //! 1. **Total dispatch** — every reachable point of the CPU schedule
-//!    space, applied to every algorithm, yields edge traversals that
-//!    either resolve to a *named* monomorphized kernel or run compiled UDF
-//!    bodies. Recognition is a closed decision, never a crash, and every
-//!    resolved name comes from the known kernel library.
+//!    space, applied to every algorithm, selects the compiled operator for
+//!    every edge traversal, never the interpreter.
 //! 2. **No built-in UDF is interpreted** — every algorithm under its
-//!    hand-tuned CPU schedule runs every operator on a kernel or a
-//!    compiled body; with kernels off, every operator is interpreted.
-//! 3. **Differential equality** — with a single thread every tier visits
+//!    hand-tuned CPU schedule runs every operator compiled; with kernels
+//!    off, every operator is interpreted.
+//! 3. **Differential equality** — with a single thread both tiers visit
 //!    edges in the same order, so every result property must be
 //!    *bit-identical* between a `with_kernels` run and an
 //!    interpreter-forced run, across the whole graph menagerie.
 //!    Multi-threaded runs agree on the race-free derived results (BFS
-//!    trees, SSSP distances, triangle counts, coreness).
+//!    trees, SSSP distances, components, triangle counts, coreness).
+//!    Hand-built operators pin the interpreter's float-equality, widening
+//!    and priority-notification corners through every walk and filter side.
 
 use ugc::Target;
 use ugc_algorithms::Algorithm;
-use ugc_backend_cpu::{kernels, CpuGraphVm, CpuSchedule, CpuScheduleSpace};
-use ugc_graphir::ir::{Program, Stmt, StmtKind};
+use ugc_backend_cpu::kernels::{self, Io, Tier, Walk};
+use ugc_backend_cpu::{CpuGraphVm, CpuSchedule, CpuScheduleSpace};
+use ugc_graphir::ir::{Expr, Function, LValue, Param, Program, Stmt, StmtKind};
+use ugc_graphir::keys;
+use ugc_graphir::types::{BinOp, ReduceOp, Type};
 use ugc_integration::{compile, externs_for, test_graphs, validate};
 use ugc_runtime::bytecode::{binding_of, compile_udfs, UdfId, UdfSet};
+use ugc_runtime::eval::{BufferedOutput, Evaluator};
+use ugc_runtime::properties::{GlobalTable, PropertyStorage};
+use ugc_runtime::value::Value;
 use ugc_schedule::space::{PointIter, ScheduleSpace, SpaceParams};
 use ugc_schedule::{Parallelization, SchedDirection, ScheduleRef};
-
-/// Every kernel the library can assemble. A recognized name outside this
-/// set means the executor dispatch table and this test have diverged.
-const KNOWN_KERNELS: &[&str] = &[
-    "cas_claim",
-    "reduce_sum",
-    "reduce_min",
-    "reduce_max",
-    "reduce_or",
-    "relax_min",
-    "relax_sum",
-];
 
 /// Collects every edge traversal in a statement tree.
 fn edge_iterators(stmts: &[Stmt], out: &mut Vec<ugc_graphir::ir::EdgeSetIteratorData>) {
@@ -89,28 +83,18 @@ fn per_traversal<T>(
         .collect()
 }
 
-/// `(kernel name | None)` for each edge traversal of a compiled program,
-/// resolved exactly the way the executor's dispatch table does.
-fn resolutions(prog: &Program, udfs: &UdfSet) -> Vec<Option<&'static str>> {
-    per_traversal(prog, udfs, |apply, sf, df| {
-        kernels::recognize_name(prog, udfs, apply, sf, df)
-    })
-}
-
-/// The traversal the executor runs for each edge operator: a kernel name,
-/// `compiled udf` or `interpreter fallback`.
+/// The traversal the executor runs for each edge operator: `compiled
+/// operator` or `interpreter fallback`.
 fn selections(prog: &Program, udfs: &UdfSet) -> Vec<&'static str> {
     per_traversal(prog, udfs, |apply, sf, df| {
         kernels::select_name(prog, udfs, apply, sf, df)
     })
 }
 
-/// Guarantee 1: the whole reachable schedule space dispatches cleanly, and
-/// whatever no kernel matches runs compiled, never interpreted.
+/// Guarantee 1: the whole reachable schedule space compiles every edge
+/// operator.
 #[test]
 fn every_schedule_point_resolves_or_deliberately_falls_back() {
-    let mut specialized = 0usize;
-    let mut compiled = 0usize;
     for algo in Algorithm::ALL {
         let params = SpaceParams {
             ordered: matches!(algo, Algorithm::Sssp),
@@ -125,58 +109,21 @@ fn every_schedule_point_resolves_or_deliberately_falls_back() {
             let prog = compile(algo, Some(sched));
             let udfs = compile_udfs(&prog, &binding_of(&prog))
                 .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
-            let res = resolutions(&prog, &udfs);
+            let selected = selections(&prog, &udfs);
             assert!(
-                !res.is_empty(),
+                !selected.is_empty(),
                 "{} at point {pt:?}: no edge traversal found",
                 algo.name()
             );
-            for (r, selected) in res.into_iter().zip(selections(&prog, &udfs)) {
-                match r {
-                    Some(name) => {
-                        assert!(
-                            KNOWN_KERNELS.contains(&name),
-                            "{} at point {pt:?}: unknown kernel `{name}`",
-                            algo.name()
-                        );
-                        assert_eq!(selected, name);
-                        specialized += 1;
-                    }
-                    None => {
-                        assert_eq!(
-                            selected,
-                            "compiled udf",
-                            "{} at point {pt:?}: traversal left to the interpreter",
-                            algo.name()
-                        );
-                        compiled += 1;
-                    }
-                }
+            for name in selected {
+                assert_eq!(
+                    name,
+                    "compiled operator",
+                    "{} at point {pt:?}: traversal left to the interpreter",
+                    algo.name()
+                );
             }
         }
-    }
-    // The library must actually engage somewhere — a space with no kernel
-    // would lose the monomorphized bodies the compiled tier cannot match.
-    assert!(
-        specialized > 0,
-        "no schedule point resolved to a monomorphized kernel ({compiled} compiled)"
-    );
-}
-
-/// The core frontier algorithms must hit compiled kernels under their
-/// default schedules — these are exactly the hot loops of the fig8 CPU
-/// cells this PR speeds up.
-#[test]
-fn default_schedules_of_frontier_algorithms_specialize() {
-    for algo in [Algorithm::Bfs, Algorithm::Cc, Algorithm::Sssp] {
-        let prog = compile(algo, None);
-        let udfs = compile_udfs(&prog, &binding_of(&prog)).expect("udfs compile");
-        let res = resolutions(&prog, &udfs);
-        assert!(
-            res.iter().any(Option::is_some),
-            "{}: default schedule never reaches a compiled kernel: {res:?}",
-            algo.name()
-        );
     }
 }
 
@@ -219,8 +166,17 @@ fn result_bits(run: &ugc_backend_cpu::Execution<'_>, algo: Algorithm) -> Vec<u64
     }
 }
 
-/// The schedules the differential sweep runs per algorithm. Pull and
-/// cache blocking only where the correctness suite exercises them.
+/// A pull and a cache-blocked schedule: the walks other than the default
+/// push.
+fn pull_and_blocked() -> [ScheduleRef; 2] {
+    [
+        ScheduleRef::simple(CpuSchedule::new().with_direction(SchedDirection::Pull)),
+        ScheduleRef::simple(CpuSchedule::new().with_cache_blocking(true)),
+    ]
+}
+
+/// The schedules the differential sweep runs per algorithm: pull and
+/// cache blocking for the five frontier and all-edges algorithms.
 fn differential_scheds(algo: Algorithm) -> Vec<Option<ScheduleRef>> {
     let mut scheds: Vec<Option<ScheduleRef>> = vec![
         None,
@@ -233,64 +189,37 @@ fn differential_scheds(algo: Algorithm) -> Vec<Option<ScheduleRef>> {
             CpuSchedule::new().with_deduplication(true),
         )),
     ];
-    if matches!(algo, Algorithm::Bfs | Algorithm::PageRank) {
-        scheds.push(Some(ScheduleRef::simple(
-            CpuSchedule::new().with_direction(SchedDirection::Pull),
-        )));
-        scheds.push(Some(ScheduleRef::simple(
-            CpuSchedule::new().with_cache_blocking(true),
-        )));
+    if matches!(
+        algo,
+        Algorithm::Bfs | Algorithm::Sssp | Algorithm::Cc | Algorithm::PageRank | Algorithm::Bc
+    ) {
+        scheds.extend(pull_and_blocked().map(Some));
     }
     scheds
 }
 
-/// The recognizer's decision on each new scenario algorithm is deliberate,
-/// not accidental:
-///
-/// - **LP** (`next_label[dst] min= labels[src]`) is exactly the CC
-///   reduction shape and must specialize to `reduce_min`. (Bit-identity
-///   with the interpreter is covered by the `Algorithm::ALL` sweep above.)
-/// - **TC** (`tri[dst] += intersect_count(src, dst)`) matches no kernel:
-///   the library only specializes reductions whose value is a plain
-///   property load of `src`. Its edge UDF runs as a compiled body.
-/// - **k-core** (`deg[dst] += -1`) matches none for the same reason — a
-///   literal-valued reduction — and runs compiled too, as do its vertex
-///   filter and applies. Neither leaves anything to the interpreter.
+/// The scenario algorithms compile like the rest: LP's propagate is the CC
+/// reduction, TC's edge UDF counts an intersection, and k-core's is a
+/// literal-valued reduction (its vertex filter and applies compile too).
+/// None leaves anything to the interpreter.
 #[test]
 fn new_algorithms_dispatch_deliberately() {
-    let resolutions_of = |algo: Algorithm| {
+    for algo in [Algorithm::Lp, Algorithm::Tc, Algorithm::KCore] {
         let prog = compile(algo, None);
         let udfs = compile_udfs(&prog, &binding_of(&prog)).expect("udfs compile");
-        resolutions(&prog, &udfs)
-    };
-    assert_eq!(
-        resolutions_of(Algorithm::Lp),
-        vec![Some("reduce_min")],
-        "LP's propagate is the CC shape and must specialize"
-    );
-    assert_eq!(
-        resolutions_of(Algorithm::Tc),
-        vec![None],
-        "TC must match no kernel — no intersection kernel exists"
-    );
-    assert_eq!(
-        resolutions_of(Algorithm::KCore),
-        vec![None],
-        "k-core must match no kernel — no literal-valued reduction kernel"
-    );
+        assert_eq!(
+            selections(&prog, &udfs),
+            vec!["compiled operator"],
+            "{}",
+            algo.name()
+        );
+    }
     // Both run compiled, and say so: in the run's own dispatch count and
     // in the registry (when telemetry is collected at all).
     let col = ugc_telemetry::Collector::start();
     let graph = ugc_graph::generators::clique_batch(2, 4);
     for algo in [Algorithm::Tc, Algorithm::KCore] {
         let prog = compile(algo, None);
-        let udfs = compile_udfs(&prog, &binding_of(&prog)).expect("udfs compile");
-        assert_eq!(
-            selections(&prog, &udfs),
-            vec!["compiled udf"],
-            "{}",
-            algo.name()
-        );
         let run = CpuGraphVm::with_threads(1)
             .with_kernels(true)
             .execute(prog, &graph, &externs_for(algo, 0))
@@ -313,8 +242,8 @@ fn new_algorithms_dispatch_deliberately() {
 
 /// Guarantee 2: under its hand-tuned CPU schedule on a power-law and a
 /// road graph, every algorithm runs every operator (edge, vertex apply,
-/// vertex filter) on a kernel or a compiled body — no built-in UDF is left
-/// interpreted — and with kernels off, on the interpreter alone.
+/// vertex filter) compiled — no built-in UDF is left interpreted — and with
+/// kernels off, on the interpreter alone.
 #[test]
 fn no_builtin_udf_is_interpreted_under_tuned_schedules() {
     let graphs = [
@@ -340,13 +269,13 @@ fn no_builtin_udf_is_interpreted_under_tuned_schedules() {
             };
             let on = dispatch(true);
             assert!(
-                on.fallback == 0 && on.specialized + on.compiled > 0,
+                on.fallback == 0 && on.compiled > 0,
                 "{} on {gname}: an operator was interpreted: {on:?}",
                 algo.name()
             );
             let off = dispatch(false);
             assert!(
-                off.compiled == 0 && off.specialized == 0 && off.fallback > 0,
+                off.compiled == 0 && off.fallback > 0,
                 "{} on {gname}: kernels off still compiled: {off:?}",
                 algo.name()
             );
@@ -385,11 +314,47 @@ fn kernels_are_bit_identical_to_interpreter_single_threaded() {
     }
 }
 
-/// Guarantee 3 (parallel): under real threads the kernel and compiled paths
-/// agree with the interpreter on the race-free derived answers.
+/// Guarantee 3 (parallel): under real threads the compiled operators agree
+/// with the interpreter on the race-free derived answers.
 #[test]
 fn kernels_match_interpreter_under_threads() {
     let graph = ugc_graph::generators::rmat(9, 6, 13, true);
+    // Pull and cache-blocked walks at one and eight workers: one worker is
+    // bit-identical; eight are valid, and exact where the answer is a
+    // fixpoint (SSSP distances, CC labels).
+    for algo in [
+        Algorithm::Bfs,
+        Algorithm::Sssp,
+        Algorithm::Cc,
+        Algorithm::PageRank,
+        Algorithm::Bc,
+    ] {
+        for sched in pull_and_blocked() {
+            for threads in [1, 8] {
+                let run = |kernels_on: bool| {
+                    CpuGraphVm::with_threads(threads)
+                        .with_kernels(kernels_on)
+                        .execute(
+                            compile(algo, Some(sched.clone())),
+                            &graph,
+                            &externs_for(algo, 0),
+                        )
+                        .unwrap_or_else(|e| panic!("{} {threads}t: {e}", algo.name()))
+                };
+                let (on, off) = (run(true), run(false));
+                let case = format!("{} {sched:?} {threads}t", algo.name());
+                assert!(on.dispatch.fallback == 0, "{case}: {:?}", on.dispatch);
+                for r in [&on, &off] {
+                    validate(algo, &graph, 0, &|p| r.property_ints(p), &|p| {
+                        r.property_floats(p)
+                    });
+                }
+                if threads == 1 || matches!(algo, Algorithm::Sssp | Algorithm::Cc) {
+                    assert_eq!(result_bits(&on, algo), result_bits(&off, algo), "{case}");
+                }
+            }
+        }
+    }
     let sched = ScheduleRef::simple(CpuSchedule::new().with_serial_threshold(0));
     for kernels_on in [true, false] {
         let bfs = CpuGraphVm::with_threads(8)
@@ -470,7 +435,7 @@ fn kernels_match_interpreter_under_threads() {
 }
 
 // ---------------------------------------------------------------------------
-// Widened recognizer coverage: UpdatePrio Sum and float-equality filters.
+// Priority sums and float-equality filters.
 // ---------------------------------------------------------------------------
 
 /// Compiles DSL source through the full hardware-independent pipeline,
@@ -482,8 +447,7 @@ fn compile_source(src: &str) -> Program {
 }
 
 /// Delta-accumulation over a priority queue: `updatePrioritySum` of a bare
-/// property load — the re-read-after-reduce shape the recognizer now
-/// specializes as `relax_sum`.
+/// property load, whose notification re-reads the reduced cell.
 const DELTA_SUM_SRC: &str = r#"
 element Vertex end
 element Edge end
@@ -530,8 +494,8 @@ func main()
 end
 "#;
 
-/// A float-equality vertex filter over exact cell values: specializes under
-/// the recognizer's IEEE `==` comparison (DESIGN.md NaN policy).
+/// A float-equality vertex filter over exact cell values, compared by IEEE
+/// `==` (DESIGN.md NaN policy).
 const FLOAT_FILTER_SRC: &str = r#"
 element Vertex end
 element Edge end
@@ -561,23 +525,18 @@ func main()
 end
 "#;
 
-/// Both `updatePrioritySum` shapes (bare load, load + weight) must resolve
-/// to the `relax_sum` kernel rather than falling back.
+/// Both `updatePrioritySum` shapes (bare load, load + weight) compile
+/// rather than falling back.
 #[test]
-fn update_priority_sum_specializes_to_relax_sum() {
+fn update_priority_sum_compiles_whole() {
     for src in [DELTA_SUM_SRC, DELTA_SUM_WEIGHTED_SRC] {
         let prog = compile_source(src);
         let udfs = compile_udfs(&prog, &binding_of(&prog)).expect("udfs compile");
-        let res = resolutions(&prog, &udfs);
-        assert_eq!(
-            res,
-            vec![Some("relax_sum")],
-            "updatePrioritySum must specialize"
-        );
+        assert_eq!(selections(&prog, &udfs), vec!["compiled operator"]);
     }
 }
 
-/// The `relax_sum` kernel must reproduce the interpreter's notification
+/// The compiled operator must reproduce the interpreter's notification
 /// semantics exactly — Sum updates re-read the accumulated cell — so a
 /// full delta-accumulation run is bit-identical across dispatch modes.
 /// Forward-only edges keep the accumulation finite: the start's seed
@@ -618,7 +577,7 @@ fn relax_sum_matches_interpreter_on_dag() {
     let interp_heat = heat_of(false);
     assert_eq!(
         kernel_heat, interp_heat,
-        "relax_sum diverges from the interpreter"
+        "priority sum diverges from the interpreter"
     );
     // Heat actually flowed down the DAG: the sink accumulated something.
     assert!(
@@ -627,18 +586,14 @@ fn relax_sum_matches_interpreter_on_dag() {
     );
 }
 
-/// A float-equality filter engages the compiled kernel (no fallback) and
+/// A float-equality filter compiles into the operator (no fallback) and
 /// the filtered traversal stays bit-identical to the interpreter across
 /// the graph menagerie.
 #[test]
 fn float_filter_specializes_and_matches_interpreter() {
     let prog = compile_source(FLOAT_FILTER_SRC);
     let udfs = compile_udfs(&prog, &binding_of(&prog)).expect("udfs compile");
-    assert_eq!(
-        resolutions(&prog, &udfs),
-        vec![Some("reduce_sum")],
-        "float-equality filter must not force a fallback"
-    );
+    assert_eq!(selections(&prog, &udfs), vec!["compiled operator"]);
     let externs = std::collections::HashMap::new();
     for (gname, graph) in test_graphs() {
         let bits_of = |kernels_on: bool| {
@@ -658,5 +613,262 @@ fn float_filter_specializes_and_matches_interpreter() {
             bits_of(false),
             "{gname}: filtered kernel diverges from interpreter"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The interpreter's corners, operator by operator.
+// ---------------------------------------------------------------------------
+
+/// A `(src, dst)` edge UDF (`(src, dst, weight)` when `weighted`).
+fn edge_fn(name: &str, weighted: bool, body: Vec<Stmt>) -> Function {
+    let mut params = vec![
+        Param::new("src", Type::Vertex),
+        Param::new("dst", Type::Vertex),
+    ];
+    if weighted {
+        params.push(Param::new("weight", Type::Int));
+    }
+    let mut f = Function::new(name, params, None);
+    f.body = body;
+    f
+}
+
+fn atomic(mut s: Stmt) -> Stmt {
+    s.meta.set(keys::IS_ATOMIC, true);
+    s
+}
+
+/// Float cells `f`, int cells `i`, a priority queue over `prio`, the filter
+/// `keep(v) = (<cell>[v] == literal)`, and one edge UDF per effect tail:
+/// a float sum, a min tracked into an enqueue, a CAS claim guarding an
+/// enqueue, a priority sum (whose notification re-reads the cell), a
+/// priority min of `i[src] + weight`, and a plain store.
+fn corner_program(cell: &str, literal: Expr) -> Program {
+    let mut p = Program::new();
+    p.add_property("f", Type::Float, Expr::float(0.0));
+    p.add_property("i", Type::Int, Expr::int(0));
+    p.add_property("prio", Type::Int, Expr::int(0));
+    p.add_queue("pq", "prio", Expr::int(0));
+    let enqueue_if = |flag: &str| {
+        Stmt::new(StmtKind::If {
+            cond: Expr::var(flag),
+            then_body: vec![Stmt::new(StmtKind::EnqueueVertex {
+                set: None,
+                vertex: Expr::var("dst"),
+            })],
+            else_body: vec![],
+        })
+    };
+    let reduce = |prop: &str, op, tracking: Option<&str>| {
+        atomic(Stmt::new(StmtKind::Reduce {
+            target: LValue::prop(prop, Expr::var("dst")),
+            op,
+            value: Expr::prop(prop, Expr::var("src")),
+            tracking: tracking.map(Into::into),
+        }))
+    };
+    let prio = |op, value| {
+        atomic(Stmt::new(StmtKind::UpdatePriority {
+            queue: "pq".into(),
+            vertex: Expr::var("dst"),
+            op,
+            value,
+        }))
+    };
+    let mut cas = Expr::cas("i", Expr::var("dst"), Expr::int(-1), Expr::var("src"));
+    cas.meta.set(keys::IS_ATOMIC, true);
+    for f in [
+        edge_fn("sumF", false, vec![reduce("f", ReduceOp::Sum, None)]),
+        edge_fn(
+            "minI",
+            false,
+            vec![
+                reduce("i", ReduceOp::Min, Some("changed")),
+                enqueue_if("changed"),
+            ],
+        ),
+        edge_fn(
+            "claim",
+            false,
+            vec![
+                Stmt::new(StmtKind::VarDecl {
+                    name: "won".into(),
+                    ty: Type::Bool,
+                    init: Some(cas),
+                }),
+                enqueue_if("won"),
+            ],
+        ),
+        edge_fn(
+            "prioSum",
+            false,
+            vec![prio(ReduceOp::Sum, Expr::prop("i", Expr::var("src")))],
+        ),
+        edge_fn(
+            "relax",
+            true,
+            vec![prio(
+                ReduceOp::Min,
+                Expr::bin(
+                    BinOp::Add,
+                    Expr::prop("i", Expr::var("src")),
+                    Expr::var("weight"),
+                ),
+            )],
+        ),
+        edge_fn(
+            "store",
+            false,
+            vec![Stmt::new(StmtKind::Assign {
+                target: LValue::prop("i", Expr::var("dst")),
+                value: Expr::var("src"),
+            })],
+        ),
+    ] {
+        p.add_function(f);
+    }
+    let mut keep = Function::new(
+        "keep",
+        vec![Param::new("v", Type::Vertex)],
+        Some(Param::new("output", Type::Bool)),
+    );
+    keep.body.push(Stmt::new(StmtKind::Assign {
+        target: LValue::Var("output".into()),
+        value: Expr::bin(BinOp::Eq, Expr::prop(cell, Expr::var("v")), literal),
+    }));
+    p.add_function(keep);
+    p
+}
+
+/// Every cell of every property, then everything the operator emitted.
+type Outcome = (Vec<Vec<u64>>, Vec<u32>, Vec<(usize, u32, i64)>);
+
+/// The interpreter's corners of float equality and mixed-type widening —
+/// `-0.0` and `0.0` both admitted by `== 0.0`, `NaN` never matching (as a
+/// literal or a cell), an int literal widened against a float cell, an
+/// int cell widened against a float literal — each as the filter of every
+/// effect tail, on the source and on the destination side, through push,
+/// pull and cache-blocked push: the compiled operator leaves the cells,
+/// enqueues and priority notifications the interpreter does.
+#[test]
+fn compiled_operators_match_the_interpreter_on_filter_corners() {
+    let filters = [
+        ("f", Expr::float(0.0)),
+        ("f", Expr::float(f64::NAN)),
+        ("f", Expr::int(0)),
+        ("i", Expr::float(1.0)),
+        ("i", Expr::float(f64::NAN)),
+        ("i", Expr::int(-1)),
+    ];
+    let f_cells = [0.0, -0.0, f64::NAN, 1.0, 2.5, -0.0, 0.0, 3.0];
+    let i_cells = [1, 0, -1, 7, 1, -1, 2, -1];
+    let prio_cells = [3, 0, 5, 1, 0, 2, 7, 4];
+    let mut b = ugc_graph::GraphBuilder::new(8);
+    for (s, d, w) in [
+        (0, 1, 2),
+        (0, 2, 1),
+        (0, 5, 3),
+        (1, 2, 4),
+        (1, 6, 1),
+        (2, 3, 2),
+        (2, 5, 5),
+        (3, 0, 1),
+        (4, 1, 2),
+        (4, 6, 3),
+        (5, 6, 1),
+        (5, 7, 2),
+        (6, 2, 6),
+        (7, 0, 1),
+        (7, 4, 2),
+    ] {
+        b.add_weighted_edge(s, d, w);
+    }
+    let graph = b.into_graph();
+    let members: Vec<u32> = (0..8).collect();
+    let members = &members[..];
+    // `(pulls, the walk's calls)`: a cache-blocked push is one call per
+    // destination block.
+    let walks = [
+        (
+            false,
+            vec![Walk::Push {
+                members,
+                range: 0..8,
+            }],
+        ),
+        (
+            true,
+            vec![Walk::Pull {
+                membership: None,
+                range: 0..8,
+            }],
+        ),
+        (
+            false,
+            [(0, 3), (3, 8)]
+                .map(|(lo, hi)| Walk::Block {
+                    members,
+                    range: 0..8,
+                    lo,
+                    hi,
+                })
+                .to_vec(),
+        ),
+    ];
+    let globals = GlobalTable::new();
+    for (cell, literal) in filters {
+        let prog = corner_program(cell, literal.clone());
+        let udfs = compile_udfs(&prog, &binding_of(&prog)).expect("udfs compile");
+        let id = |n: &str| udfs.id_of(n).unwrap();
+        for apply in ["sumF", "minI", "claim", "prioSum", "relax", "store"] {
+            for on_src in [true, false] {
+                let (sf, df) = if on_src {
+                    (Some(id("keep")), None)
+                } else {
+                    (None, Some(id("keep")))
+                };
+                for (pull, walk) in &walks {
+                    let run = |compiled: bool| -> Outcome {
+                        let mut props = PropertyStorage::new(8);
+                        let ids = [
+                            props.add("f", Type::Float, Value::Float(0.0)),
+                            props.add("i", Type::Int, Value::Int(0)),
+                            props.add("prio", Type::Int, Value::Int(0)),
+                        ];
+                        for v in 0..8 {
+                            props.write(ids[0], v as u32, Value::Float(f_cells[v]));
+                            props.write(ids[1], v as u32, Value::Int(i_cells[v]));
+                            props.write(ids[2], v as u32, Value::Int(prio_cells[v]));
+                        }
+                        let k =
+                            kernels::select(&udfs, &props, &globals, id(apply), sf, df, compiled);
+                        assert_eq!(k.tier() == Tier::Compiled, compiled, "{apply}");
+                        let ev = Evaluator::new(&udfs, &props, &globals, &graph);
+                        let csr = if *pull {
+                            graph.in_csr()
+                        } else {
+                            graph.out_csr()
+                        };
+                        let mut out = BufferedOutput::default();
+                        for w in walk.clone() {
+                            k.run(&Io { ev: &ev, csr }, w, &mut out);
+                        }
+                        let cells = ids
+                            .iter()
+                            .map(|&p| (0..8).map(|v| props.read_bits(p, v)).collect())
+                            .collect();
+                        (cells, out.enqueued, out.priority_updates)
+                    };
+                    assert_eq!(
+                        run(true),
+                        run(false),
+                        "{apply} filtered by {cell} == {literal:?} on the {} side, {:?}",
+                        if on_src { "source" } else { "destination" },
+                        walk[0]
+                    );
+                }
+            }
+        }
     }
 }

@@ -7,8 +7,11 @@
 //! program compiled and through `Evaluator::call` on two copies of the
 //! same state. The two must leave bit-identical properties and globals,
 //! enqueue the same vertices in the same order, notify the same priority
-//! updates, return the same bits, and panic (or not) identically. Hand
-//! cases pin the corners of `Value::bin` and `PropertyStorage` the
+//! updates, return the same bits, and panic (or not) identically; the
+//! compiled calls of one program share a frame, as a chunk's calls do. A
+//! second property splices a random filter in front of a random edge
+//! apply and holds the compiled operator to the interpreter's filter call
+//! followed by its apply call, per edge. Hand cases pin the corners of `Value::bin` and `PropertyStorage` the
 //! compiler must reproduce, and k-core on the three simulators checks that
 //! their host-side filter sweeps run compiled.
 
@@ -21,7 +24,7 @@ use ugc_runtime::bytecode::{Instr, Reg, UdfId, UdfProgram, UdfSet};
 use ugc_runtime::eval::{BufferedOutput, EdgeCtx, Evaluator, NullMemory};
 use ugc_runtime::interp::{contain, ExecError};
 use ugc_runtime::properties::{GlobalTable, PropId, PropertyStorage};
-use ugc_runtime::udf;
+use ugc_runtime::udf::{self, Frame};
 use ugc_runtime::value::Value;
 use ugc_testkit::{check, gen, Config, NoShrink, Prng};
 
@@ -102,7 +105,9 @@ fn state(case: &Case) -> (PropertyStorage, GlobalTable) {
     (props, globals)
 }
 
-/// Runs `case` compiled (`compiled = true`) or interpreted.
+/// Runs `case` compiled (`compiled = true`) or interpreted. The compiled
+/// calls share one frame, as an operator's calls over a chunk do, so each
+/// call starts from the registers the one before it left.
 fn run(case: &Case, compiled: bool) -> Outcome {
     let udfs = UdfSet {
         udfs: vec![case.udf.clone()],
@@ -112,32 +117,21 @@ fn run(case: &Case, compiled: bool) -> Outcome {
     let graph = graph();
     let mut ev = Evaluator::new(&udfs, &props, &globals, &graph);
     ev.really_atomic = case.really_atomic;
-    let body = compiled.then(|| {
-        udf::compile(&udfs.udfs[0], &udfs.queue_props, &props, &globals)
-            .unwrap_or_else(|| panic!("well-typed program not compiled: {:?}", case.udf))
-    });
     let mut out = BufferedOutput::default();
-    let mut returns = Vec::new();
-    let mut panic = None;
-    for (args, weight) in &case.calls {
-        let r = contain(AssertUnwindSafe(|| {
-            Ok::<_, ExecError>(match &body {
-                Some(c) => c.call(&ev, args, *weight, &mut out),
-                None => {
-                    let vals: Vec<Value> = args.iter().map(|&a| Value::Int(a)).collect();
-                    let ctx = EdgeCtx { weight: *weight };
-                    ev.call(UdfId(0), &vals, ctx, &mut out, &mut NullMemory)
-                }
-            })
-        }));
-        match r {
-            Ok(ret) => returns.push(ret.map(tag)),
-            Err(e) => {
-                panic = Some((e.class, e.message));
-                break;
-            }
-        }
-    }
+    let (returns, panic) = if compiled {
+        let body = udf::compile(&udfs.udfs[0], &udfs.queue_props, &props, &globals)
+            .unwrap_or_else(|| panic!("well-typed program not compiled: {:?}", case.udf));
+        let mut frame = Frame::new(&ev, &mut out);
+        walk(&case.calls, |args, weight| {
+            body.run(&mut frame, args, weight)
+        })
+    } else {
+        walk(&case.calls, |args, weight| {
+            let vals: Vec<Value> = args.iter().map(|&a| Value::Int(a)).collect();
+            let ctx = EdgeCtx { weight };
+            ev.call(UdfId(0), &vals, ctx, &mut out, &mut NullMemory)
+        })
+    };
     Outcome {
         returns,
         panic,
@@ -148,6 +142,23 @@ fn run(case: &Case, compiled: bool) -> Outcome {
         enqueued: out.enqueued,
         priority_updates: out.priority_updates,
     }
+}
+
+/// `calls` through `call`, in order, up to the first panic: the return
+/// bits of each completed call, and the panic's class and message.
+#[allow(clippy::type_complexity)]
+fn walk(
+    calls: &[(Vec<i64>, i64)],
+    mut call: impl FnMut(&[i64], i64) -> Option<Value>,
+) -> (Vec<Option<(u8, u64)>>, Option<(ErrorClass, String)>) {
+    let mut returns = Vec::new();
+    for (args, weight) in calls {
+        match contain(AssertUnwindSafe(|| Ok::<_, ExecError>(call(args, *weight)))) {
+            Ok(ret) => returns.push(ret.map(tag)),
+            Err(e) => return (returns, Some((e.class, e.message))),
+        }
+    }
+    (returns, None)
 }
 
 /// Runs `case` both ways, requires identical outcomes, returns it.
@@ -502,8 +513,8 @@ impl Gen<'_> {
     }
 }
 
-fn gen_case(rng: &mut Prng) -> Case {
-    let num_params = rng.gen_range(1..=3usize);
+/// One well-typed program taking `num_params` arguments.
+fn gen_program(rng: &mut Prng, num_params: usize) -> UdfProgram {
     let len = rng.gen_range(4..=24usize);
     let ret_kind = match rng.gen_range(0..4) {
         0 => None,
@@ -538,13 +549,17 @@ fn gen_case(rng: &mut Prng) -> Case {
         g.step();
     }
     g.instrs.push(Instr::Ret);
-    let udf = UdfProgram {
+    UdfProgram {
         name: "generated".into(),
         num_regs: g.num_regs,
         num_params,
         ret_reg,
         instrs: g.instrs,
-    };
+    }
+}
+
+/// Initial cells, property-major, and globals.
+fn gen_state(rng: &mut Prng) -> (Vec<Vec<Value>>, Vec<Value>) {
     let cells = PROPS
         .iter()
         .map(|&(_, ty)| {
@@ -560,6 +575,13 @@ fn gen_case(rng: &mut Prng) -> Case {
         .iter()
         .map(|&(_, ty)| value_of_kind(rng, kind_of(ty)))
         .collect();
+    (cells, globals)
+}
+
+fn gen_case(rng: &mut Prng) -> Case {
+    let num_params = rng.gen_range(1..=3usize);
+    let udf = gen_program(rng, num_params);
+    let (cells, globals) = gen_state(rng);
     let calls = (0..rng.gen_range(1..=4))
         .map(|_| {
             let args = (0..num_params)
@@ -591,6 +613,143 @@ fn compiled_udfs_match_the_interpreter_on_random_programs() {
         |rng: &mut Prng| NoShrink(gen_case(rng)),
         |case| {
             differential(&case.0);
+        },
+    );
+}
+
+/// A filter and an edge apply, the cells and globals they run on, and the
+/// edges of one walk.
+#[derive(Debug, Clone)]
+struct OpCase {
+    filter: UdfProgram,
+    apply: UdfProgram,
+    cells: Vec<Vec<Value>>,
+    globals: Vec<Value>,
+    /// `(src, dst, weight)` of each edge, in walk order.
+    edges: Vec<(u32, u32, i64)>,
+    /// Whether the filter guards the source (checked per vertex, before
+    /// the edge) or the destination (spliced in front of the apply).
+    on_src: bool,
+    really_atomic: bool,
+}
+
+fn gen_op_case(rng: &mut Prng) -> OpCase {
+    // Mostly filters an operator compiles: no enqueue or priority update
+    // (whose effects the interpreter discards), no float verdict.
+    let filter = loop {
+        let f = gen_program(rng, 1);
+        let effect = |i: &Instr| matches!(i, Instr::Enqueue { .. } | Instr::UpdatePrio { .. });
+        let float = f.ret_reg.is_some()
+            && matches!(
+                f.instrs[0],
+                Instr::Const {
+                    v: Value::Float(_),
+                    ..
+                }
+            );
+        if !(f.instrs.iter().any(effect) || float) || rng.gen_bool(0.1) {
+            break f;
+        }
+    };
+    let arity = rng.gen_range(2..=3usize);
+    let apply = gen_program(rng, arity);
+    let (cells, globals) = gen_state(rng);
+    let edges = (0..rng.gen_range(1..=6))
+        .map(|_| {
+            let (s, d) = (rng.gen_range(0..N), rng.gen_range(0..N));
+            (s, d, int_value(rng))
+        })
+        .collect();
+    OpCase {
+        filter,
+        apply,
+        cells,
+        globals,
+        edges,
+        on_src: rng.gen_bool(0.5),
+        really_atomic: rng.gen_bool(0.5),
+    }
+}
+
+/// Runs `case`'s walk as one compiled operator in one frame, or as the
+/// interpreter's filter call and then (if it passed) its apply call, per
+/// edge; `None` when the operator stays on the interpreter.
+fn run_op(case: &OpCase, compiled: bool) -> Option<Outcome> {
+    let udfs = UdfSet {
+        udfs: vec![case.filter.clone(), case.apply.clone()],
+        queue_props: vec![PQ],
+    };
+    let (f, a) = (UdfId(0), UdfId(1));
+    let (props, globals) = state(&Case {
+        udf: case.apply.clone(),
+        cells: case.cells.clone(),
+        globals: case.globals.clone(),
+        calls: Vec::new(),
+        really_atomic: case.really_atomic,
+    });
+    let graph = graph();
+    let mut ev = Evaluator::new(&udfs, &props, &globals, &graph);
+    ev.really_atomic = case.really_atomic;
+    let (sf, df) = if case.on_src {
+        (Some(f), None)
+    } else {
+        (None, Some(f))
+    };
+    let mut out = BufferedOutput::default();
+    let edge_calls: Vec<(Vec<i64>, i64)> = case
+        .edges
+        .iter()
+        .map(|&(s, d, w)| (vec![s as i64, d as i64, w], w))
+        .collect();
+    let arity = case.apply.num_params;
+    let (returns, panic) = if compiled {
+        let op = udf::CompiledOp::new(&udfs, &props, &globals, a, sf, df)?;
+        let mut frame = Frame::new(&ev, &mut out);
+        walk(&edge_calls, |e, _| {
+            let (s, d, w) = (e[0] as u32, e[1] as u32, e[2]);
+            if op.src_passes(&mut frame, s) {
+                op.push_edge(&mut frame, s, d, w);
+            }
+            None
+        })
+    } else {
+        walk(&edge_calls, |e, _| {
+            let (s, d, w) = (e[0] as u32, e[1] as u32, e[2]);
+            if ev.passes(sf, s, &mut NullMemory) && ev.passes(df, d, &mut NullMemory) {
+                let args: Vec<Value> = e[..arity].iter().map(|&x| Value::Int(x)).collect();
+                ev.call(a, &args, EdgeCtx { weight: w }, &mut out, &mut NullMemory);
+            }
+            None
+        })
+    };
+    Some(Outcome {
+        returns,
+        panic,
+        cells: (0..PROPS.len())
+            .map(|p| (0..N).map(|v| props.read_bits(PropId(p), v)).collect())
+            .collect(),
+        globals: (0..GLOBALS.len()).map(|g| globals.read_bits(g)).collect(),
+        enqueued: out.enqueued,
+        priority_updates: out.priority_updates,
+    })
+}
+
+#[test]
+fn compiled_operators_match_filter_then_apply_on_random_programs() {
+    check(
+        "compiled_operators_match_filter_then_apply_on_random_programs",
+        Config::with_cases(512),
+        |rng: &mut Prng| NoShrink(gen_op_case(rng)),
+        |case| {
+            let case = &case.0;
+            if let Some(compiled) = run_op(case, true) {
+                let interpreted = run_op(case, false).expect("the interpreter runs all");
+                assert_eq!(
+                    compiled, interpreted,
+                    "filter: {:?}\napply: {:?}",
+                    case.filter, case.apply
+                );
+            }
         },
     );
 }
@@ -987,16 +1146,27 @@ fn ill_typed_programs_stay_on_the_interpreter() {
         ],
         3,
     );
-    // One register, two kinds.
+    // One register, two kinds, each read (a write nothing reads is
+    // dropped before kinds are fixed).
     rejects(
         vec![
             Instr::Const {
                 dst: 1,
                 v: Value::Float(1.0),
             },
+            Instr::StoreProp {
+                prop: PF,
+                idx: 0,
+                val: 1,
+            },
             Instr::Const {
                 dst: 1,
                 v: Value::Int(1),
+            },
+            Instr::StoreProp {
+                prop: PI,
+                idx: 0,
+                val: 1,
             },
         ],
         2,
