@@ -19,8 +19,7 @@
 //!    re-measuring anything.
 //!
 //! The cost signal is pluggable: callers hand [`search::tune`] a closure.
-//! [`compiler_evaluator`] builds one from the `ugc::Compiler` facade;
-//! the bench harness passes its own `measure`-based evaluator instead.
+//! The bench harness passes one built on `ugc_bench::try_measure`.
 
 pub mod cache;
 pub mod search;
@@ -31,7 +30,7 @@ pub use search::{
     DOMINANCE_THRESHOLD,
 };
 
-use ugc::{Algorithm, Compiler, Target};
+use ugc::{Algorithm, Target};
 use ugc_backend_cpu::CpuScheduleSpace;
 use ugc_backend_gpu::GpuScheduleSpace;
 use ugc_backend_hb::HbScheduleSpace;
@@ -61,30 +60,6 @@ pub fn space_params(algo: Algorithm, graph: &Graph) -> SpaceParams {
         // three prune the frontier-representation dimensions like PR/CC.
         data_driven: matches!(algo, Algorithm::Bfs | Algorithm::Bc),
         num_vertices: graph.num_vertices(),
-    }
-}
-
-/// An evaluator built on the `ugc::Compiler` facade: compiles `algo` with
-/// the candidate schedule, runs it on `target` and returns the run's time
-/// (wall-clock on CPU, simulated elsewhere) and attribution.
-pub fn compiler_evaluator<'a>(
-    target: Target,
-    algo: Algorithm,
-    graph: &'a Graph,
-    start_vertex: u32,
-) -> impl FnMut(&ScheduleRef) -> Result<Sample, String> + 'a {
-    move |sched: &ScheduleRef| {
-        let mut c = Compiler::new(algo);
-        c.schedule(algo.schedule_path(), sched.clone());
-        if algo.needs_start_vertex() {
-            c.start_vertex(start_vertex);
-        }
-        let run = c.run(target, graph).map_err(|e| e.to_string())?;
-        Ok(Sample {
-            time_ms: run.time_ms,
-            cycles: run.cycles,
-            attribution: run.attribution,
-        })
     }
 }
 
@@ -233,18 +208,6 @@ mod tests {
             .filter(|pt| space.materialize(&p, pt).is_some())
             .count();
         assert!(distinct >= 20, "only {distinct} candidates");
-    }
-
-    #[test]
-    fn compiler_evaluator_measures_a_real_run() {
-        let g = tiny_graph();
-        let mut eval = compiler_evaluator(Target::Gpu, Algorithm::Bfs, &g, 0);
-        let p = space_params(Algorithm::Bfs, &g);
-        let space = space_for(Target::Gpu);
-        let sched = space.materialize(&p, &[0, 0, 0, 0, 0, 0]).unwrap();
-        let sample = eval(&sched).unwrap();
-        assert!(sample.time_ms > 0.0);
-        assert!(sample.cycles > 0);
     }
 
     #[test]

@@ -329,30 +329,8 @@ pub fn measure(
     try_measure(target, algo, graph, sched, cpu_reps).expect("bench run")
 }
 
-/// Environment variable that switches [`fig8_cell`] (and thus the repro
-/// binary's Fig. 8) from the hand-tuned schedules to autotuned winners.
-pub const AUTOTUNE_ENV: &str = "UGC_AUTOTUNE";
-
-/// The schedule Fig. 8 compares against the baseline: the hand-tuned one
-/// by default, or — when `UGC_AUTOTUNE=1` — the winner of a deterministic
-/// autotuning run over the target's declared search space (which always
-/// also measures the hand-tuned candidate, so it can only tie or win).
-/// Falls back to the hand-tuned schedule if tuning errors out.
-pub fn effective_tuned_schedule(target: Target, algo: Algorithm, graph: &Graph) -> ScheduleRef {
-    let hand = tuned_schedule_for(target, algo, graph);
-    let enabled = std::env::var(AUTOTUNE_ENV).is_ok_and(|v| v == "1" || v == "true");
-    if !enabled {
-        return hand;
-    }
-    match autotune(target, algo, graph, &Tuner::default()) {
-        Ok(outcome) => outcome.winner().schedule.clone(),
-        Err(_) => hand,
-    }
-}
-
-/// The speedup of the tuned schedule over the baseline schedule — one cell
-/// of the Fig. 8 heatmap. Set `UGC_AUTOTUNE=1` to use autotuned winners
-/// instead of the hand-tuned table (see [`effective_tuned_schedule`]).
+/// The speedup of the hand-tuned schedule ([`tuned_schedule_for`]) over the
+/// baseline schedule — one cell of the Fig. 8 heatmap.
 pub fn fig8_cell(target: Target, algo: Algorithm, dataset: Dataset, scale: Scale) -> f64 {
     let graph = dataset.generate(scale);
     let base = measure(target, algo, &graph, baseline_schedule(target, algo), 3);
@@ -360,7 +338,7 @@ pub fn fig8_cell(target: Target, algo: Algorithm, dataset: Dataset, scale: Scale
         target,
         algo,
         &graph,
-        effective_tuned_schedule(target, algo, &graph),
+        tuned_schedule_for(target, algo, &graph),
         3,
     );
     base.time_ms / tuned.time_ms

@@ -26,9 +26,10 @@
 //! [`GraphCache::get`] returns a [`PinnedGraph`] guard. While any guard
 //! for a key is alive the entry cannot be evicted — a batch mid-traversal
 //! keeps its graph resident no matter what pressure later builds apply.
-//! Dropping the guard unpins; the `Arc<Graph>` inside may outlive
-//! eviction (the tuner holds plain `Arc`s), but evicted bytes are no
-//! longer charged to the cache.
+//! Dropping the guard unpins. The executor's `Arc<Graph>` clones live
+//! only inside a pinned batch, so once the last guard drops an evicted
+//! graph is freed: the byte cap bounds live graph memory too, not only
+//! the charged bytes.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -113,8 +114,8 @@ pub struct PinnedGraph {
 }
 
 impl PinnedGraph {
-    /// The shared graph, for handing `Arc` clones to the tuner (clones
-    /// do not pin — only this guard does).
+    /// The shared graph. Clones do not pin — only this guard does — so a
+    /// clone must not outlive it (see the module docs).
     pub fn graph(&self) -> &Arc<Graph> {
         &self.graph
     }

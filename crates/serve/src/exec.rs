@@ -45,7 +45,6 @@ use ugc_runtime::{contain, ExecError};
 use crate::cache::GraphCache;
 use crate::gate::Pending;
 use crate::protocol::{checksum_floats, checksum_ints, err_line, QuerySpec};
-use crate::tuned::{TuneJob, TunedSchedules};
 use crate::ServeCounters;
 
 /// The serve-side breaker keying: one circuit per work combination.
@@ -59,10 +58,6 @@ pub struct Executor {
     pub policy: Policy,
     /// The server's counters.
     pub counters: Arc<ServeCounters>,
-    /// Background-tuned schedules per (dataset, scale, algorithm).
-    pub tuned: Arc<TunedSchedules>,
-    /// Where first-touch tuning jobs go (the background tuner thread).
-    pub tuner_tx: std::sync::mpsc::Sender<TuneJob>,
     /// Per-(algo, dataset, scale) circuit breakers.
     pub breaker: Arc<ServeBreaker>,
     /// Set by shutdown: once this instant passes, still-queued batches
@@ -105,7 +100,7 @@ impl Executor {
                 return;
             }
         };
-        let graph = pinned.graph().clone();
+        let graph = pinned.graph();
         let batch = self.shed_expired(batch);
         if batch.is_empty() {
             return;
@@ -131,26 +126,6 @@ impl Executor {
             // always resolves.
             Admission::Allow | Admission::Probe => {}
         }
-        // First query of a (dataset, scale, algorithm) triple: enqueue a
-        // background tuning job on the now-resident graph — unless the
-        // class is batchable: BFS/SSSP run the multi-source engine, which
-        // takes no schedule and could never read the winner. A dead tuner
-        // (send error) is fine — the triple just stays untuned. The job
-        // holds a plain Arc, not the pin: an evicted graph tunes on.
-        let tune_key = (spec0.dataset, spec0.scale, spec0.algo);
-        if !spec0.batchable() && self.tuned.mark_pending(tune_key) {
-            self.counters.tuned_pending.incr();
-            let job = TuneJob {
-                dataset: spec0.dataset,
-                scale: spec0.scale,
-                algo: spec0.algo,
-                graph: graph.clone(),
-            };
-            if self.tuner_tx.send(job).is_err() {
-                self.tuned.store(tune_key, None);
-                self.counters.tuned_pending.dec();
-            }
-        }
         let n = graph.num_vertices();
         let mut valid = Vec::with_capacity(batch.len());
         for p in batch {
@@ -169,11 +144,11 @@ impl Executor {
         }
         if spec0.batchable() {
             self.counters.batch_size.record(valid.len() as u64);
-            self.run_traversal(&graph, valid);
+            self.run_traversal(graph, valid);
         } else {
             for p in valid {
                 self.counters.batch_size.record(1);
-                self.run_supervised(&graph, p);
+                self.run_supervised(graph, p);
             }
         }
         // `pinned` drops here: the entry stays resident through the whole
@@ -293,14 +268,10 @@ impl Executor {
     }
 
     /// One query through the workspace supervisor ([`Compiler::run_with_policy`]),
-    /// under the background-tuned schedule when one has resolved.
+    /// under the CPU GraphVM's default schedule.
     fn run_supervised(&self, graph: &Arc<Graph>, p: Pending) {
         let spec = p.spec;
         let mut c = Compiler::new(spec.algo);
-        if let Some(sched) = self.tuned.lookup((spec.dataset, spec.scale, spec.algo)) {
-            c.schedule(spec.algo.schedule_path(), sched);
-            self.counters.tuned_hits.incr();
-        }
         if spec.algo.needs_start_vertex() {
             c.start_vertex(spec.source);
         }

@@ -44,12 +44,10 @@ pub mod exec;
 pub mod gate;
 pub mod protocol;
 mod signal;
-pub mod tuned;
 
 pub use cache::GraphCache;
 pub use exec::ServeBreaker;
 pub use protocol::{QuerySpec, Request};
-pub use tuned::TunedSchedules;
 
 use gate::{Gate, Pending, Rejected};
 use protocol::err_line;
@@ -89,14 +87,6 @@ impl Stat {
     /// Adds one.
     pub fn incr(&self) {
         self.add(1);
-    }
-
-    /// Subtracts one from the locally readable value, turning this stat
-    /// into a gauge (e.g. tuning jobs still pending). The mirrored
-    /// telemetry counter stays monotone — it keeps counting enqueues, as
-    /// telemetry counters must — so only `stats` sees the level.
-    pub fn dec(&self) {
-        self.raw.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -141,11 +131,6 @@ pub struct ServeCounters {
     pub degraded: Stat,
     /// Edge scans performed by the traversal engine.
     pub work: Stat,
-    /// Supervised queries that executed under a background-tuned schedule.
-    pub tuned_hits: Stat,
-    /// Tuning jobs enqueued but not yet resolved (a gauge: `stats` shows
-    /// the level, telemetry counts cumulative enqueues).
-    pub tuned_pending: Stat,
     /// Batch sizes at execution time.
     pub batch_size: Histogram,
     /// Queue depth observed at each admission.
@@ -177,8 +162,6 @@ impl ServeCounters {
             coalesced: Stat::new("serve.batch.coalesced"),
             degraded: Stat::new("serve.batch.degraded"),
             work: Stat::new("serve.work.edge_scans"),
-            tuned_hits: Stat::new("serve.tuned_hits"),
-            tuned_pending: Stat::new("serve.tuned_pending"),
             batch_size: Histogram::new("serve.batch.size"),
             queue_depth: Histogram::new("serve.queue.depth"),
             latency: Histogram::new("serve.latency_us"),
@@ -462,6 +445,9 @@ impl Shared {
     /// The one-line `stats` response. `pool_workers` is the shared thread
     /// pool's lifetime worker count — the CI smoke asserts it is stable
     /// across queries to prove the daemon leaks no background threads.
+    /// `tuned_hits=0 tuned_pending=0` are constants: the daemon tunes
+    /// nothing, but the benchmark (`benchmark/src/serve.rs`) reads both
+    /// keys and panics on a missing one.
     fn stats_line(&self) -> String {
         let c = &self.counters;
         let pool = ugc_runtime::pool::telemetry();
@@ -473,7 +459,7 @@ impl Shared {
              cache_evictions={} cache_resident_bytes={} cache_cap_bytes={} \
              resident_graphs={} circuit_closed={circuit_closed} \
              circuit_half_open={circuit_half_open} circuit_open={circuit_open} \
-             pool_workers={} tuned_hits={} tuned_pending={} lingers={} linger_joined={}",
+             pool_workers={} tuned_hits=0 tuned_pending=0 lingers={} linger_joined={}",
             self.started.elapsed().as_millis(),
             c.queries.get(),
             c.ok.get(),
@@ -496,8 +482,6 @@ impl Shared {
             self.cache.cap_bytes().unwrap_or(0),
             self.cache.resident(),
             pool.workers_spawned,
-            c.tuned_hits.get(),
-            c.tuned_pending.get(),
             self.gate.lingers.get(),
             self.gate.linger_joined.get(),
         )
@@ -571,7 +555,6 @@ impl Server {
         };
         let counters = Arc::new(ServeCounters::new());
         let cache = Arc::new(GraphCache::with_cap(config.cache_bytes));
-        let tuned = Arc::new(TunedSchedules::new());
         let breaker = Arc::new(ServeBreaker::new(config.breaker));
         let drain_deadline = Arc::new(std::sync::Mutex::new(None));
         let shared = Arc::new(Shared {
@@ -590,20 +573,13 @@ impl Server {
         if config.install_sigterm {
             signal::spawn_sigterm_drain(shared.clone())?;
         }
-        // Tuning jobs flow from the executors to one background tuner
-        // thread. The sender lives only in the executors: when the gate
-        // closes and the workers exit, the channel disconnects and the
-        // tuner thread follows them down.
-        let (tuner_tx, tuner_rx) = mpsc::channel::<tuned::TuneJob>();
-        let mut workers = (0..config.admit)
+        let workers = (0..config.admit)
             .map(|i| {
                 let sh = shared.clone();
                 let executor = exec::Executor {
                     cache: cache.clone(),
                     policy: config.policy.clone(),
                     counters: counters.clone(),
-                    tuned: tuned.clone(),
-                    tuner_tx: tuner_tx.clone(),
                     breaker: breaker.clone(),
                     drain_deadline: drain_deadline.clone(),
                 };
@@ -617,16 +593,6 @@ impl Server {
                     .map_err(|e| format!("cannot spawn worker: {e}"))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        drop(tuner_tx);
-        {
-            let sh = shared.clone();
-            let tuned = tuned.clone();
-            let tuner = std::thread::Builder::new()
-                .name("ugc-serve-tuner".into())
-                .spawn(move || background_tuner(&tuner_rx, &sh, &tuned))
-                .map_err(|e| format!("cannot spawn tuner: {e}"))?;
-            workers.push(tuner);
-        }
         let accept = {
             let sh = shared.clone();
             std::thread::Builder::new()
@@ -672,60 +638,6 @@ impl ServerHandle {
         if let Some(p) = &self.sock_path {
             let _ = std::fs::remove_file(p);
         }
-    }
-}
-
-/// The background tuner: drains [`tuned::TuneJob`]s whenever the
-/// admission gate is idle, so tuning never competes with live queries for
-/// the CPU. Each job runs the autotuner over the CPU schedule space on
-/// the already-resident graph with a small fixed budget; the winner is
-/// stored for every later supervised query of that triple. Exits when the
-/// executors drop their senders (worker shutdown) or shutdown is flagged.
-fn background_tuner(
-    rx: &mpsc::Receiver<tuned::TuneJob>,
-    shared: &Arc<Shared>,
-    tuned: &TunedSchedules,
-) {
-    loop {
-        let job = match rx.recv_timeout(Duration::from_millis(200)) {
-            Ok(job) => job,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        };
-        // Idle-slot bound: wait until no queries are queued before
-        // spending cycles on search. Shutdown aborts the wait (and the
-        // job — the daemon is going away).
-        while shared.gate.depth() > 0 {
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let key = (job.dataset, job.scale, job.algo);
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            tuned.store(key, None);
-            shared.counters.tuned_pending.dec();
-            continue;
-        }
-        let space = ugc_autotune::space_for(ugc::Target::Cpu);
-        let params = ugc_autotune::space_params(job.algo, &job.graph);
-        let tuner = ugc_autotune::Tuner {
-            seed: 0xBACC_6E55,
-            budget: 8,
-            restarts: 1,
-            ..ugc_autotune::Tuner::default()
-        };
-        let mut eval = ugc_autotune::compiler_evaluator(ugc::Target::Cpu, job.algo, &job.graph, 0);
-        let winner = ugc_autotune::tune(space, &params, &[], &tuner, &mut eval)
-            .ok()
-            .map(|out| out.winner().schedule.clone());
-        tuned.store(key, winner);
-        shared.counters.tuned_pending.dec();
     }
 }
 

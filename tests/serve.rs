@@ -21,7 +21,10 @@ use std::time::Duration;
 use ugc_algorithms::multi_source::{
     bfs_levels_counted, ms_bfs_levels, ms_sssp_distances, sssp_distances_counted,
 };
+use ugc_algorithms::reference;
+use ugc_graph::{Dataset, Scale};
 use ugc_integration::test_graphs;
+use ugc_serve::protocol::checksum_ints;
 use ugc_serve::{Bind, ServeConfig, Server, ServerHandle};
 
 // ---------------------------------------------------------------------------
@@ -674,45 +677,32 @@ fn keep_alive_replies_do_not_wait_on_delayed_ack() {
     handle.join();
 }
 
-/// Tuning jobs go only to classes that can read the winner: BFS/SSSP run
-/// the multi-source engine, which takes no schedule, so their first
-/// queries enqueue nothing; a first PageRank query still does, and later
-/// ones run under the tuned schedule.
+/// Supervised answers are the sequential reference's: `tc` and `kcore`
+/// run the compiled CPU GraphVM under its default schedule, and both
+/// results are exact, so each reply's checksum must equal the checksum of
+/// `reference::triangle_counts` / `reference::coreness` on the same graph.
 #[test]
-fn only_schedule_taking_classes_enqueue_tuning_jobs() {
+fn supervised_answers_equal_the_sequential_reference() {
     let (handle, addr) = start_server(ServeConfig {
         bind: Bind::Tcp(0),
         ..ServeConfig::default()
     });
-    for req in [
-        "query bfs RN source=0",
-        "query sssp RN source=0",
-        "query bfs RN source=1",
-    ] {
-        let reply = roundtrip(addr, req);
-        assert!(reply.starts_with("ok "), "`{req}` failed: {reply}");
-        let stats = roundtrip(addr, "stats");
-        assert_eq!(
-            field(&stats, "tuned_pending"),
-            "0",
-            "`{req}` enqueued a tuning job nobody can read: {stats}"
-        );
-    }
-    // The tuner waits for an idle gate, so poll: the job the first PR
-    // query enqueued resolves and a later PR query hits its winner.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        let reply = roundtrip(addr, "query pr RN");
-        assert!(reply.starts_with("ok "), "pr failed: {reply}");
-        let stats = roundtrip(addr, "stats");
-        if field(&stats, "tuned_hits") != "0" {
-            break;
+    for dataset in [Dataset::RoadNetCa, Dataset::Pokec] {
+        let graph = dataset.generate(Scale::Tiny);
+        let abbrev = dataset.abbrev();
+        for (algo, expect) in [
+            ("tc", reference::triangle_counts(&graph)),
+            ("kcore", reference::coreness(&graph)),
+        ] {
+            let req = format!("query {algo} {abbrev}");
+            let reply = roundtrip(addr, &req);
+            assert!(reply.starts_with("ok "), "`{req}` failed: {reply}");
+            assert_eq!(
+                field(&reply, "checksum"),
+                format!("{:#018x}", checksum_ints(&expect)),
+                "`{req}` diverges from the sequential reference: {reply}"
+            );
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "PageRank was never tuned: {stats}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
     }
     handle.shutdown();
     handle.join();
