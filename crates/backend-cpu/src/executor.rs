@@ -344,8 +344,8 @@ impl OperatorExecutor for CpuExecutor {
                     run(0..members.len(), &mut out);
                     vec![out]
                 } else if plan.edge_aware {
-                    // Degree-balanced chunks go straight into per-worker
-                    // queues; idle workers steal whole chunks.
+                    // Degree-balanced chunks, claimed in order by the
+                    // persistent worker pool's participants.
                     let chunks = Self::degree_chunks(op.fwd, &members, 2048);
                     parallel_for_chunks_with_local(
                         self.num_threads,

@@ -172,8 +172,8 @@ fn filter_counters() -> &'static [Counter; 2] {
 /// otherwise, on up to `threads` pool workers from
 /// [`SERIAL_DISPATCH_THRESHOLD`] candidates (below it, pool dispatch would
 /// cost more than the sweep). A serial sweep keeps candidate order; a parallel one
-/// returns its members ascending, since workers steal chunks and their
-/// outputs interleave. Counts one sweep in its tier.
+/// returns its members ascending, since the persistent worker pool's
+/// participants claim chunks in any order and their outputs interleave. Counts one sweep in its tier.
 pub fn filter_sweep(
     state: &ProgramState<'_>,
     id: UdfId,

@@ -23,7 +23,7 @@
 //!   closure-threaded bodies, which run the CPU's operators and every
 //!   GraphVM's host-side vertex filter,
 //! * [`pool`] — work-distribution primitives for the CPU backend: a
-//!   persistent std-only work-stealing worker pool (`UGC_THREADS=1`
+//!   std-only persistent worker pool (`UGC_THREADS=1`
 //!   forces deterministic serial execution),
 //! * [`host`] — host-side variable environment shared by backend
 //!   interpreters,

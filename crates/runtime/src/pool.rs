@@ -1,4 +1,4 @@
-//! Persistent work-stealing thread pool for the runtime hot path.
+//! Persistent worker pool for the runtime hot path.
 //!
 //! The CPU GraphVM calls a parallel-for once per edge/vertex operator per
 //! traversal iteration. Spawning and joining OS threads at every call (the
@@ -20,16 +20,15 @@
 //!   between operators, so jobs never queue in practice. A nested
 //!   `parallel_for` issued from inside a running task executes inline
 //!   (serially) on the calling worker — no deadlock, no re-entry.
-//! * **Per-worker chunk queues with stealing.** Each participant owns a
-//!   contiguous block of the iteration space and hands out chunk-sized
-//!   pieces from its front (the size chosen by the [`chunk_feedback`]
-//!   controller, with the caller's `chunk_hint` as a floor); an idle
-//!   participant steals the upper half of the largest remaining victim
-//!   block. Totals at or under [`SERIAL_DISPATCH_THRESHOLD`] never
-//!   dispatch at all — the handoff round-trip costs more than the loop. Degree-skewed ranges can
-//!   also be pre-split by the caller ([`parallel_for_chunks_with_local`])
-//!   so each worker starts with an explicit queue of uneven chunks and
-//!   steals whole chunks from the back of other queues.
+//! * **One shared cursor over chunks cut once per call.** A dispatched
+//!   call cuts its range into chunks of
+//!   `max(chunk_hint, total / (participants · 8))`, or takes the caller's
+//!   pre-cut chunks ([`parallel_for_chunks_with_local`], e.g.
+//!   degree-balanced ranges); every participant claims the next chunk
+//!   index with one atomic `fetch_add` until none are left. How a call is
+//!   chunked depends only on its own arguments, never on earlier calls.
+//!   Totals at or under [`SERIAL_DISPATCH_THRESHOLD`] never dispatch at
+//!   all — the handoff round-trip costs more than the loop.
 //! * **Scoped borrows.** The caller blocks until every participant has
 //!   finished, so closures may borrow from the caller's stack exactly like
 //!   the scoped-thread API this replaces. Internally the closure reference
@@ -42,7 +41,7 @@
 //!   via [`std::panic::resume_unwind`]. Workers survive; the next
 //!   `parallel_for` call runs normally.
 //! * **Telemetry.** Cheap relaxed counters ([`telemetry`]) expose jobs,
-//!   serial fallbacks, chunks executed, steals, parks, and spawned worker
+//!   serial fallbacks, chunks executed, parks, and spawned worker
 //!   threads, so benches can print dispatch behaviour.
 //!
 //! `UGC_THREADS` overrides the machine's available parallelism for
@@ -51,9 +50,9 @@
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 
 use ugc_telemetry::{Counter, Histogram, Span};
@@ -79,12 +78,16 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The `UGC_THREADS` override, when set and valid.
+/// The `UGC_THREADS` override, when set and valid. Read once per process:
+/// every `parallel_for` consults it, and nothing sets it at run time.
 fn env_threads() -> Option<usize> {
-    std::env::var("UGC_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
+    static THREADS: OnceLock<Option<usize>> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("UGC_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+    })
 }
 
 /// A snapshot of the pool's counters since process start.
@@ -99,7 +102,8 @@ pub struct PoolTelemetry {
     pub serial_runs: u64,
     /// Chunks of iteration space executed by participants.
     pub chunks: u64,
-    /// Chunks (or block halves) taken from another participant's queue.
+    /// Always 0: participants share one cursor and never steal. The field
+    /// stays because the benchmark's `runtime.pool.steals` row reads it.
     pub steals: u64,
     /// Times a worker parked on the idle condvar.
     pub parks: u64,
@@ -114,7 +118,6 @@ struct Counters {
     jobs: Counter,
     serial_runs: Counter,
     chunks: Counter,
-    steals: Counter,
     parks: Counter,
     chunk_size: Histogram,
     /// Wall time per dispatched job (`pool.job.ns` / `pool.job.calls`).
@@ -130,7 +133,6 @@ fn counters() -> &'static Counters {
         jobs: Counter::new("pool.jobs"),
         serial_runs: Counter::new("pool.serial_runs"),
         chunks: Counter::new("pool.chunks"),
-        steals: Counter::new("pool.steals"),
         parks: Counter::new("pool.parks"),
         chunk_size: Histogram::new("pool.chunk_size"),
         job_span: Span::new("pool.job"),
@@ -155,7 +157,7 @@ pub fn telemetry() -> PoolTelemetry {
         jobs: c.jobs.get(),
         serial_runs: c.serial_runs.get(),
         chunks: c.chunks.get(),
-        steals: c.steals.get(),
+        steals: 0,
         parks: c.parks.get(),
     }
 }
@@ -336,209 +338,57 @@ fn clamp_participants(requested: usize) -> usize {
     capped.clamp(1, MAX_WORKERS + 1)
 }
 
-/// Feedback-driven chunk sizing.
-///
-/// A fixed `chunk_hint` policy once lost to naive spawn-per-call at n = 1M:
-/// 16384 hint-sized handoffs swamped the scheduling win. The pool now
-/// treats the caller's hint as a floor and picks the executed chunk per
-/// size class (log2 of `total`) from feedback: the first job in a class
-/// runs a probe policy (enough chunks per participant for stealing, few
-/// enough to amortize handoff), and every dispatched job reports its
-/// throughput back, hill-climbing the class's chunk between jobs. The
-/// executed sizes land in the `pool.chunk_size` telemetry histogram (via
-/// [`count_chunk`]), so the distribution `repro --profile` reports *is* the
-/// controller's output; the controller itself stays live even under
-/// `UGC_TELEMETRY=0`.
-mod chunk_feedback {
-    use super::lock;
-    use std::sync::{Mutex, OnceLock};
+/// A dispatched range is cut into about this many chunks per participant:
+/// enough that a participant held up by a slow chunk leaves the rest to
+/// the others, few enough that claiming a chunk stays cheap next to
+/// running it. The caller's `chunk_hint` is a floor on the chunk length,
+/// so a 1M-element call at hint 64 makes 16 handoffs on two participants,
+/// not 16 384.
+const CHUNKS_PER_PARTICIPANT: usize = 8;
 
-    /// Aim for at least this many chunks per participant so idle workers
-    /// always find something to steal.
-    const MIN_CHUNKS_PER_WORKER: usize = 4;
-    /// Probe policy: start with this many chunks per participant.
-    const PROBE_CHUNKS_PER_WORKER: usize = 8;
-    /// One state per log2(total) size class.
-    const CLASSES: usize = (usize::BITS + 1) as usize;
-
-    #[derive(Clone, Copy)]
-    struct Class {
-        /// Chunk to try on the next job (0 = no feedback yet; probe).
-        next: usize,
-        /// Best observed ns/item and the chunk that achieved it.
-        best_ns_per_item: f64,
-        best_chunk: usize,
-        /// Current exploration direction (grow = fewer handoffs).
-        grow: bool,
-    }
-
-    const FRESH: Class = Class {
-        next: 0,
-        best_ns_per_item: 0.0,
-        best_chunk: 0,
-        grow: true,
-    };
-
-    fn classes() -> &'static Mutex<[Class; CLASSES]> {
-        static STATE: OnceLock<Mutex<[Class; CLASSES]>> = OnceLock::new();
-        STATE.get_or_init(|| Mutex::new([FRESH; CLASSES]))
-    }
-
-    fn class_of(total: usize) -> usize {
-        (usize::BITS - total.leading_zeros()) as usize
-    }
-
-    /// Clamps a candidate chunk into the legal band for this job: never
-    /// below the caller's hint (their granularity floor), never so large
-    /// that participants fall under [`MIN_CHUNKS_PER_WORKER`] chunks.
-    fn clamp(candidate: usize, total: usize, t: usize, hint: usize) -> usize {
-        let max_chunk = (total / (t * MIN_CHUNKS_PER_WORKER)).max(1);
-        candidate.clamp(1, max_chunk).max(hint)
-    }
-
-    /// The chunk size a dispatched job over `total` items on `t`
-    /// participants should use.
-    pub(super) fn effective(total: usize, t: usize, hint: usize) -> usize {
-        let tuned = lock(classes())[class_of(total)].next;
-        let candidate = if tuned != 0 {
-            tuned
-        } else {
-            // First-pass probe for this size class.
-            hint.max(total / (t * PROBE_CHUNKS_PER_WORKER).max(1))
-        };
-        clamp(candidate, total, t, hint)
-    }
-
-    /// Reports a finished job's wall time back to its size class.
-    pub(super) fn observe(total: usize, chunk: usize, elapsed_ns: u64) {
-        if total == 0 {
-            return;
-        }
-        let ns_per_item = elapsed_ns as f64 / total as f64;
-        let c = &mut lock(classes())[class_of(total)];
-        if c.best_chunk == 0 || ns_per_item < c.best_ns_per_item {
-            // New best: remember it and keep exploring the same way.
-            c.best_ns_per_item = ns_per_item;
-            c.best_chunk = chunk;
-            c.next = if c.grow {
-                chunk.saturating_mul(2)
-            } else {
-                chunk / 2
-            };
-        } else {
-            // Worse than the incumbent: flip direction, restart from the
-            // best, and decay the incumbent so a stale lucky sample
-            // cannot pin the class forever.
-            c.grow = !c.grow;
-            c.next = if c.grow {
-                c.best_chunk.saturating_mul(2)
-            } else {
-                c.best_chunk / 2
-            };
-            c.best_ns_per_item *= 1.05;
-        }
-        c.next = c.next.max(1);
-    }
-}
-
-/// One participant's share of a block-partitioned iteration space.
-/// `next..end` is still unclaimed; owners take `chunk`-sized pieces from
-/// the front, thieves take the upper half from the back.
-struct Block {
-    next: usize,
-    end: usize,
-}
-
-struct BlockQueues {
-    blocks: Vec<Mutex<Block>>,
-    chunk: usize,
-}
-
-impl BlockQueues {
-    /// Splits `0..total` into `t` contiguous blocks.
-    fn new(total: usize, t: usize, chunk: usize) -> Self {
-        let blocks = (0..t)
-            .map(|i| {
-                Mutex::new(Block {
-                    next: i * total / t,
-                    end: (i + 1) * total / t,
-                })
-            })
-            .collect();
-        BlockQueues { blocks, chunk }
-    }
-
-    /// Takes the next chunk from participant `i`'s own block.
-    fn pop_own(&self, i: usize) -> Option<Range<usize>> {
-        let mut b = lock(&self.blocks[i]);
-        if b.next >= b.end {
-            return None;
-        }
-        let start = b.next;
-        b.next = (start + self.chunk).min(b.end);
-        Some(start..b.next)
-    }
-
-    /// Steals the upper half of the fullest victim block into `i`'s own
-    /// (empty) block, then pops from it. Small remainders are taken whole.
-    fn steal(&self, i: usize) -> Option<Range<usize>> {
-        let n = self.blocks.len();
+/// Runs `f` over the chunks `piece(0)..piece(count)` on `t >= 2`
+/// participants, one `T::default()` accumulator each. Every participant
+/// claims the next chunk index from one shared cursor until none are
+/// left (the `schedule(dynamic)` shape of GraphIt's OpenMP runtime).
+fn run_pieces<T, F>(
+    t: usize,
+    count: usize,
+    piece: impl Fn(usize) -> Range<usize> + Sync,
+    f: &F,
+) -> Vec<T>
+where
+    T: Default + Send,
+    F: Fn(usize, Range<usize>, &mut T) + Sync,
+{
+    let cursor = AtomicUsize::new(0);
+    let results: Mutex<Vec<T>> = Mutex::new(Vec::with_capacity(t));
+    run_job(t, &|tid| {
+        let mut local = T::default();
         loop {
-            // Pick the victim with the most remaining work (sampling the
-            // queues without locks would need atomics; a quick lock per
-            // victim is fine at chunk granularity).
-            let mut best: Option<(usize, usize)> = None; // (victim, remaining)
-            for d in 1..n {
-                let v = (i + d) % n;
-                let b = lock(&self.blocks[v]);
-                let remaining = b.end.saturating_sub(b.next);
-                if remaining > 0 && best.map_or(true, |(_, r)| remaining > r) {
-                    best = Some((v, remaining));
-                }
+            // Relaxed: the read-modify-write alone makes each index unique
+            // to one claimant; the cursor publishes no other data (the
+            // chunks and `f` reach the workers through the pool's state
+            // mutex).
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break;
             }
-            let (victim, _) = best?;
-            let mut vb = lock(&self.blocks[victim]);
-            let remaining = vb.end.saturating_sub(vb.next);
-            if remaining == 0 {
-                continue; // lost the race; rescan
-            }
-            let (lo, hi) = if remaining > 2 * self.chunk {
-                let mid = vb.next + remaining / 2;
-                let hi = vb.end;
-                vb.end = mid;
-                (mid, hi)
-            } else {
-                let lo = vb.next;
-                vb.next = vb.end;
-                (lo, vb.end)
-            };
-            drop(vb);
-            counters().steals.incr();
-            let mut own = lock(&self.blocks[i]);
-            debug_assert!(own.next >= own.end, "stealing with own work left");
-            own.next = (lo + self.chunk).min(hi);
-            own.end = hi;
-            return Some(lo..(lo + self.chunk).min(hi));
-        }
-    }
-
-    fn work<F: Fn(usize, Range<usize>)>(&self, tid: usize, f: &F) {
-        loop {
-            let Some(range) = self.pop_own(tid).or_else(|| self.steal(tid)) else {
-                return;
-            };
+            let range = piece(i);
             count_chunk(&range);
-            f(tid, range);
+            f(tid, range, &mut local);
         }
-    }
+        lock(&results).push(local);
+    });
+    results.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Runs `f(thread_id, start..end)` over chunks of `0..total` on up to
-/// `num_threads` participants of the persistent pool, with work stealing.
+/// `num_threads` participants of the persistent pool.
 ///
 /// `f` must be safe to call concurrently. `chunk_hint` is the caller's
-/// granularity floor; the executed chunk size is chosen by the
-/// [`chunk_feedback`] controller. Runs inline (serially) when one
+/// granularity floor; each dispatched call cuts `0..total` into chunks of
+/// `max(chunk_hint, total / (participants · 8))` that participants claim
+/// in order from a shared cursor. Runs inline (serially) when one
 /// participant suffices, when `total` is at or under
 /// [`SERIAL_DISPATCH_THRESHOLD`], when called from inside a pool task,
 /// or under `UGC_THREADS=1`.
@@ -559,21 +409,9 @@ pub fn parallel_for<F>(num_threads: usize, total: usize, chunk_hint: usize, f: F
 where
     F: Fn(usize, Range<usize>) + Sync,
 {
-    if total == 0 {
-        return;
-    }
-    let hint = chunk_hint.max(1);
-    let t = clamp_participants(num_threads.max(1).min(total.div_ceil(hint)));
-    if t <= 1 || total <= SERIAL_DISPATCH_THRESHOLD || in_pool_job() {
-        counters().serial_runs.incr();
-        f(0, 0..total);
-        return;
-    }
-    let chunk = chunk_feedback::effective(total, t, hint);
-    let queues = BlockQueues::new(total, t, chunk);
-    let t0 = std::time::Instant::now();
-    run_job(t, &|tid| queues.work(tid, &f));
-    chunk_feedback::observe(total, chunk, t0.elapsed().as_nanos() as u64);
+    parallel_for_with_local::<(), _>(num_threads, total, chunk_hint, |tid, range, _| {
+        f(tid, range)
+    });
 }
 
 /// Runs `f(thread_id, start..end, &mut local)` like [`parallel_for`] but
@@ -604,29 +442,14 @@ where
         f(0, 0..total, &mut local);
         return vec![local];
     }
-    let chunk = chunk_feedback::effective(total, t, hint);
-    let queues = BlockQueues::new(total, t, chunk);
-    let results: Mutex<Vec<T>> = Mutex::new(Vec::with_capacity(t));
-    let t0 = std::time::Instant::now();
-    run_job(t, &|tid| {
-        let mut local = T::default();
-        loop {
-            let Some(range) = queues.pop_own(tid).or_else(|| queues.steal(tid)) else {
-                break;
-            };
-            count_chunk(&range);
-            f(tid, range, &mut local);
-        }
-        lock(&results).push(local);
-    });
-    chunk_feedback::observe(total, chunk, t0.elapsed().as_nanos() as u64);
-    results.into_inner().unwrap_or_else(|e| e.into_inner())
+    let chunk = hint.max(total / (t * CHUNKS_PER_PARTICIPANT));
+    let piece = |i: usize| i * chunk..((i + 1) * chunk).min(total);
+    run_pieces(t, total.div_ceil(chunk), piece, &f)
 }
 
 /// Like [`parallel_for_with_local`], but over caller-provided chunks
-/// (e.g. degree-balanced member ranges): the chunks are pre-seeded into
-/// per-participant queues in contiguous blocks, and idle participants
-/// steal whole chunks from the back of other queues.
+/// (e.g. degree-balanced member ranges), claimed in the caller's order
+/// from the same shared cursor.
 pub fn parallel_for_chunks_with_local<T, F>(
     num_threads: usize,
     chunks: Vec<Range<usize>>,
@@ -648,37 +471,7 @@ where
         }
         return vec![local];
     }
-    // Seed queue `i` with the i-th contiguous block of chunks, preserving
-    // the caller's (typically locality-friendly) order.
-    let n = chunks.len();
-    let mut queues: Vec<Mutex<VecDeque<Range<usize>>>> = Vec::with_capacity(t);
-    let mut iter = chunks.into_iter();
-    for i in 0..t {
-        let count = (i + 1) * n / t - i * n / t;
-        queues.push(Mutex::new(iter.by_ref().take(count).collect()));
-    }
-    let queues = &queues;
-    let results: Mutex<Vec<T>> = Mutex::new(Vec::with_capacity(t));
-    run_job(t, &|tid| {
-        let mut local = T::default();
-        loop {
-            let own = lock(&queues[tid]).pop_front();
-            let next = own.or_else(|| {
-                (1..t).find_map(|d| {
-                    let c = lock(&queues[(tid + d) % t]).pop_back();
-                    if c.is_some() {
-                        counters().steals.incr();
-                    }
-                    c
-                })
-            });
-            let Some(range) = next else { break };
-            count_chunk(&range);
-            f(tid, range, &mut local);
-        }
-        lock(&results).push(local);
-    });
-    results.into_inner().unwrap_or_else(|e| e.into_inner())
+    run_pieces(t, chunks.len(), |i| chunks[i].clone(), &f)
 }
 
 /// Covariant-free wrapper making a raw slice pointer shareable across
@@ -696,8 +489,8 @@ impl<T> SendPtr<T> {
 }
 
 /// Mutates `items` in parallel: each participant receives disjoint
-/// `&mut [T]` windows of roughly `chunk_hint` elements (with stealing),
-/// along with the window's starting index within `items`.
+/// `&mut [T]` windows, cut as in [`parallel_for`], along with the
+/// window's starting index within `items`.
 pub fn parallel_for_each_mut<T, F>(num_threads: usize, items: &mut [T], chunk_hint: usize, f: F)
 where
     T: Send,
@@ -862,6 +655,37 @@ mod tests {
         let mut all: Vec<usize> = locals.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..100).collect::<Vec<_>>());
+    }
+
+    /// Chunking depends only on the call: the ranges a dispatched call
+    /// hands out stay the same after calls of the same size with slow and
+    /// fast bodies, whose timings must not steer the next call's chunks.
+    #[test]
+    fn dispatched_ranges_depend_only_on_the_call() {
+        let ranges = || {
+            let locals = parallel_for_with_local::<Vec<Range<usize>>, _>(
+                2,
+                100_000,
+                64,
+                |_tid, range, local| local.push(range),
+            );
+            let mut all: Vec<Range<usize>> = locals.into_iter().flatten().collect();
+            all.sort_unstable_by_key(|r| r.start);
+            all
+        };
+        let first = ranges();
+        assert_eq!(first.first().map(|r| r.start), Some(0));
+        assert!(first.windows(2).all(|w| w[0].end == w[1].start));
+        assert_eq!(first.last().map(|r| r.end), Some(100_000));
+        for _ in 0..3 {
+            parallel_for(2, 100_000, 64, |_tid, range| {
+                for i in range {
+                    std::hint::black_box(i);
+                }
+            });
+            parallel_for(2, 100_000, 64, |_tid, _range| {});
+            assert_eq!(ranges(), first);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!    appends straight into `BENCH_*.json`.
 //!
 //! Counters are identified by dotted string names (`sim_gpu.cycles.compute`,
-//! `pool.steals`). Registration is idempotent — constructing a [`Counter`]
+//! `pool.parks`). Registration is idempotent — constructing a [`Counter`]
 //! with an existing name returns a handle to the same cell, which keeps
 //! per-run executor clones and re-entrant VMs from double-counting setup.
 //!

@@ -38,7 +38,6 @@
 
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 
 pub use ugc_graph::prng::{Prng, SplitMix64};
 
@@ -318,19 +317,21 @@ fn payload_message(payload: &Box<dyn std::any::Any + Send>) -> String {
 /// harness probes shrink candidates (hundreds of expected panics).
 ///
 /// The hook is global to the process, and `cargo test` runs tests on many
-/// threads, so the silencer keeps a count of engaged silencers: a wrapping
-/// hook is installed once, and prints through the previous hook only while
-/// the count is zero. Panics from non-harness threads during that window
-/// still abort their test via `catch_unwind`-less propagation; only the
-/// *printing* is suppressed.
+/// threads, so a wrapping hook is installed once and each thread keeps its
+/// own count of engaged silencers: the hook runs on the panicking thread
+/// and prints through the previous hook only while that thread's count is
+/// zero. Another thread's panic — a failing property's seed and shrink
+/// report included — prints even while this thread is probing.
 ///
-/// The count is an atomic and the hook is installed under a `Once`, never
-/// under a lock the hook itself takes: the panic machinery holds the hook
-/// lock while it runs the hook, so a hook that waits on a mutex whose
-/// holder is inside `take_hook` deadlocks two concurrently failing tests.
+/// The hook is installed under a `Once`, never under a lock the hook
+/// itself takes: the panic machinery holds the hook lock while it runs the
+/// hook, so a hook that waits on a mutex whose holder is inside
+/// `take_hook` deadlocks two concurrently failing tests.
 struct PanicHookSilencer;
 
-static SILENCED: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+thread_local! {
+    static SILENCED: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
 
 impl PanicHookSilencer {
     fn engage() -> Self {
@@ -338,19 +339,22 @@ impl PanicHookSilencer {
         INSTALL.call_once(|| {
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
-                if SILENCED.load(Ordering::SeqCst) == 0 {
+                // A panic during thread teardown, after the count is gone,
+                // is never a probe: print it.
+                if SILENCED.try_with(|n| n.get()).unwrap_or(0) == 0 {
                     prev(info);
                 }
             }));
         });
-        SILENCED.fetch_add(1, Ordering::SeqCst);
+        SILENCED.with(|n| n.set(n.get() + 1));
         PanicHookSilencer
     }
 }
 
 impl Drop for PanicHookSilencer {
     fn drop(&mut self) {
-        SILENCED.fetch_sub(1, Ordering::SeqCst);
+        // `try_with`: a drop must not panic, even during thread teardown.
+        let _ = SILENCED.try_with(|n| n.set(n.get() - 1));
     }
 }
 
@@ -377,6 +381,9 @@ pub mod gen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::process::Command;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn passing_property_runs_all_cases() {
@@ -498,5 +505,89 @@ mod tests {
     #[test]
     fn noshrink_never_shrinks() {
         assert!(NoShrink(vec![1, 2, 3]).shrink().is_empty());
+    }
+
+    /// One case, no shrinking: each property fails on its first input.
+    const ONE_CASE: Config = Config {
+        cases: 1,
+        seed: 11,
+        max_shrink_steps: 0,
+    };
+
+    /// Spins until `flag` is set; panics after a generous deadline so a
+    /// broken interleaving fails instead of hanging.
+    fn wait_for(flag: &AtomicBool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !flag.load(Ordering::SeqCst) {
+            assert!(Instant::now() < deadline, "helper interleaving timed out");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Two properties fail on two threads; `first`'s report is raised while
+    /// `second` is still inside its property run. Run by
+    /// `both_concurrent_failure_reports_reach_stderr` in a child process,
+    /// whose stderr it reads.
+    #[test]
+    #[ignore = "helper: run in a child process by both_concurrent_failure_reports_reach_stderr"]
+    fn concurrent_failures_helper() {
+        static SECOND_INSIDE: AtomicBool = AtomicBool::new(false);
+        static FIRST_REPORTED: AtomicBool = AtomicBool::new(false);
+
+        let second = std::thread::spawn(|| {
+            check(
+                "second_fails",
+                ONE_CASE,
+                |rng| rng.gen_range(0..10u32),
+                |_| {
+                    SECOND_INSIDE.store(true, Ordering::SeqCst);
+                    wait_for(&FIRST_REPORTED);
+                    panic!("second property broke");
+                },
+            )
+        });
+        wait_for(&SECOND_INSIDE);
+        let first = std::thread::spawn(|| {
+            check(
+                "first_fails",
+                ONE_CASE,
+                |rng| rng.gen_range(0..10u32),
+                |_| panic!("first property broke"),
+            )
+        });
+        assert!(first.join().is_err(), "first property must fail");
+        FIRST_REPORTED.store(true, Ordering::SeqCst);
+        assert!(second.join().is_err(), "second property must fail");
+    }
+
+    /// A failing property's report reaches stderr even while another
+    /// thread is inside the harness probing its own (silenced) panics.
+    #[test]
+    fn both_concurrent_failure_reports_reach_stderr() {
+        let out = Command::new(std::env::current_exe().expect("test binary path"))
+            .args([
+                "tests::concurrent_failures_helper",
+                "--exact",
+                "--ignored",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .output()
+            .expect("running the helper");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "helper failed:\n{stderr}");
+        for name in ["first", "second"] {
+            let report = format!("property '{name}_fails' failed");
+            assert!(stderr.contains(&report), "missing `{report}` in:\n{stderr}");
+            assert!(
+                stderr.contains(&format!("panic     : {name} property broke")),
+                "missing {name}'s panic message in:\n{stderr}"
+            );
+        }
+        assert_eq!(
+            stderr.matches("UGC_TESTKIT_SEED=11").count(),
+            2,
+            "both reports carry their replay seed:\n{stderr}"
+        );
     }
 }

@@ -22,8 +22,18 @@ echo "== cargo test under UGC_THREADS=1 (deterministic serial execution)"
 # runs inline. Scoped to the crates that exercise the pool to bound time.
 # ugc-integration includes the cross-backend differential conformance
 # suite (tests/differential_backends.rs) and the pool counter tests, so
-# both run serially here — the latter asserts steals == 0 exactly.
+# both run serially here — the latter asserts that no job is dispatched
+# and no worker parks, exactly.
 UGC_THREADS=1 cargo test -q --offline -p ugc-runtime -p ugc-backend-cpu -p ugc-integration
+
+echo "== pool tests, 20 release runs (chunk-cursor interleavings)"
+# Which participant claims which chunk differs from run to run, so one
+# pass samples one interleaving; each binary finishes in well under a
+# second.
+for _ in $(seq 20); do
+  cargo test -q --release --offline -p ugc-runtime --lib pool
+  cargo test -q --release --offline -p ugc-integration --test pool_threads
+done
 
 echo "== cargo test under UGC_TELEMETRY=0 (counters compiled to no-ops)"
 # Disabled telemetry must leave results identical and registries empty;
