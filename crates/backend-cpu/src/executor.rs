@@ -9,8 +9,7 @@ use ugc_graphir::types::Direction;
 use ugc_runtime::eval::{BufferedOutput, NullMemory};
 use ugc_runtime::interp::{filter_sweep, ExecError, OperatorExecutor, ProgramState};
 use ugc_runtime::pool::{
-    default_threads, parallel_for_chunks_with_local, parallel_for_with_local,
-    SERIAL_DISPATCH_THRESHOLD,
+    parallel_for_chunks_with_local, parallel_for_with_local, SERIAL_DISPATCH_THRESHOLD,
 };
 use ugc_runtime::udf::{body_of, CompiledUdf, Frame};
 use ugc_runtime::vertexset::VertexSet;
@@ -94,6 +93,16 @@ pub struct KernelDispatch {
     pub fallback: u64,
 }
 
+/// What the CPU counted in one run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CpuStats {
+    /// Where the wall time went; components sum to `attr.total()`.
+    /// All zeros when telemetry is disabled.
+    pub attr: CpuAttribution,
+    /// Which tier ran each operator (counted with telemetry on or off).
+    pub dispatch: KernelDispatch,
+}
+
 /// Phase nanoseconds accumulated by one executor over one run.
 #[derive(Debug, Clone, Copy, Default)]
 struct PhaseNs {
@@ -104,49 +113,19 @@ struct PhaseNs {
 
 /// Executes GraphIR iteration operators on host threads.
 pub struct CpuExecutor {
-    /// Worker thread count (defaults to available parallelism).
-    pub num_threads: usize,
-    /// Whether operators may run compiled (default: on, unless
-    /// `UGC_CPU_KERNELS=0`). Off forces the interpreter everywhere — the
-    /// differential oracle.
-    pub use_kernels: bool,
+    /// Worker thread count.
+    num_threads: usize,
+    /// Whether operators may run compiled. Off forces the interpreter
+    /// everywhere — the differential oracle.
+    use_kernels: bool,
     /// Per-run kernel table. [`UdfId`]s are only meaningful within one
-    /// compiled program, so `Clone` (the per-`execute` entry point) resets
-    /// this to empty rather than sharing it.
+    /// compiled program, so every run builds a fresh executor.
     kernels: std::sync::Arc<KernelCache>,
     phase_ns: PhaseNs,
     dispatch: KernelDispatch,
     /// The run's last edge-traversal direction, so `cpu.direction_switches`
-    /// counts flips within one run only; `Clone` starts a run without one.
+    /// counts flips within one run only.
     last_direction: Option<Direction>,
-}
-
-impl Clone for CpuExecutor {
-    fn clone(&self) -> Self {
-        CpuExecutor {
-            num_threads: self.num_threads,
-            use_kernels: self.use_kernels,
-            kernels: std::sync::Arc::new(KernelCache::default()),
-            phase_ns: self.phase_ns,
-            dispatch: KernelDispatch::default(),
-            last_direction: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for CpuExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CpuExecutor")
-            .field("num_threads", &self.num_threads)
-            .field("use_kernels", &self.use_kernels)
-            .finish()
-    }
-}
-
-impl Default for CpuExecutor {
-    fn default() -> Self {
-        CpuExecutor::with_threads(default_threads())
-    }
 }
 
 /// The CPU schedule knobs of one edge operator.
@@ -157,12 +136,13 @@ struct OpPlan {
 }
 
 impl CpuExecutor {
-    /// An executor with `num_threads` workers.
+    /// A fresh executor for one run on `num_threads` workers, running
+    /// operators compiled when `use_kernels` allows.
     #[must_use]
-    pub fn with_threads(num_threads: usize) -> Self {
+    pub fn new(num_threads: usize, use_kernels: bool) -> Self {
         CpuExecutor {
             num_threads,
-            use_kernels: kernels::kernels_enabled_by_env(),
+            use_kernels,
             kernels: std::sync::Arc::new(KernelCache::default()),
             phase_ns: PhaseNs::default(),
             dispatch: KernelDispatch::default(),
@@ -247,32 +227,31 @@ impl CpuExecutor {
         body
     }
 
-    /// The run's operators by tier, resetting the per-run count.
-    pub fn take_dispatch(&mut self) -> KernelDispatch {
-        std::mem::take(&mut self.dispatch)
-    }
-
     /// Closes out one run: attributes `elapsed_ns` of wall time across the
-    /// phases timed during the run, charges the remainder to `other`,
-    /// mirrors the totals into the global registry, and resets the per-run
-    /// accumulators. Returns all zeros when telemetry is disabled.
-    pub fn finish_run(&mut self, elapsed_ns: u64) -> CpuAttribution {
-        let phases = std::mem::take(&mut self.phase_ns);
+    /// phases timed during the run, charges the remainder to `other`, and
+    /// mirrors the totals into the global registry. The attribution is all
+    /// zeros when telemetry is disabled; the tier counts are kept either way.
+    pub fn finish_run(self, elapsed_ns: u64) -> CpuStats {
+        let phases = self.phase_ns;
+        let mut stats = CpuStats {
+            attr: CpuAttribution::default(),
+            dispatch: self.dispatch,
+        };
         if !ugc_telemetry::enabled() {
-            return CpuAttribution::default();
+            return stats;
         }
         let tracked = phases.push + phases.pull + phases.apply;
-        let attr = CpuAttribution {
+        stats.attr = CpuAttribution {
             edge_push: phases.push,
             edge_pull: phases.pull,
             vertex_apply: phases.apply,
             other: elapsed_ns.max(tracked) - tracked,
         };
         let c = counters();
-        c.other_ns.add(attr.other);
-        c.elapsed_ns.add(attr.total());
+        c.other_ns.add(stats.attr.other);
+        c.elapsed_ns.add(stats.attr.total());
         c.runs.incr();
-        attr
+        stats
     }
 
     fn plan(stmt: &Stmt) -> OpPlan {
@@ -549,7 +528,9 @@ end
         let mut externs = HashMap::new();
         externs.insert("start_vertex".to_string(), Value::Int(0));
         let mut state = ProgramState::new(prog, &graph, &externs).unwrap();
-        run_main(&mut state, &mut CpuExecutor::default()).unwrap();
+        let threads = ugc_runtime::pool::default_threads();
+        let mut exec = CpuExecutor::new(threads, kernels::kernels_enabled_by_env());
+        run_main(&mut state, &mut exec).unwrap();
         let parent = state.props.id_of("parent").unwrap();
         state
             .props

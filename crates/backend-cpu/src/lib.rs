@@ -12,6 +12,7 @@
 //!
 //! ```no_run
 //! use ugc_backend_cpu::{CpuGraphVm, CpuSchedule};
+//! use ugc_runtime::GraphVm;
 //! use ugc_schedule::{apply_schedule, ScheduleRef};
 //!
 //! let src = "...algorithm...";
@@ -22,7 +23,7 @@
 //! let graph = ugc_graph::generators::path(8);
 //! let vm = CpuGraphVm::default();
 //! let run = vm.execute(prog, &graph, &Default::default()).unwrap();
-//! println!("took {:?}", run.elapsed);
+//! println!("took {} ms", run.time_ms);
 //! ```
 
 pub mod emitter;
@@ -31,7 +32,7 @@ pub mod kernels;
 pub mod schedule;
 pub mod vm;
 
-pub use executor::{CpuAttribution, CpuExecutor, KernelDispatch};
+pub use executor::{CpuAttribution, CpuExecutor, CpuStats, KernelDispatch};
 pub use kernels::{EdgeKernel, KernelKey, Tier};
 pub use schedule::{CpuSchedule, CpuScheduleSpace};
-pub use vm::{CpuGraphVm, Execution};
+pub use vm::CpuGraphVm;

@@ -1,61 +1,28 @@
 //! The CPU GraphVM entry point.
 
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ugc_graph::Graph;
 use ugc_graphir::ir::Program;
-use ugc_runtime::interp::{contain, run_main, ExecError, ProgramState};
-use ugc_runtime::value::Value;
+use ugc_runtime::interp::ProgramState;
+use ugc_runtime::pool::default_threads;
+use ugc_runtime::vm::{Execution, GraphVm};
 
-use crate::executor::{CpuAttribution, CpuExecutor, KernelDispatch};
+use crate::executor::{CpuExecutor, CpuStats};
+use crate::kernels::kernels_enabled_by_env;
 
 /// The CPU GraphVM: executes midend-processed GraphIR on host threads.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CpuGraphVm {
-    /// Operator executor (thread count lives here).
-    pub executor: CpuExecutor,
+    /// Worker thread count (defaults to available parallelism).
+    pub num_threads: usize,
+    /// Whether operators may run compiled (default: on, unless
+    /// `UGC_CPU_KERNELS=0`).
+    pub use_kernels: bool,
 }
 
-/// The result of one execution: final program state plus wall-clock time.
-pub struct Execution<'g> {
-    /// Final state (properties, globals, prints).
-    pub state: ProgramState<'g>,
-    /// Wall-clock time of `main` (excludes state setup).
-    pub elapsed: Duration,
-    /// Where the wall time went; components sum to `attr.total()`.
-    /// All zeros when telemetry is disabled.
-    pub attr: CpuAttribution,
-    /// Which tier ran each operator (counted with telemetry on or off).
-    pub dispatch: KernelDispatch,
-}
-
-impl std::fmt::Debug for Execution<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Execution")
-            .field("elapsed", &self.elapsed)
-            .finish()
-    }
-}
-
-impl Execution<'_> {
-    /// Snapshot of a property by name as integers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist (a compile bug, not a data
-    /// error).
-    pub fn property_ints(&self, name: &str) -> Vec<i64> {
-        self.state.property_ints(name)
-    }
-
-    /// Snapshot of a property by name as floats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist.
-    pub fn property_floats(&self, name: &str) -> Vec<f64> {
-        self.state.property_floats(name)
+impl Default for CpuGraphVm {
+    fn default() -> Self {
+        CpuGraphVm::with_threads(default_threads())
     }
 }
 
@@ -63,7 +30,8 @@ impl CpuGraphVm {
     /// A VM with `num_threads` workers.
     pub fn with_threads(num_threads: usize) -> Self {
         CpuGraphVm {
-            executor: CpuExecutor::with_threads(num_threads),
+            num_threads,
+            use_kernels: kernels_enabled_by_env(),
         }
     }
 
@@ -72,48 +40,47 @@ impl CpuGraphVm {
     /// kernels off every operator goes through the interpreter — the
     /// differential oracle both are tested against.
     pub fn with_kernels(mut self, on: bool) -> Self {
-        self.executor.use_kernels = on;
+        self.use_kernels = on;
         self
     }
+}
 
-    /// Executes a program (already lowered and passed through the midend)
-    /// on `graph`, binding extern consts from `externs`.
-    ///
-    /// Runs under [`contain`]: panics anywhere in the execution (broken
-    /// invariants, watchdog payloads) come back as classed [`ExecError`]s
-    /// instead of unwinding into the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] for unbound externs or execution failures.
-    pub fn execute<'g>(
+impl GraphVm for CpuGraphVm {
+    type Executor = CpuExecutor;
+    type Stats = CpuStats;
+
+    fn executor(&self) -> CpuExecutor {
+        CpuExecutor::new(self.num_threads, self.use_kernels)
+    }
+
+    /// Attributes the wall time `main` took across the timed phases — also
+    /// after a failed run, so the global counters stay consistent.
+    fn finish<'g>(
         &self,
-        prog: Program,
-        graph: &'g Graph,
-        externs: &HashMap<String, Value>,
-    ) -> Result<Execution<'g>, ExecError> {
-        contain(std::panic::AssertUnwindSafe(|| {
-            let mut state = ProgramState::new(prog, graph, externs)?;
-            let mut exec = self.executor.clone();
-            let start = Instant::now();
-            let result = run_main(&mut state, &mut exec);
-            let elapsed = start.elapsed();
-            // Attribute even on error so global counters stay consistent.
-            let attr = exec.finish_run(elapsed.as_nanos() as u64);
-            result?;
-            Ok(Execution {
-                state,
-                elapsed,
-                attr,
-                dispatch: exec.take_dispatch(),
-            })
-        }))
+        exec: CpuExecutor,
+        wall: Duration,
+        state: ProgramState<'g>,
+    ) -> Execution<'g, CpuStats> {
+        let stats = exec.finish_run(wall.as_nanos() as u64);
+        Execution {
+            state,
+            time_ms: wall.as_secs_f64() * 1e3,
+            cycles: 0,
+            attribution: stats.attr.components().to_vec(),
+            stats,
+        }
+    }
+
+    fn emit(&self, prog: &Program) -> String {
+        crate::emitter::emit_cpp(prog)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::CpuAttribution;
+    use std::collections::HashMap;
 
     #[test]
     fn vm_runs_and_times() {
@@ -172,14 +139,19 @@ end
             // Components sum exactly to the attributed total, which covers
             // the whole elapsed window.
             assert_eq!(
-                run.attr.components().iter().map(|(_, v)| v).sum::<u64>(),
-                run.attr.total()
+                run.stats
+                    .attr
+                    .components()
+                    .iter()
+                    .map(|(_, v)| v)
+                    .sum::<u64>(),
+                run.stats.attr.total()
             );
-            assert!(run.attr.total() >= run.elapsed.as_nanos() as u64);
-            assert!(run.attr.edge_push + run.attr.edge_pull > 0);
-            assert!(run.attr.vertex_apply > 0);
+            assert!(run.stats.attr.total() >= (run.time_ms * 1e6) as u64);
+            assert!(run.stats.attr.edge_push + run.stats.attr.edge_pull > 0);
+            assert!(run.stats.attr.vertex_apply > 0);
         } else {
-            assert_eq!(run.attr, CpuAttribution::default());
+            assert_eq!(run.stats.attr, CpuAttribution::default());
         }
     }
 }

@@ -1,12 +1,11 @@
 //! The GPU GraphVM entry point.
 
-use std::collections::HashMap;
+use std::time::Duration;
 
-use ugc_graph::Graph;
 use ugc_graphir::ir::Program;
-use ugc_runtime::interp::{contain, run_main, ExecError, ProgramState};
-use ugc_runtime::value::Value;
-use ugc_sim_gpu::{GpuAttribution, GpuConfig, GpuSim, GpuStats};
+use ugc_runtime::interp::ProgramState;
+use ugc_runtime::vm::{Execution, GraphVm};
+use ugc_sim_gpu::{GpuConfig, GpuSim, GpuStats};
 
 use crate::executor::GpuExecutor;
 
@@ -17,80 +16,37 @@ pub struct GpuGraphVm {
     pub config: GpuConfig,
 }
 
-/// Result of one simulated execution.
-pub struct GpuExecution<'g> {
-    /// Final program state (properties, globals, prints).
-    pub state: ProgramState<'g>,
-    /// Simulated device cycles.
-    pub cycles: u64,
-    /// Simulated time in milliseconds.
-    pub time_ms: f64,
-    /// Device statistics.
-    pub stats: GpuStats,
-    /// Where the simulated cycles went.
-    pub attr: GpuAttribution,
-}
+impl GraphVm for GpuGraphVm {
+    type Executor = GpuExecutor;
+    type Stats = GpuStats;
 
-impl std::fmt::Debug for GpuExecution<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GpuExecution")
-            .field("cycles", &self.cycles)
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl GpuExecution<'_> {
-    /// Snapshot of an integer property.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist.
-    pub fn property_ints(&self, name: &str) -> Vec<i64> {
-        self.state.property_ints(name)
+    /// Kernel fusion marking.
+    fn passes(&self, prog: &mut Program) {
+        crate::passes::run(prog);
     }
 
-    /// Snapshot of a float property.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist.
-    pub fn property_floats(&self, name: &str) -> Vec<f64> {
-        self.state.property_floats(name)
-    }
-}
-
-impl GpuGraphVm {
-    /// A VM over the given device configuration.
-    pub fn new(config: GpuConfig) -> Self {
-        GpuGraphVm { config }
+    fn executor(&self) -> GpuExecutor {
+        GpuExecutor::new(GpuSim::new(self.config.clone()))
     }
 
-    /// Executes a midend-processed program on `graph`. Runs the GPU
-    /// GraphVM's hardware-specific passes (kernel fusion marking) first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] for unbound externs or execution failures.
-    pub fn execute<'g>(
+    fn finish<'g>(
         &self,
-        mut prog: Program,
-        graph: &'g Graph,
-        externs: &HashMap<String, Value>,
-    ) -> Result<GpuExecution<'g>, ExecError> {
-        contain(std::panic::AssertUnwindSafe(|| {
-            crate::passes::run(&mut prog);
-            let mut state = ProgramState::new(prog, graph, externs)?;
-            let mut exec = GpuExecutor::new(GpuSim::new(self.config.clone()));
-            run_main(&mut state, &mut exec)?;
-            Ok(GpuExecution {
-                cycles: exec.sim.time_cycles(),
-                time_ms: exec.sim.time_ms(),
-                stats: exec.sim.stats,
-                attr: exec.sim.attr,
-                state,
-            })
-        }))
+        exec: GpuExecutor,
+        _wall: Duration,
+        state: ProgramState<'g>,
+    ) -> Execution<'g, GpuStats> {
+        let sim = exec.sim;
+        Execution {
+            state,
+            time_ms: sim.time_ms(),
+            cycles: sim.time_cycles(),
+            attribution: sim.attr.components().to_vec(),
+            stats: sim.stats,
+        }
+    }
+
+    fn emit(&self, prog: &Program) -> String {
+        crate::emitter::emit_cuda(prog)
     }
 }
 
@@ -98,6 +54,8 @@ impl GpuGraphVm {
 mod tests {
     use super::*;
     use crate::schedule::GpuSchedule;
+    use std::collections::HashMap;
+    use ugc_runtime::value::Value;
     use ugc_schedule::{apply_schedule, ScheduleRef};
 
     const BFS: &str = r#"

@@ -1,12 +1,11 @@
 //! The HammerBlade GraphVM entry point.
 
-use std::collections::HashMap;
+use std::time::Duration;
 
-use ugc_graph::Graph;
 use ugc_graphir::ir::Program;
-use ugc_runtime::interp::{contain, run_main, ExecError, ProgramState};
-use ugc_runtime::value::Value;
-use ugc_sim_hb::{HbAttribution, HbConfig, HbSim, HbStats};
+use ugc_runtime::interp::ProgramState;
+use ugc_runtime::vm::{Execution, GraphVm};
+use ugc_sim_hb::{HbConfig, HbSim, HbStats};
 
 use crate::executor::HbExecutor;
 
@@ -17,88 +16,41 @@ pub struct HbGraphVm {
     pub config: HbConfig,
 }
 
-/// Result of one simulated execution.
-pub struct HbExecution<'g> {
-    /// Final program state.
-    pub state: ProgramState<'g>,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Simulated milliseconds.
-    pub time_ms: f64,
-    /// Memory-system statistics (Table IX's inputs).
-    pub stats: HbStats,
-    /// Where the simulated cycles went.
-    pub attr: HbAttribution,
-    /// Achieved DRAM bandwidth as a fraction of peak.
-    pub bandwidth_utilization: f64,
-}
-
-impl std::fmt::Debug for HbExecution<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HbExecution")
-            .field("cycles", &self.cycles)
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl HbExecution<'_> {
-    /// Snapshot of an integer property.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist.
-    pub fn property_ints(&self, name: &str) -> Vec<i64> {
-        self.state.property_ints(name)
-    }
-
-    /// Snapshot of a float property.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist.
-    pub fn property_floats(&self, name: &str) -> Vec<f64> {
-        self.state.property_floats(name)
-    }
-}
-
 impl HbGraphVm {
-    /// A VM over the given machine configuration.
-    pub fn new(config: HbConfig) -> Self {
-        HbGraphVm { config }
-    }
-
     /// A VM with the given grid rows (16 columns, as in Fig. 10a).
     pub fn with_rows(rows: usize) -> Self {
         HbGraphVm {
             config: HbConfig::default().with_rows(rows),
         }
     }
+}
 
-    /// Executes a midend-processed program on `graph`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] for unbound externs or execution failures.
-    pub fn execute<'g>(
+impl GraphVm for HbGraphVm {
+    type Executor = HbExecutor;
+    type Stats = HbStats;
+
+    fn executor(&self) -> HbExecutor {
+        HbExecutor::new(HbSim::new(self.config.clone()))
+    }
+
+    fn finish<'g>(
         &self,
-        prog: Program,
-        graph: &'g Graph,
-        externs: &HashMap<String, Value>,
-    ) -> Result<HbExecution<'g>, ExecError> {
-        contain(std::panic::AssertUnwindSafe(|| {
-            let mut state = ProgramState::new(prog, graph, externs)?;
-            let mut exec = HbExecutor::new(HbSim::new(self.config.clone()));
-            run_main(&mut state, &mut exec)?;
-            Ok(HbExecution {
-                cycles: exec.sim.time_cycles(),
-                time_ms: exec.sim.time_ms(),
-                stats: exec.sim.stats,
-                attr: exec.sim.attr,
-                bandwidth_utilization: exec.sim.bandwidth_utilization(),
-                state,
-            })
-        }))
+        exec: HbExecutor,
+        _wall: Duration,
+        state: ProgramState<'g>,
+    ) -> Execution<'g, HbStats> {
+        let sim = exec.sim;
+        Execution {
+            state,
+            time_ms: sim.time_ms(),
+            cycles: sim.time_cycles(),
+            attribution: sim.attr.components().to_vec(),
+            stats: sim.stats,
+        }
+    }
+
+    fn emit(&self, prog: &Program) -> String {
+        crate::emitter::emit_hb(prog)
     }
 }
 
@@ -106,6 +58,8 @@ impl HbGraphVm {
 mod tests {
     use super::*;
     use crate::schedule::{HbLoadBalance, HbSchedule};
+    use std::collections::HashMap;
+    use ugc_runtime::value::Value;
     use ugc_schedule::{apply_schedule, ScheduleRef};
 
     const BFS: &str = r#"

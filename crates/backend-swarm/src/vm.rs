@@ -1,12 +1,11 @@
 //! The Swarm GraphVM entry point.
 
-use std::collections::HashMap;
+use std::time::Duration;
 
-use ugc_graph::Graph;
 use ugc_graphir::ir::Program;
-use ugc_runtime::interp::{contain, run_main, ExecError, ProgramState};
-use ugc_runtime::value::Value;
-use ugc_sim_swarm::{SwarmAttribution, SwarmConfig, SwarmSim, SwarmStats};
+use ugc_runtime::interp::ProgramState;
+use ugc_runtime::vm::{Execution, GraphVm};
+use ugc_sim_swarm::{SwarmConfig, SwarmSim, SwarmStats};
 
 use crate::executor::SwarmExecutor;
 
@@ -17,85 +16,41 @@ pub struct SwarmGraphVm {
     pub config: SwarmConfig,
 }
 
-/// Result of one simulated execution.
-pub struct SwarmExecution<'g> {
-    /// Final program state.
-    pub state: ProgramState<'g>,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Simulated milliseconds.
-    pub time_ms: f64,
-    /// Task/abort/idle statistics (Fig. 11's categories).
-    pub stats: SwarmStats,
-    /// Where the simulated cycles went.
-    pub attr: SwarmAttribution,
-}
-
-impl std::fmt::Debug for SwarmExecution<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SwarmExecution")
-            .field("cycles", &self.cycles)
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl SwarmExecution<'_> {
-    /// Snapshot of an integer property.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist.
-    pub fn property_ints(&self, name: &str) -> Vec<i64> {
-        self.state.property_ints(name)
-    }
-
-    /// Snapshot of a float property.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist.
-    pub fn property_floats(&self, name: &str) -> Vec<f64> {
-        self.state.property_floats(name)
-    }
-}
-
 impl SwarmGraphVm {
-    /// A VM over the given machine configuration.
-    pub fn new(config: SwarmConfig) -> Self {
-        SwarmGraphVm { config }
-    }
-
     /// A VM with `n` cores (queues scale with the core count).
     pub fn with_cores(n: usize) -> Self {
         SwarmGraphVm {
             config: SwarmConfig::default().with_cores(n),
         }
     }
+}
 
-    /// Executes a midend-processed program on `graph`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] for unbound externs or execution failures.
-    pub fn execute<'g>(
+impl GraphVm for SwarmGraphVm {
+    type Executor = SwarmExecutor;
+    type Stats = SwarmStats;
+
+    fn executor(&self) -> SwarmExecutor {
+        SwarmExecutor::new(SwarmSim::new(self.config.clone()))
+    }
+
+    fn finish<'g>(
         &self,
-        prog: Program,
-        graph: &'g Graph,
-        externs: &HashMap<String, Value>,
-    ) -> Result<SwarmExecution<'g>, ExecError> {
-        contain(std::panic::AssertUnwindSafe(|| {
-            let mut state = ProgramState::new(prog, graph, externs)?;
-            let mut exec = SwarmExecutor::new(SwarmSim::new(self.config.clone()));
-            run_main(&mut state, &mut exec)?;
-            Ok(SwarmExecution {
-                cycles: exec.sim.time_cycles(),
-                time_ms: exec.sim.time_ms(),
-                stats: exec.sim.stats,
-                attr: exec.sim.attr,
-                state,
-            })
-        }))
+        exec: SwarmExecutor,
+        _wall: Duration,
+        state: ProgramState<'g>,
+    ) -> Execution<'g, SwarmStats> {
+        let sim = exec.sim;
+        Execution {
+            state,
+            time_ms: sim.time_ms(),
+            cycles: sim.time_cycles(),
+            attribution: sim.attr.components().to_vec(),
+            stats: sim.stats,
+        }
+    }
+
+    fn emit(&self, prog: &Program) -> String {
+        crate::emitter::emit_t4(prog)
     }
 }
 
@@ -103,6 +58,8 @@ impl SwarmGraphVm {
 mod tests {
     use super::*;
     use crate::schedule::{Frontiers, SwarmSchedule, TaskGranularity};
+    use std::collections::HashMap;
+    use ugc_runtime::value::Value;
     use ugc_schedule::{apply_schedule, ScheduleRef};
 
     const BFS: &str = r#"

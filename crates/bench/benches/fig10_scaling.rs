@@ -11,6 +11,7 @@ use ugc_backend_hb::HbGraphVm;
 use ugc_backend_swarm::SwarmGraphVm;
 use ugc_bench::{tuned_schedule_for, Harness};
 use ugc_graph::{Dataset, Scale};
+use ugc_runtime::GraphVm;
 
 fn externs() -> std::collections::HashMap<String, ugc_runtime::value::Value> {
     let mut m = std::collections::HashMap::new();
@@ -21,43 +22,19 @@ fn externs() -> std::collections::HashMap<String, ugc_runtime::value::Value> {
     m
 }
 
-fn fig10a(h: &Harness) {
-    let dataset = Dataset::RoadCentral;
-    let graph = dataset.generate(Scale::Tiny);
-    for rows in [2usize, 4, 8, 16] {
-        h.bench(
-            "fig10a/hammerblade_bfs",
-            &format!("{}cores", rows * 16),
-            || {
-                let mut comp = Compiler::new(Algorithm::Bfs);
-                comp.start_vertex(0).schedule(
-                    Algorithm::Bfs.schedule_path(),
-                    tuned_schedule_for(Target::HammerBlade, Algorithm::Bfs, &graph),
-                );
-                let prog = comp.compile().expect("compiles");
-                let run = HbGraphVm::with_rows(rows)
-                    .execute(prog, &graph, &externs())
-                    .expect("runs");
-                Duration::from_nanos(run.cycles)
-            },
-        );
-    }
-}
-
-fn fig10b(h: &Harness) {
-    let dataset = Dataset::RoadCentral;
-    let graph = dataset.generate(Scale::Tiny);
-    for cores in [1usize, 4, 16, 64] {
-        h.bench("fig10b/swarm_bfs", &format!("{cores}cores"), || {
+/// Times tuned BFS on RC at tiny scale on each `(cores, vm)` machine, in
+/// simulated cycles.
+fn bfs_scaling<V: GraphVm>(h: &Harness, group: &str, target: Target, machines: [(usize, V); 4]) {
+    let graph = Dataset::RoadCentral.generate(Scale::Tiny);
+    for (cores, vm) in machines {
+        h.bench(group, &format!("{cores}cores"), || {
             let mut comp = Compiler::new(Algorithm::Bfs);
             comp.start_vertex(0).schedule(
                 Algorithm::Bfs.schedule_path(),
-                tuned_schedule_for(Target::Swarm, Algorithm::Bfs, &graph),
+                tuned_schedule_for(target, Algorithm::Bfs, &graph),
             );
             let prog = comp.compile().expect("compiles");
-            let run = SwarmGraphVm::with_cores(cores)
-                .execute(prog, &graph, &externs())
-                .expect("runs");
+            let run = vm.execute(prog, &graph, &externs()).expect("runs");
             Duration::from_nanos(run.cycles)
         });
     }
@@ -65,6 +42,16 @@ fn fig10b(h: &Harness) {
 
 fn main() {
     let h = Harness::from_args();
-    fig10a(&h);
-    fig10b(&h);
+    bfs_scaling(
+        &h,
+        "fig10a/hammerblade_bfs",
+        Target::HammerBlade,
+        [2usize, 4, 8, 16].map(|rows| (rows * 16, HbGraphVm::with_rows(rows))),
+    );
+    bfs_scaling(
+        &h,
+        "fig10b/swarm_bfs",
+        Target::Swarm,
+        [1usize, 4, 16, 64].map(|cores| (cores, SwarmGraphVm::with_cores(cores))),
+    );
 }

@@ -24,7 +24,9 @@ use ugc_bench::{
     parse_target, profile_backend, tune_dataset, tuned_schedule, Tuned, Tuner,
 };
 use ugc_graph::{Dataset, Scale};
+use ugc_runtime::{Execution, GraphVm};
 use ugc_sim_gpu::GpuConfig;
+use ugc_sim_hb::HbStats;
 use ugc_sim_swarm::SwarmConfig;
 
 const USAGE: &str = "usage: repro [--scale tiny|small|medium] [--seed N] [--budget N] [--no-cache] \
@@ -1111,44 +1113,20 @@ fn fig9(scale: Scale) {
 /// Fig. 10a: BFS strong scaling on HammerBlade (rows 2/4/8/16 × 16 cols).
 fn fig10a(scale: Scale) {
     banner("Figure 10a: BFS scaling on HammerBlade (speedup over 32 cores)");
-    let datasets = [
-        Dataset::RoadNetCa,
-        Dataset::RoadCentral,
-        Dataset::Pokec,
-        Dataset::Hollywood,
-        Dataset::LiveJournal,
-    ];
-    print!("{:<6}", "cores");
-    for d in datasets {
-        print!("{:>8}", d.abbrev());
-    }
-    println!();
-    let mut base = BTreeMap::new();
-    for rows in [2usize, 4, 8, 16] {
-        print!("{:<6}", rows * 16);
-        for d in datasets {
-            let graph = d.generate(scale);
-            let mut c = Compiler::new(Algorithm::Bfs);
-            c.start_vertex(0).schedule(
-                Algorithm::Bfs.schedule_path(),
-                tuned_schedule(Target::HammerBlade, Algorithm::Bfs, d.profile()),
-            );
-            let prog = c.compile().expect("compiles");
-            let vm = HbGraphVm::with_rows(rows);
-            let run = vm
-                .execute(prog, &graph, &externs(Algorithm::Bfs))
-                .expect("runs");
-            let key = d.abbrev();
-            let b = *base.entry(key).or_insert(run.cycles as f64);
-            print!("{:>8.2}", b / run.cycles as f64);
-        }
-        println!();
-    }
+    let machines = [2usize, 4, 8, 16].map(|rows| (rows * 16, HbGraphVm::with_rows(rows)));
+    bfs_scaling(scale, Target::HammerBlade, machines);
 }
 
 /// Fig. 10b: BFS strong scaling on Swarm (1..64 cores).
 fn fig10b(scale: Scale) {
     banner("Figure 10b: BFS scaling on Swarm (speedup over 1 core)");
+    let machines = [1usize, 4, 16, 64].map(|cores| (cores, SwarmGraphVm::with_cores(cores)));
+    bfs_scaling(scale, Target::Swarm, machines);
+}
+
+/// One Fig. 10 table: tuned BFS on each `(cores, vm)` machine, as speedup
+/// over the first.
+fn bfs_scaling<V: GraphVm>(scale: Scale, target: Target, machines: [(usize, V); 4]) {
     let datasets = [
         Dataset::RoadNetCa,
         Dataset::RoadCentral,
@@ -1162,17 +1140,16 @@ fn fig10b(scale: Scale) {
     }
     println!();
     let mut base = BTreeMap::new();
-    for cores in [1usize, 4, 16, 64] {
+    for (cores, vm) in machines {
         print!("{:<6}", cores);
         for d in datasets {
             let graph = d.generate(scale);
             let mut c = Compiler::new(Algorithm::Bfs);
             c.start_vertex(0).schedule(
                 Algorithm::Bfs.schedule_path(),
-                tuned_schedule(Target::Swarm, Algorithm::Bfs, d.profile()),
+                tuned_schedule(target, Algorithm::Bfs, d.profile()),
             );
             let prog = c.compile().expect("compiles");
-            let vm = SwarmGraphVm::with_cores(cores);
             let run = vm
                 .execute(prog, &graph, &externs(Algorithm::Bfs))
                 .expect("runs");
@@ -1346,6 +1323,7 @@ fn table9(scale: Scale) {
         "{:<6}{:>14}{:>14}{:>10}",
         "", "DRAM stalls", "bandwidth", "speedup"
     );
+    let vm = HbGraphVm::default();
     for d in [Dataset::LiveJournal, Dataset::Hollywood, Dataset::Pokec] {
         let graph = d.generate(scale);
         let run = |blocked: bool| {
@@ -1362,17 +1340,18 @@ fn table9(scale: Scale) {
             c.start_vertex(0)
                 .schedule(Algorithm::Sssp.schedule_path(), sched);
             let prog = c.compile().expect("compiles");
-            HbGraphVm::default()
-                .execute(prog, &graph, &externs(Algorithm::Sssp))
+            vm.execute(prog, &graph, &externs(Algorithm::Sssp))
                 .expect("runs")
         };
         let base = run(false);
         let blocked = run(true);
+        let utilization =
+            |r: &Execution<'_, HbStats>| r.stats.bandwidth_utilization(r.cycles, &vm.config);
         println!(
             "{:<6}{:>14.2}{:>14.2}{:>10.2}",
             d.abbrev(),
             blocked.stats.dram_stall_cycles as f64 / base.stats.dram_stall_cycles.max(1) as f64,
-            blocked.bandwidth_utilization / base.bandwidth_utilization.max(1e-12),
+            utilization(&blocked) / utilization(&base).max(1e-12),
             base.cycles as f64 / blocked.cycles as f64,
         );
     }

@@ -39,6 +39,7 @@ use ugc_graph::Graph;
 use ugc_graphir::ir::Program;
 use ugc_runtime::interp::ExecError;
 use ugc_runtime::value::Value;
+use ugc_runtime::GraphVm;
 use ugc_schedule::ScheduleRef;
 
 pub use ugc_algorithms::Algorithm;
@@ -68,6 +69,18 @@ impl Target {
             Target::Gpu => "GPU",
             Target::Swarm => "Swarm",
             Target::HammerBlade => "HammerBlade",
+        }
+    }
+
+    /// Resolves a CLI spelling (case-insensitive): `cpu`, `gpu`, `swarm`,
+    /// `hb` or `hammerblade`.
+    pub fn from_cli_name(s: &str) -> Option<Target> {
+        match s.to_ascii_lowercase().as_str() {
+            "cpu" => Some(Target::Cpu),
+            "gpu" => Some(Target::Gpu),
+            "swarm" => Some(Target::Swarm),
+            "hb" | "hammerblade" => Some(Target::HammerBlade),
+            _ => None,
         }
     }
 }
@@ -388,13 +401,10 @@ pub fn parse_fallback(s: &str) -> Result<Vec<Fallback>, String> {
         if part.is_empty() {
             continue;
         }
-        chain.push(match part.as_str() {
-            "cpu" => Fallback::Target(Target::Cpu),
-            "gpu" => Fallback::Target(Target::Gpu),
-            "swarm" => Fallback::Target(Target::Swarm),
-            "hb" | "hammerblade" => Fallback::Target(Target::HammerBlade),
-            "seq" | "reference" => Fallback::Reference,
-            other => {
+        chain.push(match (Target::from_cli_name(&part), part.as_str()) {
+            (Some(t), _) => Fallback::Target(t),
+            (None, "seq" | "reference") => Fallback::Reference,
+            (None, other) => {
                 return Err(format!(
                     "UGC_FALLBACK entry `{other}` is not a backend (cpu/gpu/swarm/hb), `seq`, or `none`"
                 ))
@@ -687,44 +697,7 @@ impl Compiler {
         prog: Program,
         graph: &Graph,
     ) -> Result<RunResult, UgcError> {
-        // Only the VM and the clock differ per target: wall time on the
-        // CPU, simulated time and cycles elsewhere.
-        let (state, time_ms, cycles, components) = match target {
-            Target::Cpu => {
-                let r =
-                    ugc_backend_cpu::CpuGraphVm::default().execute(prog, graph, &self.externs)?;
-                let ms = r.elapsed.as_secs_f64() * 1e3;
-                (r.state, ms, 0, r.attr.components().to_vec())
-            }
-            Target::Gpu => {
-                let r =
-                    ugc_backend_gpu::GpuGraphVm::default().execute(prog, graph, &self.externs)?;
-                (r.state, r.time_ms, r.cycles, r.attr.components().to_vec())
-            }
-            Target::Swarm => {
-                let r = ugc_backend_swarm::SwarmGraphVm::default().execute(
-                    prog,
-                    graph,
-                    &self.externs,
-                )?;
-                (r.state, r.time_ms, r.cycles, r.attr.components().to_vec())
-            }
-            Target::HammerBlade => {
-                let r = ugc_backend_hb::HbGraphVm::default().execute(prog, graph, &self.externs)?;
-                (r.state, r.time_ms, r.cycles, r.attr.components().to_vec())
-            }
-        };
-        let (ints, floats) = state.snapshot();
-        Ok(RunResult {
-            ints,
-            floats,
-            prints: state.prints,
-            time_ms,
-            cycles,
-            attempts: 1,
-            degraded_to: None,
-            attribution: Attribution::of(target, components),
-        })
+        Ok(graph_vm(target).run(target, prog, graph, &self.externs)?)
     }
 
     /// Emits the target-flavored source text the paper's GraphVMs would
@@ -734,16 +707,61 @@ impl Compiler {
     ///
     /// Returns [`UgcError`] on compilation failure.
     pub fn emit(&self, target: Target) -> Result<String, UgcError> {
-        let mut prog = self.compile()?;
-        Ok(match target {
-            Target::Cpu => ugc_backend_cpu::emitter::emit_cpp(&prog),
-            Target::Gpu => {
-                ugc_backend_gpu::passes::run(&mut prog);
-                ugc_backend_gpu::emitter::emit_cuda(&prog)
-            }
-            Target::Swarm => ugc_backend_swarm::emitter::emit_t4(&prog),
-            Target::HammerBlade => ugc_backend_hb::emitter::emit_hb(&prog),
+        Ok(graph_vm(target).emit_source(self.compile()?))
+    }
+}
+
+/// What the facade does with a GraphVM — run a program and snapshot the
+/// result, or pass and emit it — with the VM's stats type erased, so that
+/// one table holds all four.
+trait TargetVm {
+    fn run(
+        &self,
+        target: Target,
+        prog: Program,
+        graph: &Graph,
+        externs: &HashMap<String, Value>,
+    ) -> Result<RunResult, ExecError>;
+
+    fn emit_source(&self, prog: Program) -> String;
+}
+
+impl<V: GraphVm> TargetVm for V {
+    fn run(
+        &self,
+        target: Target,
+        prog: Program,
+        graph: &Graph,
+        externs: &HashMap<String, Value>,
+    ) -> Result<RunResult, ExecError> {
+        let run = self.execute(prog, graph, externs)?;
+        let (ints, floats) = run.state.snapshot();
+        Ok(RunResult {
+            ints,
+            floats,
+            prints: run.state.prints,
+            time_ms: run.time_ms,
+            cycles: run.cycles,
+            attempts: 1,
+            degraded_to: None,
+            attribution: Attribution::of(target, run.attribution),
         })
+    }
+
+    fn emit_source(&self, mut prog: Program) -> String {
+        self.passes(&mut prog);
+        self.emit(&prog)
+    }
+}
+
+/// The one table from a target to its GraphVM, in its default
+/// configuration.
+fn graph_vm(target: Target) -> Box<dyn TargetVm> {
+    match target {
+        Target::Cpu => Box::new(ugc_backend_cpu::CpuGraphVm::default()),
+        Target::Gpu => Box::new(ugc_backend_gpu::GpuGraphVm::default()),
+        Target::Swarm => Box::new(ugc_backend_swarm::SwarmGraphVm::default()),
+        Target::HammerBlade => Box::new(ugc_backend_hb::HbGraphVm::default()),
     }
 }
 

@@ -29,7 +29,9 @@
 //!   interpreters,
 //! * [`operator`] — the operator prologue and epilogue ([`EdgeOp`], output
 //!   frontier construction, property snapshots) that every GraphVM's
-//!   executor starts and ends with.
+//!   executor starts and ends with,
+//! * [`vm`] — the [`GraphVm`] trait every backend implements and the one
+//!   [`Execution`] its runs return.
 
 pub mod buckets;
 pub mod bytecode;
@@ -43,6 +45,7 @@ pub mod properties;
 pub mod udf;
 pub mod value;
 pub mod vertexset;
+pub mod vm;
 
 pub use buckets::BucketQueue;
 pub use bytecode::{compile_udfs, UdfId, UdfProgram, UdfSet};
@@ -54,3 +57,4 @@ pub use properties::{GlobalTable, PropId, PropertyStorage};
 pub use ugc_resilience::ErrorClass;
 pub use value::Value;
 pub use vertexset::VertexSet;
+pub use vm::{Execution, GraphVm};

@@ -229,6 +229,18 @@ pub struct HbStats {
     pub compute_cycles: u64,
 }
 
+impl HbStats {
+    /// Achieved DRAM bandwidth over `cycles` of simulated time, as a
+    /// fraction of `cfg`'s peak.
+    pub fn bandwidth_utilization(&self, cycles: u64, cfg: &HbConfig) -> f64 {
+        if cycles == 0 {
+            return 0.0;
+        }
+        let peak = (cfg.hbm_channels as u64 * cfg.channel_bytes_per_cycle) as f64;
+        (self.dram_bytes as f64 / cycles as f64) / peak
+    }
+}
+
 /// Line-granular set-associative LLC with LRU replacement: one flat
 /// `num_sets × ways` tag array, each set's occupied ways kept MRU-first.
 #[derive(Debug)]
@@ -334,15 +346,6 @@ impl HbSim {
     /// Simulated milliseconds.
     pub fn time_ms(&self) -> f64 {
         self.time as f64 / (self.cfg.clock_ghz * 1e6)
-    }
-
-    /// Achieved DRAM bandwidth as a fraction of peak, so far.
-    pub fn bandwidth_utilization(&self) -> f64 {
-        if self.time == 0 {
-            return 0.0;
-        }
-        let peak = (self.cfg.hbm_channels as u64 * self.cfg.channel_bytes_per_cycle) as f64;
-        (self.stats.dram_bytes as f64 / self.time as f64) / peak
     }
 
     /// Charges sequential host cycles.
@@ -622,7 +625,7 @@ mod tests {
         };
         let mut sim = HbSim::new(HbConfig::default());
         sim.run_phase("bw", vec![t]);
-        let u = sim.bandwidth_utilization();
+        let u = sim.stats.bandwidth_utilization(sim.time_cycles(), &sim.cfg);
         assert!(u > 0.0 && u <= 1.0, "{u}");
         assert!(sim.stats.dram_bytes > 0);
         assert!(sim.time_ms() > 0.0);

@@ -202,18 +202,25 @@ done
 echo "== backend VM containment gate"
 # GraphVM execute paths must surface failures as classed errors through
 # the contain() boundary — never unwrap or panic in production code. The
+# boundary itself is the shared GraphVm::execute in runtime/src/vm.rs. The
 # compiled UDF bodies run on the same path and follow the same rule
 # (their only panics are the arithmetic's own, e.g. integer division by
 # zero, exactly as the interpreter's). Test modules are exempt: the gate
-# stops scanning at the first #[cfg(test)].
+# stops scanning at the first #[cfg(test)]. A listed file that is missing
+# fails the gate rather than silently dropping out of it.
 containment_bad=0
-for f in crates/backend-*/src/vm.rs crates/backend-*/src/executor.rs crates/runtime/src/udf.rs; do
+for f in crates/runtime/src/vm.rs crates/backend-*/src/vm.rs crates/backend-*/src/executor.rs crates/runtime/src/udf.rs; do
+  if [ ! -f "$f" ]; then
+    echo "containment gate: $f does not exist" >&2
+    containment_bad=1
+    continue
+  fi
   if ! awk '/#\[cfg\(test\)\]/{exit} /\.unwrap\(\)|panic!\(/{print FILENAME ": " $0; found=1} END{exit found}' "$f"; then
     containment_bad=1
   fi
 done
 if [ "$containment_bad" -ne 0 ]; then
-  echo "containment gate: unwrap()/panic! in backend VM production code (see lines above)" >&2
+  echo "containment gate: a listed file is missing, or unwrap()/panic! in backend VM production code (see lines above)" >&2
   exit 1
 fi
 

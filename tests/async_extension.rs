@@ -5,6 +5,7 @@
 use ugc_algorithms::Algorithm;
 use ugc_backend_gpu::{GpuGraphVm, GpuSchedule};
 use ugc_integration::{compile, externs_for, validate};
+use ugc_runtime::GraphVm;
 use ugc_schedule::ScheduleRef;
 
 #[test]

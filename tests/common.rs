@@ -6,6 +6,7 @@ use ugc_algorithms::Algorithm;
 use ugc_graph::Graph;
 use ugc_graphir::ir::Program;
 use ugc_runtime::value::Value;
+use ugc_runtime::GraphVm;
 use ugc_schedule::ScheduleRef;
 
 /// Compiles an algorithm through the full hardware-independent pipeline,
@@ -125,5 +126,31 @@ pub fn validate(
         Algorithm::Lp => {
             ugc_algorithms::validate::check_lp_labels(graph, &ints("labels"), 20, 1).unwrap()
         }
+    }
+}
+
+/// Runs `algo` under `sched` on a default-configured `V` over every
+/// [`test_graphs`] graph and validates each answer. A simulator that ran
+/// must have charged cycles; the CPU, which counts none, must have taken
+/// wall time.
+///
+/// # Panics
+///
+/// Panics naming the algorithm and graph on an execution failure or a
+/// wrong answer.
+pub fn run_and_validate<V: GraphVm + Default>(algo: Algorithm, sched: Option<ScheduleRef>) {
+    for (gname, graph) in test_graphs() {
+        let prog = compile(algo, sched.clone());
+        let run = V::default()
+            .execute(prog, &graph, &externs_for(algo, 0))
+            .unwrap_or_else(|e| panic!("{} on {gname}: {e}", algo.name()));
+        assert!(
+            run.cycles > 0 || run.time_ms > 0.0,
+            "{} on {gname}: zero cycles",
+            algo.name()
+        );
+        validate(algo, &graph, 0, &|p| run.property_ints(p), &|p| {
+            run.property_floats(p)
+        });
     }
 }

@@ -3,32 +3,20 @@
 
 use ugc_algorithms::Algorithm;
 use ugc_backend_cpu::{CpuGraphVm, CpuSchedule};
-use ugc_integration::{compile, externs_for, test_graphs, validate};
+use ugc_integration::{compile, externs_for, run_and_validate, validate};
+use ugc_runtime::GraphVm;
 use ugc_schedule::{
     CompositeCriteria, CompositeSchedule, Parallelization, SchedDirection, ScheduleRef,
 };
 
-fn run_and_validate(algo: Algorithm, sched: Option<ScheduleRef>) {
-    for (gname, graph) in test_graphs() {
-        let prog = compile(algo, sched.clone());
-        let vm = CpuGraphVm::default();
-        let run = vm
-            .execute(prog, &graph, &externs_for(algo, 0))
-            .unwrap_or_else(|e| panic!("{} on {gname}: {e}", algo.name()));
-        validate(algo, &graph, 0, &|p| run.property_ints(p), &|p| {
-            run.property_floats(p)
-        });
-    }
-}
-
 #[test]
 fn bfs_default_schedule() {
-    run_and_validate(Algorithm::Bfs, None);
+    run_and_validate::<CpuGraphVm>(Algorithm::Bfs, None);
 }
 
 #[test]
 fn bfs_pull() {
-    run_and_validate(
+    run_and_validate::<CpuGraphVm>(
         Algorithm::Bfs,
         Some(ScheduleRef::simple(
             CpuSchedule::new().with_direction(SchedDirection::Pull),
@@ -38,7 +26,7 @@ fn bfs_pull() {
 
 #[test]
 fn bfs_hybrid() {
-    run_and_validate(
+    run_and_validate::<CpuGraphVm>(
         Algorithm::Bfs,
         Some(ScheduleRef::simple(
             CpuSchedule::new().with_direction(SchedDirection::Hybrid),
@@ -53,12 +41,12 @@ fn bfs_composite_schedule() {
         ScheduleRef::simple(CpuSchedule::new()),
         ScheduleRef::simple(CpuSchedule::new().with_direction(SchedDirection::Pull)),
     );
-    run_and_validate(Algorithm::Bfs, Some(ScheduleRef::composite(comp)));
+    run_and_validate::<CpuGraphVm>(Algorithm::Bfs, Some(ScheduleRef::composite(comp)));
 }
 
 #[test]
 fn bfs_edge_aware_parallel() {
-    run_and_validate(
+    run_and_validate::<CpuGraphVm>(
         Algorithm::Bfs,
         Some(ScheduleRef::simple(
             CpuSchedule::new()
@@ -70,12 +58,12 @@ fn bfs_edge_aware_parallel() {
 
 #[test]
 fn pagerank_default() {
-    run_and_validate(Algorithm::PageRank, None);
+    run_and_validate::<CpuGraphVm>(Algorithm::PageRank, None);
 }
 
 #[test]
 fn pagerank_cache_blocked() {
-    run_and_validate(
+    run_and_validate::<CpuGraphVm>(
         Algorithm::PageRank,
         Some(ScheduleRef::simple(
             CpuSchedule::new().with_cache_blocking(true),
@@ -86,7 +74,7 @@ fn pagerank_cache_blocked() {
 #[test]
 fn pagerank_pull() {
     // All-edges pull iterates in-edges of every dst; equivalent totals.
-    run_and_validate(
+    run_and_validate::<CpuGraphVm>(
         Algorithm::PageRank,
         Some(ScheduleRef::simple(
             CpuSchedule::new().with_direction(SchedDirection::Pull),
@@ -96,12 +84,12 @@ fn pagerank_pull() {
 
 #[test]
 fn cc_default() {
-    run_and_validate(Algorithm::Cc, None);
+    run_and_validate::<CpuGraphVm>(Algorithm::Cc, None);
 }
 
 #[test]
 fn cc_edge_aware() {
-    run_and_validate(
+    run_and_validate::<CpuGraphVm>(
         Algorithm::Cc,
         Some(ScheduleRef::simple(
             CpuSchedule::new()
@@ -113,12 +101,12 @@ fn cc_edge_aware() {
 
 #[test]
 fn sssp_default_delta_1() {
-    run_and_validate(Algorithm::Sssp, None);
+    run_and_validate::<CpuGraphVm>(Algorithm::Sssp, None);
 }
 
 #[test]
 fn sssp_delta_8() {
-    run_and_validate(
+    run_and_validate::<CpuGraphVm>(
         Algorithm::Sssp,
         Some(ScheduleRef::simple(CpuSchedule::new().with_delta(8))),
     );
@@ -126,7 +114,7 @@ fn sssp_delta_8() {
 
 #[test]
 fn sssp_delta_64() {
-    run_and_validate(
+    run_and_validate::<CpuGraphVm>(
         Algorithm::Sssp,
         Some(ScheduleRef::simple(CpuSchedule::new().with_delta(64))),
     );
@@ -134,7 +122,7 @@ fn sssp_delta_64() {
 
 #[test]
 fn bc_default() {
-    run_and_validate(Algorithm::Bc, None);
+    run_and_validate::<CpuGraphVm>(Algorithm::Bc, None);
 }
 
 #[test]

@@ -3,57 +3,52 @@
 
 use ugc_algorithms::Algorithm;
 use ugc_backend_gpu::{FrontierCreation, GpuGraphVm, GpuSchedule, LoadBalance};
-use ugc_integration::{compile, externs_for, test_graphs, validate};
+use ugc_integration::{compile, externs_for, run_and_validate};
+use ugc_runtime::GraphVm;
 use ugc_schedule::{SchedDirection, ScheduleRef};
-
-fn run_and_validate(algo: Algorithm, sched: Option<GpuSchedule>) {
-    for (gname, graph) in test_graphs() {
-        let prog = compile(algo, sched.clone().map(ScheduleRef::simple));
-        let vm = GpuGraphVm::default();
-        let run = vm
-            .execute(prog, &graph, &externs_for(algo, 0))
-            .unwrap_or_else(|e| panic!("{} on {gname}: {e}", algo.name()));
-        assert!(run.cycles > 0, "{} on {gname}: zero cycles", algo.name());
-        validate(algo, &graph, 0, &|p| run.property_ints(p), &|p| {
-            run.property_floats(p)
-        });
-    }
-}
 
 #[test]
 fn all_algorithms_default_schedule() {
     for algo in Algorithm::ALL {
-        run_and_validate(algo, None);
+        run_and_validate::<GpuGraphVm>(algo, None);
     }
 }
 
 #[test]
 fn bfs_all_load_balancers() {
     for lb in LoadBalance::ALL {
-        run_and_validate(
+        run_and_validate::<GpuGraphVm>(
             Algorithm::Bfs,
-            Some(GpuSchedule::new().with_load_balance(lb)),
+            Some(ScheduleRef::simple(
+                GpuSchedule::new().with_load_balance(lb),
+            )),
         );
     }
 }
 
 #[test]
 fn cc_etwc_load_balancer() {
-    run_and_validate(
+    run_and_validate::<GpuGraphVm>(
         Algorithm::Cc,
-        Some(GpuSchedule::new().with_load_balance(LoadBalance::Etwc)),
+        Some(ScheduleRef::simple(
+            GpuSchedule::new().with_load_balance(LoadBalance::Etwc),
+        )),
     );
 }
 
 #[test]
 fn bfs_pull_and_hybrid() {
-    run_and_validate(
+    run_and_validate::<GpuGraphVm>(
         Algorithm::Bfs,
-        Some(GpuSchedule::new().with_direction(SchedDirection::Pull)),
+        Some(ScheduleRef::simple(
+            GpuSchedule::new().with_direction(SchedDirection::Pull),
+        )),
     );
-    run_and_validate(
+    run_and_validate::<GpuGraphVm>(
         Algorithm::Bfs,
-        Some(GpuSchedule::new().with_direction(SchedDirection::Hybrid)),
+        Some(ScheduleRef::simple(
+            GpuSchedule::new().with_direction(SchedDirection::Hybrid),
+        )),
     );
 }
 
@@ -64,9 +59,11 @@ fn bfs_frontier_creation_variants() {
         FrontierCreation::UnfusedBoolmap,
         FrontierCreation::UnfusedBitmap,
     ] {
-        run_and_validate(
+        run_and_validate::<GpuGraphVm>(
             Algorithm::Bfs,
-            Some(GpuSchedule::new().with_frontier_creation(fc)),
+            Some(ScheduleRef::simple(
+                GpuSchedule::new().with_frontier_creation(fc),
+            )),
         );
     }
 }
@@ -117,23 +114,30 @@ fn bfs_kernel_fusion_correct_and_fewer_launches() {
 #[test]
 fn sssp_with_delta_schedules() {
     for delta in [1, 4, 32] {
-        run_and_validate(Algorithm::Sssp, Some(GpuSchedule::new().with_delta(delta)));
+        run_and_validate::<GpuGraphVm>(
+            Algorithm::Sssp,
+            Some(ScheduleRef::simple(GpuSchedule::new().with_delta(delta))),
+        );
     }
 }
 
 #[test]
 fn pagerank_edge_blocking_correct() {
-    run_and_validate(
+    run_and_validate::<GpuGraphVm>(
         Algorithm::PageRank,
-        Some(GpuSchedule::new().with_edge_blocking(1 << 13)),
+        Some(ScheduleRef::simple(
+            GpuSchedule::new().with_edge_blocking(1 << 13),
+        )),
     );
 }
 
 #[test]
 fn bc_with_wm_load_balance() {
-    run_and_validate(
+    run_and_validate::<GpuGraphVm>(
         Algorithm::Bc,
-        Some(GpuSchedule::new().with_load_balance(LoadBalance::Wm)),
+        Some(ScheduleRef::simple(
+            GpuSchedule::new().with_load_balance(LoadBalance::Wm),
+        )),
     );
 }
 

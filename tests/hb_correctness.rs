@@ -3,27 +3,14 @@
 
 use ugc_algorithms::Algorithm;
 use ugc_backend_hb::{HbGraphVm, HbLoadBalance, HbSchedule};
-use ugc_integration::{compile, externs_for, test_graphs, validate};
+use ugc_integration::{compile, externs_for, run_and_validate};
+use ugc_runtime::GraphVm;
 use ugc_schedule::{SchedDirection, ScheduleRef};
-
-fn run_and_validate(algo: Algorithm, sched: Option<HbSchedule>) {
-    for (gname, graph) in test_graphs() {
-        let prog = compile(algo, sched.clone().map(ScheduleRef::simple));
-        let vm = HbGraphVm::default();
-        let run = vm
-            .execute(prog, &graph, &externs_for(algo, 0))
-            .unwrap_or_else(|e| panic!("{} on {gname}: {e}", algo.name()));
-        assert!(run.cycles > 0);
-        validate(algo, &graph, 0, &|p| run.property_ints(p), &|p| {
-            run.property_floats(p)
-        });
-    }
-}
 
 #[test]
 fn all_algorithms_default_schedule() {
     for algo in Algorithm::ALL {
-        run_and_validate(algo, None);
+        run_and_validate::<HbGraphVm>(algo, None);
     }
 }
 
@@ -34,56 +21,60 @@ fn bfs_all_load_balancers() {
         HbLoadBalance::EdgeBased,
         HbLoadBalance::Aligned,
     ] {
-        run_and_validate(
+        run_and_validate::<HbGraphVm>(
             Algorithm::Bfs,
-            Some(HbSchedule::new().with_load_balance(lb)),
+            Some(ScheduleRef::simple(HbSchedule::new().with_load_balance(lb))),
         );
     }
 }
 
 #[test]
 fn bfs_hybrid_direction() {
-    run_and_validate(
+    run_and_validate::<HbGraphVm>(
         Algorithm::Bfs,
-        Some(
+        Some(ScheduleRef::simple(
             HbSchedule::new()
                 .with_direction(SchedDirection::Hybrid)
                 .with_load_balance(HbLoadBalance::Aligned),
-        ),
+        )),
     );
 }
 
 #[test]
 fn pagerank_blocked_access() {
-    run_and_validate(
+    run_and_validate::<HbGraphVm>(
         Algorithm::PageRank,
-        Some(
+        Some(ScheduleRef::simple(
             HbSchedule::new()
                 .with_blocked_access(true)
                 .with_block_size(64),
-        ),
+        )),
     );
 }
 
 #[test]
 fn sssp_blocked_access_with_delta() {
-    run_and_validate(
+    run_and_validate::<HbGraphVm>(
         Algorithm::Sssp,
-        Some(HbSchedule::new().with_blocked_access(true).with_delta(8)),
+        Some(ScheduleRef::simple(
+            HbSchedule::new().with_blocked_access(true).with_delta(8),
+        )),
     );
 }
 
 #[test]
 fn cc_aligned() {
-    run_and_validate(
+    run_and_validate::<HbGraphVm>(
         Algorithm::Cc,
-        Some(HbSchedule::new().with_load_balance(HbLoadBalance::Aligned)),
+        Some(ScheduleRef::simple(
+            HbSchedule::new().with_load_balance(HbLoadBalance::Aligned),
+        )),
     );
 }
 
 #[test]
 fn bc_default() {
-    run_and_validate(Algorithm::Bc, None);
+    run_and_validate::<HbGraphVm>(Algorithm::Bc, None);
 }
 
 #[test]

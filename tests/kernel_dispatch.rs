@@ -21,7 +21,7 @@
 use ugc::Target;
 use ugc_algorithms::Algorithm;
 use ugc_backend_cpu::kernels::{self, Io, Tier, Walk};
-use ugc_backend_cpu::{CpuGraphVm, CpuSchedule, CpuScheduleSpace};
+use ugc_backend_cpu::{CpuGraphVm, CpuSchedule, CpuScheduleSpace, CpuStats};
 use ugc_graphir::ir::{Expr, Function, LValue, Param, Program, Stmt, StmtKind};
 use ugc_graphir::keys;
 use ugc_graphir::types::{BinOp, ReduceOp, Type};
@@ -30,6 +30,7 @@ use ugc_runtime::bytecode::{binding_of, compile_udfs, UdfId, UdfSet};
 use ugc_runtime::eval::{BufferedOutput, Evaluator};
 use ugc_runtime::properties::{GlobalTable, PropertyStorage};
 use ugc_runtime::value::Value;
+use ugc_runtime::{Execution, GraphVm};
 use ugc_schedule::space::{PointIter, ScheduleSpace, SpaceParams};
 use ugc_schedule::{Parallelization, SchedDirection, ScheduleRef};
 
@@ -129,7 +130,7 @@ fn every_schedule_point_resolves_or_deliberately_falls_back() {
 
 /// The primary result property of each algorithm, with its comparison
 /// domain (ints or float bits — both exact).
-fn result_bits(run: &ugc_backend_cpu::Execution<'_>, algo: Algorithm) -> Vec<u64> {
+fn result_bits(run: &Execution<'_, CpuStats>, algo: Algorithm) -> Vec<u64> {
     match algo {
         Algorithm::Bfs => run
             .property_ints("parent")
@@ -225,10 +226,10 @@ fn new_algorithms_dispatch_deliberately() {
             .execute(prog, &graph, &externs_for(algo, 0))
             .expect("runs");
         assert!(
-            run.dispatch.compiled > 0 && run.dispatch.fallback == 0,
+            run.stats.dispatch.compiled > 0 && run.stats.dispatch.fallback == 0,
             "{}: {:?}",
             algo.name(),
-            run.dispatch
+            run.stats.dispatch
         );
     }
     if ugc_telemetry::enabled() {
@@ -265,6 +266,7 @@ fn no_builtin_udf_is_interpreted_under_tuned_schedules() {
                         &externs_for(algo, 0),
                     )
                     .unwrap_or_else(|e| panic!("{} on {gname}: {e}", algo.name()))
+                    .stats
                     .dispatch
             };
             let on = dispatch(true);
@@ -343,7 +345,11 @@ fn kernels_match_interpreter_under_threads() {
                 };
                 let (on, off) = (run(true), run(false));
                 let case = format!("{} {sched:?} {threads}t", algo.name());
-                assert!(on.dispatch.fallback == 0, "{case}: {:?}", on.dispatch);
+                assert!(
+                    on.stats.dispatch.fallback == 0,
+                    "{case}: {:?}",
+                    on.stats.dispatch
+                );
                 for r in [&on, &off] {
                     validate(algo, &graph, 0, &|p| r.property_ints(p), &|p| {
                         r.property_floats(p)
@@ -421,7 +427,7 @@ fn kernels_match_interpreter_under_threads() {
                                 &externs_for(algo, 0),
                             )
                             .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
-                        (run.property_ints(prop), run.dispatch)
+                        (run.property_ints(prop), run.stats.dispatch)
                     };
                     let ((compiled, on), (interpreted, off)) = (result_of(true), result_of(false));
                     let case = format!("{} {name} {direction:?} {threads}t", algo.name());

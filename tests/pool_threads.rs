@@ -12,6 +12,7 @@ use ugc_algorithms::Algorithm;
 use ugc_backend_cpu::{CpuGraphVm, CpuSchedule};
 use ugc_graph::{EdgeList, Graph};
 use ugc_integration::{compile, externs_for};
+use ugc_runtime::GraphVm;
 use ugc_schedule::{Parallelization, ScheduleRef};
 use ugc_testkit::{check, Config, Prng};
 

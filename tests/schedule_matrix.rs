@@ -13,7 +13,10 @@ use ugc_backend_gpu::{FrontierCreation, GpuGraphVm, GpuSchedule, LoadBalance};
 use ugc_backend_hb::{HbGraphVm, HbLoadBalance, HbSchedule};
 use ugc_backend_swarm::{Frontiers, SwarmGraphVm, SwarmSchedule, TaskGranularity};
 use ugc_integration::{compile, externs_for, validate};
-use ugc_schedule::{Parallelization, PullFrontierRepr, SchedDirection, ScheduleRef};
+use ugc_runtime::GraphVm;
+use ugc_schedule::{
+    Parallelization, PullFrontierRepr, SchedDirection, ScheduleRef, SimpleSchedule,
+};
 
 fn graph() -> ugc_graph::Graph {
     ugc_graph::generators::rmat(8, 5, 13, true)
@@ -76,33 +79,22 @@ fn cpu_schedule_matrix() {
     }
 }
 
-/// Runs one cell on a simulated GraphVM under `$sched`, validates its
-/// answer, and returns its simulated cycles. A macro because the three
-/// VMs' execution types share fields, not a trait.
-macro_rules! cell_cycles {
-    ($vm:ty, $algo:expr, $graph:expr, $sched:expr) => {{
-        let (algo, sched) = ($algo, $sched);
-        let prog = compile(algo, Some(ScheduleRef::simple(sched.clone())));
-        let run = <$vm>::default()
-            .execute(prog, $graph, &externs_for(algo, 0))
-            .unwrap_or_else(|e| panic!("{}/{sched:?}: {e}", algo.name()));
-        validate(algo, $graph, 0, &|p| run.property_ints(p), &|p| {
-            run.property_floats(p)
-        });
-        run.cycles
-    }};
-}
-
-fn gpu_cell(algo: Algorithm, graph: &ugc_graph::Graph, sched: GpuSchedule) -> u64 {
-    cell_cycles!(GpuGraphVm, algo, graph, sched)
-}
-
-fn swarm_cell(algo: Algorithm, graph: &ugc_graph::Graph, sched: SwarmSchedule) -> u64 {
-    cell_cycles!(SwarmGraphVm, algo, graph, sched)
-}
-
-fn hb_cell(algo: Algorithm, graph: &ugc_graph::Graph, sched: HbSchedule) -> u64 {
-    cell_cycles!(HbGraphVm, algo, graph, sched)
+/// Runs one cell on a simulated GraphVM under `sched`, validates its
+/// answer, and returns its simulated cycles.
+fn cell_cycles<V: GraphVm + Default>(
+    algo: Algorithm,
+    graph: &ugc_graph::Graph,
+    sched: impl SimpleSchedule + 'static,
+) -> u64 {
+    let label = format!("{}/{sched:?}", algo.name());
+    let prog = compile(algo, Some(ScheduleRef::simple(sched)));
+    let run = V::default()
+        .execute(prog, graph, &externs_for(algo, 0))
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    validate(algo, graph, 0, &|p| run.property_ints(p), &|p| {
+        run.property_floats(p)
+    });
+    run.cycles
 }
 
 const PULL_POINTS: [(SchedDirection, PullFrontierRepr); 4] = [
@@ -129,7 +121,7 @@ fn gpu_schedule_matrix() {
                     .with_kernel_fusion(fusion);
                 cycles.push((
                     format!("cc/{lb:?}/{fc:?}/fusion={fusion}"),
-                    gpu_cell(Algorithm::Cc, &graph, sched),
+                    cell_cycles::<GpuGraphVm>(Algorithm::Cc, &graph, sched),
                 ));
             }
         }
@@ -140,12 +132,12 @@ fn gpu_schedule_matrix() {
             .with_pull_frontier(pf);
         cycles.push((
             format!("bfs/{dir:?}/{pf:?}"),
-            gpu_cell(Algorithm::Bfs, &graph, sched),
+            cell_cycles::<GpuGraphVm>(Algorithm::Bfs, &graph, sched),
         ));
     }
     cycles.push((
         "pr/edge_blocking=64".to_string(),
-        gpu_cell(
+        cell_cycles::<GpuGraphVm>(
             Algorithm::PageRank,
             &graph,
             GpuSchedule::new().with_edge_blocking(64),
@@ -153,7 +145,7 @@ fn gpu_schedule_matrix() {
     ));
     cycles.push((
         "sssp/fused/async/delta=8".to_string(),
-        gpu_cell(
+        cell_cycles::<GpuGraphVm>(
             Algorithm::Sssp,
             &graph,
             GpuSchedule::new()
@@ -165,7 +157,7 @@ fn gpu_schedule_matrix() {
     for algo in [Algorithm::Bc, Algorithm::KCore] {
         cycles.push((
             format!("{}/default", algo.name()),
-            gpu_cell(algo, &graph, GpuSchedule::new()),
+            cell_cycles::<GpuGraphVm>(algo, &graph, GpuSchedule::new()),
         ));
     }
     assert_pinned("GPU", &cycles, GPU_CYCLES);
@@ -186,7 +178,7 @@ fn swarm_schedule_matrix() {
                         .with_delta(delta);
                     cycles.push((
                         format!("sssp/{frontiers:?}/{gran:?}/hints={hints}/delta={delta}"),
-                        swarm_cell(Algorithm::Sssp, &graph, sched),
+                        cell_cycles::<SwarmGraphVm>(Algorithm::Sssp, &graph, sched),
                     ));
                 }
             }
@@ -197,7 +189,7 @@ fn swarm_schedule_matrix() {
     // the converted data-driven loop.
     cycles.push((
         "cc/Buffered/shuffle_edges=false".to_string(),
-        swarm_cell(
+        cell_cycles::<SwarmGraphVm>(
             Algorithm::Cc,
             &graph,
             SwarmSchedule::new().with_shuffle_edges(false),
@@ -206,7 +198,7 @@ fn swarm_schedule_matrix() {
     for gran in [TaskGranularity::Coarse, TaskGranularity::FineGrained] {
         cycles.push((
             format!("bfs/VertexsetToTasks/{gran:?}/privatize=false"),
-            swarm_cell(
+            cell_cycles::<SwarmGraphVm>(
                 Algorithm::Bfs,
                 &graph,
                 SwarmSchedule::new()
@@ -219,7 +211,7 @@ fn swarm_schedule_matrix() {
     for algo in [Algorithm::Bc, Algorithm::KCore] {
         cycles.push((
             format!("{}/default", algo.name()),
-            swarm_cell(algo, &graph, SwarmSchedule::new()),
+            cell_cycles::<SwarmGraphVm>(algo, &graph, SwarmSchedule::new()),
         ));
     }
     assert_pinned("Swarm", &cycles, SWARM_CYCLES);
@@ -242,7 +234,7 @@ fn hb_schedule_matrix() {
                     .with_block_size(block);
                 cycles.push((
                     format!("pr/{lb:?}/blocked={blocked}/block={block}"),
-                    hb_cell(Algorithm::PageRank, &graph, sched),
+                    cell_cycles::<HbGraphVm>(Algorithm::PageRank, &graph, sched),
                 ));
             }
         }
@@ -251,13 +243,13 @@ fn hb_schedule_matrix() {
         let sched = HbSchedule::new().with_direction(dir).with_pull_frontier(pf);
         cycles.push((
             format!("bfs/{dir:?}/{pf:?}"),
-            hb_cell(Algorithm::Bfs, &graph, sched),
+            cell_cycles::<HbGraphVm>(Algorithm::Bfs, &graph, sched),
         ));
     }
     for algo in [Algorithm::Bc, Algorithm::KCore] {
         cycles.push((
             format!("{}/default", algo.name()),
-            hb_cell(algo, &graph, HbSchedule::new()),
+            cell_cycles::<HbGraphVm>(algo, &graph, HbSchedule::new()),
         ));
     }
     assert_pinned("HammerBlade", &cycles, HB_CYCLES);

@@ -3,86 +3,81 @@
 
 use ugc_algorithms::Algorithm;
 use ugc_backend_swarm::{Frontiers, SwarmGraphVm, SwarmSchedule, TaskGranularity};
-use ugc_integration::{compile, externs_for, test_graphs, validate};
+use ugc_integration::{compile, externs_for, run_and_validate};
+use ugc_runtime::GraphVm;
 use ugc_schedule::ScheduleRef;
-
-fn run_and_validate(algo: Algorithm, sched: Option<SwarmSchedule>) {
-    for (gname, graph) in test_graphs() {
-        let prog = compile(algo, sched.clone().map(ScheduleRef::simple));
-        let vm = SwarmGraphVm::default();
-        let run = vm
-            .execute(prog, &graph, &externs_for(algo, 0))
-            .unwrap_or_else(|e| panic!("{} on {gname}: {e}", algo.name()));
-        assert!(run.cycles > 0, "{} on {gname}: zero cycles", algo.name());
-        validate(algo, &graph, 0, &|p| run.property_ints(p), &|p| {
-            run.property_floats(p)
-        });
-    }
-}
 
 #[test]
 fn all_algorithms_default_schedule() {
     for algo in Algorithm::ALL {
-        run_and_validate(algo, None);
+        run_and_validate::<SwarmGraphVm>(algo, None);
     }
 }
 
 #[test]
 fn bfs_vertexset_to_tasks() {
-    run_and_validate(
+    run_and_validate::<SwarmGraphVm>(
         Algorithm::Bfs,
-        Some(SwarmSchedule::new().with_frontiers(Frontiers::VertexsetToTasks)),
+        Some(ScheduleRef::simple(
+            SwarmSchedule::new().with_frontiers(Frontiers::VertexsetToTasks),
+        )),
     );
 }
 
 #[test]
 fn bfs_fine_grained_hints() {
-    run_and_validate(
+    run_and_validate::<SwarmGraphVm>(
         Algorithm::Bfs,
-        Some(
+        Some(ScheduleRef::simple(
             SwarmSchedule::new()
                 .with_frontiers(Frontiers::VertexsetToTasks)
                 .with_task_granularity(TaskGranularity::FineGrained),
-        ),
+        )),
     );
 }
 
 #[test]
 fn cc_fine_grained_buffered() {
-    run_and_validate(
+    run_and_validate::<SwarmGraphVm>(
         Algorithm::Cc,
-        Some(SwarmSchedule::new().with_task_granularity(TaskGranularity::FineGrained)),
+        Some(ScheduleRef::simple(
+            SwarmSchedule::new().with_task_granularity(TaskGranularity::FineGrained),
+        )),
     );
 }
 
 #[test]
 fn sssp_tasks_with_delta() {
     for delta in [1, 8] {
-        run_and_validate(
+        run_and_validate::<SwarmGraphVm>(
             Algorithm::Sssp,
-            Some(
+            Some(ScheduleRef::simple(
                 SwarmSchedule::new()
                     .with_frontiers(Frontiers::VertexsetToTasks)
                     .with_delta(delta),
-            ),
+            )),
         );
     }
 }
 
 #[test]
 fn pagerank_shuffled_edges() {
-    run_and_validate(
+    run_and_validate::<SwarmGraphVm>(
         Algorithm::PageRank,
-        Some(SwarmSchedule::new().with_shuffle_edges(true)),
+        Some(ScheduleRef::simple(
+            SwarmSchedule::new().with_shuffle_edges(true),
+        )),
     );
 }
 
 #[test]
 fn bc_buffered_only() {
     // BC's loop has extra statements, so it must stay on the generic path.
-    run_and_validate(
+    run_and_validate::<SwarmGraphVm>(
         Algorithm::Bc,
-        Some(SwarmSchedule::new().with_frontiers(Frontiers::VertexsetToTasks)),
+        Some(ScheduleRef::simple(
+            SwarmSchedule::new().with_frontiers(Frontiers::VertexsetToTasks),
+        )),
     );
 }
 

@@ -25,6 +25,7 @@ use ugc_bench::profile::{attribution_from, component_keys, counter_prefix};
 use ugc_bench::{baseline_schedule, try_measure};
 use ugc_graph::{Dataset, Graph, Scale};
 use ugc_integration::{compile, externs_for};
+use ugc_runtime::GraphVm;
 use ugc_schedule::{SchedDirection, ScheduleRef};
 use ugc_telemetry::Collector;
 
