@@ -36,7 +36,7 @@ use ugc_backend_gpu::GpuScheduleSpace;
 use ugc_backend_hb::HbScheduleSpace;
 use ugc_backend_swarm::SwarmScheduleSpace;
 use ugc_graph::Graph;
-use ugc_schedule::space::{ScheduleSpace, SpaceParams};
+use ugc_schedule::space::{point_fits, ScheduleSpace, SpaceParams};
 use ugc_schedule::ScheduleRef;
 
 /// The declared search space for `target` — the GraphVM registry.
@@ -128,8 +128,10 @@ where
                     .iter()
                     .find(|(name, _)| *name == entry.winner)
                     .map(|(_, s)| s.clone())
-            } else {
+            } else if point_fits(&space.dimensions(params), &entry.point) {
                 space.materialize(params, &entry.point)
+            } else {
+                None
             };
             if let Some(schedule) = schedule {
                 return Ok(Tuned::Cached {
@@ -288,6 +290,65 @@ mod tests {
             }
             Tuned::Fresh(_) => panic!("expected a cache hit"),
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cached_point_of_an_older_space_layout_is_retuned() {
+        // SSSP's CPU space reads its ∆ from the last index; a point with
+        // one axis more than the space has must not be read with it.
+        let g = tiny_graph();
+        let p = space_params(Algorithm::Sssp, &g);
+        let space = space_for(Target::Cpu);
+        let dims = space.dimensions(&p);
+        let key = CacheKey {
+            target: "cpu".to_string(),
+            algo: "SSSP".to_string(),
+            fingerprint: graph_fingerprint(&g),
+            scale: "tiny".to_string(),
+        };
+        let path = std::env::temp_dir()
+            .join("ugc-autotune-lib-test-stale")
+            .join("cache.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let shape = GraphShape::of(&g);
+        let mut cache = TuningCache::open(&path).unwrap();
+        cache
+            .put(CacheEntry {
+                key: key.clone(),
+                winner: "stale".to_string(),
+                point: vec![0; dims.len() + 1],
+                time_ms: 1.0,
+                cycles: 0,
+                explored: 1,
+                seed: 0,
+                profile: String::new(),
+                shape: shape.clone(),
+            })
+            .unwrap();
+        let tuner = Tuner {
+            budget: 4,
+            seed: 3,
+            ..Tuner::default()
+        };
+        let out = tune_cached(
+            space,
+            &p,
+            &[],
+            &tuner,
+            Some(&mut cache),
+            &key,
+            &shape,
+            |_| {
+                Ok(Sample {
+                    time_ms: 1.0,
+                    cycles: 1,
+                    ..Sample::default()
+                })
+            },
+        )
+        .unwrap();
+        assert!(matches!(out, Tuned::Fresh(_)), "stale point was reused");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -34,7 +34,7 @@ use std::sync::OnceLock;
 use ugc::Attribution;
 use ugc_graph::prng::Prng;
 use ugc_schedule::space::{
-    cardinality, point_label, Dimension, PointIter, ScheduleSpace, SpaceParams,
+    cardinality, point_fits, point_label, Dimension, PointIter, ScheduleSpace, SpaceParams,
 };
 use ugc_schedule::ScheduleRef;
 use ugc_telemetry::Counter;
@@ -423,9 +423,7 @@ where
             let mut current: Option<(Vec<usize>, f64)> = None;
             if restart == 0 {
                 if let Some(w) = warm {
-                    let shape_ok = w.len() == dims.len()
-                        && w.iter().zip(&dims).all(|(&l, d)| l < d.levels.len());
-                    if shape_ok {
+                    if point_fits(&dims, w) {
                         if let Some(t) = st.eval_point(w) {
                             warm_used = Some(point_label(&dims, w));
                             current = Some((w.to_vec(), t));

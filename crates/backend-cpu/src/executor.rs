@@ -132,7 +132,6 @@ pub struct CpuExecutor {
 struct OpPlan {
     serial_threshold: usize,
     edge_aware: bool,
-    cache_blocking: bool,
 }
 
 impl CpuExecutor {
@@ -255,16 +254,13 @@ impl CpuExecutor {
     }
 
     fn plan(stmt: &Stmt) -> OpPlan {
-        let sched = schedule_as::<CpuSchedule>(stmt);
         OpPlan {
-            serial_threshold: sched
-                .as_ref()
+            serial_threshold: schedule_as::<CpuSchedule>(stmt)
                 .map_or(SERIAL_DISPATCH_THRESHOLD, |s| s.serial_threshold()),
             edge_aware: stmt
                 .meta
                 .get_str("parallelization")
                 .is_some_and(|p| p != "VERTEX_BASED"),
-            cache_blocking: sched.is_some_and(|s| s.cache_blocking()),
         }
     }
 
@@ -315,10 +311,7 @@ impl OperatorExecutor for CpuExecutor {
                     let members = &members[..];
                     kernel.run(&io, Walk::Push { members, range }, out)
                 };
-                if plan.cache_blocking && data.input.is_none() {
-                    // EdgeBlocking: iterate destination blocks for locality.
-                    cache_blocked_push(kernel.as_ref(), &io, &members, self.num_threads)
-                } else if members.len() < plan.serial_threshold {
+                if members.len() < plan.serial_threshold {
                     let mut out = BufferedOutput::default();
                     run(0..members.len(), &mut out);
                     vec![out]
@@ -446,44 +439,6 @@ impl OperatorExecutor for CpuExecutor {
         }
         Ok(out)
     }
-}
-
-/// EdgeBlocking (cache-blocked) all-edges push traversal: destinations are
-/// processed in blocks sized to the last-level cache so random writes stay
-/// resident (GraphIt's EdgeBlocking / NUMA optimization for PageRank).
-fn cache_blocked_push(
-    kernel: &EdgeKernel,
-    io: &Io<'_>,
-    members: &[u32],
-    num_threads: usize,
-) -> Vec<BufferedOutput> {
-    const BLOCK: u32 = 1 << 14;
-    let n = io.csr.num_vertices() as u32;
-    let mut all = Vec::new();
-    let mut lo = 0u32;
-    while lo < n {
-        let hi = (lo + BLOCK).min(n);
-        let locals = parallel_for_with_local(
-            num_threads,
-            members.len(),
-            64,
-            |_tid, range, local: &mut BufferedOutput| {
-                kernel.run(
-                    io,
-                    Walk::Block {
-                        members,
-                        range,
-                        lo,
-                        hi,
-                    },
-                    local,
-                );
-            },
-        );
-        all.extend(locals);
-        lo = hi;
-    }
-    all
 }
 
 #[cfg(test)]

@@ -99,18 +99,6 @@ pub enum Walk<'m> {
         /// The destinations of this call.
         range: Range<usize>,
     },
-    /// [`Walk::Push`] over only the edges with destination in `lo..hi`
-    /// (the EdgeBlocking inner loop).
-    Block {
-        /// The input frontier.
-        members: &'m [u32],
-        /// The sources of this call.
-        range: Range<usize>,
-        /// First destination of the block.
-        lo: u32,
-        /// One past the last destination of the block.
-        hi: u32,
-    },
 }
 
 /// The per-edge work of one operator in one tier, for one chunk.
@@ -154,27 +142,6 @@ impl Walk<'_> {
                         if early_exit && !step.dst_passes(dst) {
                             break;
                         }
-                    }
-                }
-            }
-            Walk::Block {
-                members,
-                range,
-                lo,
-                hi,
-            } => {
-                for &src in &members[range] {
-                    if !step.src_passes(src) {
-                        continue;
-                    }
-                    let neigh = csr.neighbors(src);
-                    let weights = csr.neighbor_weights(src);
-                    let start = neigh.partition_point(|&d| d < lo);
-                    for (k, &dst) in neigh.iter().enumerate().skip(start) {
-                        if dst >= hi {
-                            break;
-                        }
-                        step.push_edge(src, dst, weights.map_or(1, |ws| ws[k]) as i64);
                     }
                 }
             }

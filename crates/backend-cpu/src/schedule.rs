@@ -41,9 +41,6 @@ pub struct CpuSchedule {
     /// overhead on tiny road-graph rounds; the CPU analogue of the paper's
     /// bucket-fusion benefit).
     serial_threshold: usize,
-    /// NUMA-aware / cache-blocked all-edges traversal (GraphIt's
-    /// EdgeBlocking): process edges in destination-range blocks.
-    cache_blocking: bool,
 }
 
 impl Default for CpuSchedule {
@@ -56,7 +53,6 @@ impl Default for CpuSchedule {
             delta: 1,
             hybrid_threshold: 0.15,
             serial_threshold: ugc_runtime::pool::SERIAL_DISPATCH_THRESHOLD,
-            cache_blocking: false,
         }
     }
 }
@@ -109,20 +105,9 @@ impl CpuSchedule {
         self
     }
 
-    /// Enables cache-blocked all-edges traversal (EdgeBlocking).
-    pub fn with_cache_blocking(mut self, yes: bool) -> Self {
-        self.cache_blocking = yes;
-        self
-    }
-
     /// The serial-execution threshold.
     pub fn serial_threshold(&self) -> usize {
         self.serial_threshold
-    }
-
-    /// Whether cache blocking is enabled.
-    pub fn cache_blocking(&self) -> bool {
-        self.cache_blocking
     }
 }
 
@@ -158,8 +143,8 @@ impl SimpleSchedule for CpuSchedule {
 
 /// The CPU GraphVM's declared search space: the original GraphIt CPU
 /// tuning axes (direction × parallelization × deduplication), plus the
-/// serial-dispatch threshold, cache blocking, and the shared ∆ sweep for
-/// ordered algorithms.
+/// serial-dispatch threshold and the shared ∆ sweep for ordered
+/// algorithms.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CpuScheduleSpace;
 
@@ -177,11 +162,6 @@ pub const CPU_PRUNE_RULES: &[PruneRule] = &[
         component: "vertex_apply",
         axis: "dedup",
         reason: "dedup filters duplicate frontier pushes; apply-bound time has none to filter",
-    },
-    PruneRule {
-        component: "vertex_apply",
-        axis: "blocking",
-        reason: "cache blocking tiles edge access; apply-bound loops touch no edges",
     },
     PruneRule {
         component: "edge_pull",
@@ -208,7 +188,6 @@ impl ScheduleSpace for CpuScheduleSpace {
             Dimension::new("par", vec!["vertex", "edge_aware"]),
             Dimension::new("dedup", vec!["off", "on"]),
             Dimension::new("serial", vec!["0", "512", "4096"]),
-            Dimension::new("blocking", vec!["off", "on"]),
             delta_dimension(p),
         ]
     }
@@ -231,10 +210,9 @@ impl ScheduleSpace for CpuScheduleSpace {
                 "512" => 512,
                 "4096" => 4096,
                 _ => 0,
-            })
-            .with_cache_blocking(level(4) == "on");
+            });
         if p.ordered {
-            s = s.with_delta(delta_value(point[5]));
+            s = s.with_delta(delta_value(point[4]));
         }
         Some(ScheduleRef::simple(s))
     }
@@ -262,11 +240,9 @@ mod tests {
         let s = CpuSchedule::new()
             .with_direction(SchedDirection::Pull)
             .with_deduplication(true)
-            .with_cache_blocking(true)
             .with_serial_threshold(64);
         assert_eq!(s.direction(), SchedDirection::Pull);
         assert!(s.deduplication());
-        assert!(s.cache_blocking());
         assert_eq!(s.serial_threshold(), 64);
     }
 
@@ -286,7 +262,7 @@ mod tests {
             num_vertices: 1000,
         };
         let dims = CpuScheduleSpace.dimensions(&p);
-        assert_eq!(cardinality(&dims), 3 * 2 * 2 * 3 * 2);
+        assert_eq!(cardinality(&dims), 3 * 2 * 2 * 3);
         for pt in PointIter::new(&dims) {
             let s = CpuScheduleSpace.materialize(&p, &pt).expect("no aliases");
             assert!(s.as_simple().is_some());
@@ -303,9 +279,7 @@ mod tests {
         let dims = CpuScheduleSpace.dimensions(&p);
         assert_eq!(dims[0].levels, vec!["push"]);
         assert_eq!(dims.last().unwrap().levels.len(), 6, "∆ sweep present");
-        let s = CpuScheduleSpace
-            .materialize(&p, &[0, 1, 0, 2, 0, 5])
-            .unwrap();
+        let s = CpuScheduleSpace.materialize(&p, &[0, 1, 0, 2, 5]).unwrap();
         assert_eq!(s.representative().delta(), 64);
     }
 }

@@ -1460,8 +1460,14 @@ fn run_one(
     }
 }
 
+/// The externs a direct `GraphVm::execute` needs: the algorithm's
+/// defaults (LP's `max_iters`/`lp_seed`) plus `start_vertex` 0.
 fn externs(algo: Algorithm) -> std::collections::HashMap<String, ugc_runtime::value::Value> {
-    let mut m = std::collections::HashMap::new();
+    let mut m: std::collections::HashMap<_, _> = algo
+        .default_externs()
+        .iter()
+        .map(|&(name, v)| (name.to_string(), ugc_runtime::value::Value::Int(v)))
+        .collect();
     if algo.needs_start_vertex() {
         m.insert(
             "start_vertex".to_string(),

@@ -87,9 +87,12 @@ fn tuned_schedule_sized(
                             CpuSchedule::new().with_serial_threshold(2048)
                         }
                     }
-                    Algorithm::PageRank => CpuSchedule::new()
-                        .with_cache_blocking(true)
-                        .with_parallelization(Parallelization::EdgeAwareVertexBased),
+                    // Topology-driven full sweeps run DensePull: each
+                    // destination is owned by one worker, so the midend drops
+                    // the reduction's atomic.
+                    Algorithm::PageRank | Algorithm::Lp => {
+                        CpuSchedule::new().with_direction(SchedDirection::Pull)
+                    }
                     Algorithm::Cc => CpuSchedule::new()
                         .with_parallelization(Parallelization::EdgeAwareVertexBased),
                     Algorithm::Sssp => {
@@ -119,10 +122,6 @@ fn tuned_schedule_sized(
                             CpuSchedule::new().with_serial_threshold(2048)
                         }
                     }
-                    // Topology-driven full sweeps, same shape as PageRank.
-                    Algorithm::Lp => CpuSchedule::new()
-                        .with_cache_blocking(true)
-                        .with_parallelization(Parallelization::EdgeAwareVertexBased),
                 };
             ScheduleRef::simple(s)
         }

@@ -734,12 +734,13 @@ impl<V: GraphVm> TargetVm for V {
         graph: &Graph,
         externs: &HashMap<String, Value>,
     ) -> Result<RunResult, ExecError> {
-        let run = self.execute(prog, graph, externs)?;
-        let (ints, floats) = run.state.snapshot();
+        let mut run = self.execute(prog, graph, externs)?;
+        let prints = std::mem::take(&mut run.state.prints);
+        let (ints, floats) = run.state.into_snapshot();
         Ok(RunResult {
             ints,
             floats,
-            prints: run.state.prints,
+            prints,
             time_ms: run.time_ms,
             cycles: run.cycles,
             attempts: 1,

@@ -88,13 +88,15 @@ fn resolve(base: &Stmt, sched: &ScheduleRef) -> Stmt {
 }
 
 /// Builds `if |input| < threshold * |V| { first } else { second }`.
-/// Degenerates to `first` for all-edges operators (no input frontier).
+/// An all-edges operator (no input frontier) has `|input| = |V|`, so the
+/// condition is decided at compile time: `first` only when
+/// `threshold > 1`.
 fn branch(base: &Stmt, threshold: f64, first: Stmt, second: Stmt) -> Stmt {
     let StmtKind::EdgeSetIterator(d) = &base.kind else {
         unreachable!("direction lowering only branches on EdgeSetIterator");
     };
     let Some(input) = &d.input else {
-        return first;
+        return if threshold > 1.0 { first } else { second };
     };
     let cond = Expr::bin(
         BinOp::Lt,
@@ -312,8 +314,9 @@ end
         assert!(text.contains("0.15"), "{text}");
     }
 
-    #[test]
-    fn all_edges_composite_degenerates_to_first() {
+    /// Lowers the all-edges `r[dst] += 1.0` under a push/pull composite
+    /// with `threshold`, returning the directions of the iterators left.
+    fn all_edges_composite(threshold: f64) -> (usize, Vec<Direction>) {
         let src = r#"
 element Vertex end
 element Edge end
@@ -329,14 +332,25 @@ end
         let ast = ugc_frontend::parse_and_check(src).unwrap();
         let mut p = lower(&ast).unwrap();
         let comp = CompositeSchedule::new(
-            CompositeCriteria::InputSetSize { threshold: 0.5 },
+            CompositeCriteria::InputSetSize { threshold },
             ScheduleRef::simple(DefaultSchedule),
             ScheduleRef::simple(Sched(SchedDirection::Pull)),
         );
         apply_schedule(&mut p, "s1", ScheduleRef::composite(comp)).unwrap();
         run(&mut p).unwrap();
-        let (n, dirs) = count_iterators(&p);
-        assert_eq!(n, 1);
-        assert_eq!(dirs, vec![Direction::Push]);
+        count_iterators(&p)
+    }
+
+    #[test]
+    fn all_edges_composite_degenerates_to_first() {
+        // |V| < 1.5·|V| always holds: Fig. 7's check would take `first`.
+        assert_eq!(all_edges_composite(1.5), (1, vec![Direction::Push]));
+    }
+
+    #[test]
+    fn all_edges_composite_below_one_degenerates_to_second() {
+        // |V| < t·|V| never holds for t ≤ 1: the whole edge set is dense.
+        assert_eq!(all_edges_composite(0.5), (1, vec![Direction::Pull]));
+        assert_eq!(all_edges_composite(1.0), (1, vec![Direction::Pull]));
     }
 }

@@ -235,19 +235,22 @@ impl ProgramState<'_> {
         self.floats_of(id)
     }
 
-    /// Snapshot of every property by name: float-typed ones in the second
-    /// map, everything else as integers in the first.
-    pub fn snapshot(&self) -> (HashMap<String, Vec<i64>>, HashMap<String, Vec<f64>>) {
+    /// Every property by name, consuming the state: float-typed ones in
+    /// the second map, everything else as integers in the first. Each
+    /// vector is the property's own storage reinterpreted in place, so the
+    /// snapshot copies nothing.
+    pub fn into_snapshot(self) -> (HashMap<String, Vec<i64>>, HashMap<String, Vec<f64>>) {
         let mut ints = HashMap::new();
         let mut floats = HashMap::new();
-        for id in (0..self.props.len()).map(PropId) {
-            let name = self.props.name(id).to_string();
-            match self.props.ty(id) {
+        for (name, ty, cells) in self.props.into_columns() {
+            // `Value::to_bits` stores a float's IEEE bits and every other
+            // type as its integer (a bool as 0 or 1).
+            match ty {
                 Type::Float => {
-                    floats.insert(name, self.floats_of(id));
+                    floats.insert(name, cells.into_iter().map(f64::from_bits).collect());
                 }
                 _ => {
-                    ints.insert(name, self.ints_of(id));
+                    ints.insert(name, cells.into_iter().map(|b| b as i64).collect());
                 }
             }
         }
@@ -468,7 +471,7 @@ mod tests {
         assert_eq!(mem, CountingMemory::default(), "no filter, no charge");
         assert!(ev.passes(state.udfs.id_of("keep"), 0, &mut mem));
         assert!(mem.computes > 0);
-        let (ints, floats) = state.snapshot();
+        let (ints, floats) = state.into_snapshot();
         assert_eq!(ints["acc"], vec![0, 1, 9]);
         assert!(floats.is_empty());
     }

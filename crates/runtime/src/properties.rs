@@ -260,6 +260,16 @@ impl PropertyStorage {
         (changed, old)
     }
 
+    /// Every property in declaration order as `(name, type, cells)`, each
+    /// cell the bits [`Value::to_bits`] stored. The cells are moved out of
+    /// their atomics in place: nothing is copied or allocated.
+    pub(crate) fn into_columns(self) -> impl Iterator<Item = (String, Type, Vec<u64>)> {
+        self.arrays.into_iter().map(|a| {
+            let cells = a.data.into_iter().map(AtomicU64::into_inner).collect();
+            (a.name, a.ty, cells)
+        })
+    }
+
     /// Snapshot of a whole property as values (used by validators). Large
     /// vectors are materialized by the persistent pool.
     pub fn snapshot(&self, id: PropId) -> Vec<Value> {
@@ -507,6 +517,31 @@ mod tests {
         let snap = p.snapshot(a);
         assert_eq!(snap.len(), n);
         assert!(snap.iter().all(|&v| v == Value::Int(3)));
+    }
+
+    #[test]
+    fn columns_move_the_stored_bits_out_in_place() {
+        let mut p = PropertyStorage::new(3);
+        let x = p.add("x", Type::Int, Value::Int(-2));
+        let r = p.add("r", Type::Float, Value::Float(0.5));
+        let b = p.add("b", Type::Bool, Value::Bool(true));
+        p.write(x, 1, Value::Int(7));
+        p.write(b, 2, Value::Bool(false));
+        let buffers: Vec<usize> = p.arrays.iter().map(|a| a.data.as_ptr() as usize).collect();
+        let want: Vec<Vec<u64>> = [(x, Type::Int), (r, Type::Float), (b, Type::Bool)]
+            .iter()
+            .map(|&(id, ty)| p.snapshot(id).iter().map(|v| v.to_bits(ty)).collect())
+            .collect();
+        let cols: Vec<_> = p.into_columns().collect();
+        let names: Vec<_> = cols.iter().map(|(n, ty, _)| (n.as_str(), *ty)).collect();
+        assert_eq!(
+            names,
+            [("x", Type::Int), ("r", Type::Float), ("b", Type::Bool)]
+        );
+        for ((_, _, cells), (want, buffer)) in cols.iter().zip(want.iter().zip(&buffers)) {
+            assert_eq!(cells, want);
+            assert_eq!(cells.as_ptr() as usize, *buffer, "cells were copied");
+        }
     }
 
     #[test]

@@ -144,6 +144,13 @@ pub fn point_label(dims: &[Dimension], point: &[usize]) -> String {
         .join(",")
 }
 
+/// Whether `point` indexes `dims`: one in-range level per dimension. A
+/// point stored under an older layout of the space (an axis added or
+/// removed since) does not.
+pub fn point_fits(dims: &[Dimension], point: &[usize]) -> bool {
+    point.len() == dims.len() && point.iter().zip(dims).all(|(&l, d)| l < d.levels.len())
+}
+
 /// Odometer iterator over every point of a dimension list, in
 /// lexicographic order (last dimension fastest). Deterministic, so
 /// exhaustive search visits candidates in a stable order.

@@ -120,6 +120,17 @@ if [ "$recovered" -ne 8 ]; then
   exit 1
 fi
 
+echo "== repro fig11 smoke (one Swarm breakdown row per algorithm)"
+# fig11 executes each algorithm on the Swarm GraphVM directly, with the
+# externs repro binds itself. It must exit 0 and print the LP row, whose
+# max_iters/lp_seed externs only the algorithm's defaults supply.
+fig11_out="$(cargo run --release --offline -q -p ugc-bench --bin repro -- --scale tiny fig11)"
+if ! printf '%s\n' "$fig11_out" | grep -q '^LP '; then
+  echo "fig11 smoke: no LP row" >&2
+  printf '%s\n' "$fig11_out" >&2
+  exit 1
+fi
+
 echo "== algorithm suite differential smoke (tc/kcore/lp across all four backends)"
 # Each new algorithm's headline scalar must exist and agree across every
 # backend at tiny scale: the triangle total, the maximum coreness, and the

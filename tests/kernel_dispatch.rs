@@ -167,17 +167,13 @@ fn result_bits(run: &Execution<'_, CpuStats>, algo: Algorithm) -> Vec<u64> {
     }
 }
 
-/// A pull and a cache-blocked schedule: the walks other than the default
-/// push.
-fn pull_and_blocked() -> [ScheduleRef; 2] {
-    [
-        ScheduleRef::simple(CpuSchedule::new().with_direction(SchedDirection::Pull)),
-        ScheduleRef::simple(CpuSchedule::new().with_cache_blocking(true)),
-    ]
+/// A pull schedule: the walk other than the default push.
+fn pull() -> ScheduleRef {
+    ScheduleRef::simple(CpuSchedule::new().with_direction(SchedDirection::Pull))
 }
 
-/// The schedules the differential sweep runs per algorithm: pull and
-/// cache blocking for the five frontier and all-edges algorithms.
+/// The schedules the differential sweep runs per algorithm: pull for the
+/// five frontier and all-edges algorithms.
 fn differential_scheds(algo: Algorithm) -> Vec<Option<ScheduleRef>> {
     let mut scheds: Vec<Option<ScheduleRef>> = vec![
         None,
@@ -194,7 +190,7 @@ fn differential_scheds(algo: Algorithm) -> Vec<Option<ScheduleRef>> {
         algo,
         Algorithm::Bfs | Algorithm::Sssp | Algorithm::Cc | Algorithm::PageRank | Algorithm::Bc
     ) {
-        scheds.extend(pull_and_blocked().map(Some));
+        scheds.push(Some(pull()));
     }
     scheds
 }
@@ -321,9 +317,10 @@ fn kernels_are_bit_identical_to_interpreter_single_threaded() {
 #[test]
 fn kernels_match_interpreter_under_threads() {
     let graph = ugc_graph::generators::rmat(9, 6, 13, true);
-    // Pull and cache-blocked walks at one and eight workers: one worker is
+    // The pull walk at one and eight workers: one worker is
     // bit-identical; eight are valid, and exact where the answer is a
-    // fixpoint (SSSP distances, CC labels).
+    // fixpoint (SSSP distances, CC labels) or each destination sums its
+    // in-edges in one order (PageRank).
     for algo in [
         Algorithm::Bfs,
         Algorithm::Sssp,
@@ -331,33 +328,33 @@ fn kernels_match_interpreter_under_threads() {
         Algorithm::PageRank,
         Algorithm::Bc,
     ] {
-        for sched in pull_and_blocked() {
-            for threads in [1, 8] {
-                let run = |kernels_on: bool| {
-                    CpuGraphVm::with_threads(threads)
-                        .with_kernels(kernels_on)
-                        .execute(
-                            compile(algo, Some(sched.clone())),
-                            &graph,
-                            &externs_for(algo, 0),
-                        )
-                        .unwrap_or_else(|e| panic!("{} {threads}t: {e}", algo.name()))
-                };
-                let (on, off) = (run(true), run(false));
-                let case = format!("{} {sched:?} {threads}t", algo.name());
-                assert!(
-                    on.stats.dispatch.fallback == 0,
-                    "{case}: {:?}",
-                    on.stats.dispatch
-                );
-                for r in [&on, &off] {
-                    validate(algo, &graph, 0, &|p| r.property_ints(p), &|p| {
-                        r.property_floats(p)
-                    });
-                }
-                if threads == 1 || matches!(algo, Algorithm::Sssp | Algorithm::Cc) {
-                    assert_eq!(result_bits(&on, algo), result_bits(&off, algo), "{case}");
-                }
+        let sched = pull();
+        for threads in [1, 8] {
+            let run = |kernels_on: bool| {
+                CpuGraphVm::with_threads(threads)
+                    .with_kernels(kernels_on)
+                    .execute(
+                        compile(algo, Some(sched.clone())),
+                        &graph,
+                        &externs_for(algo, 0),
+                    )
+                    .unwrap_or_else(|e| panic!("{} {threads}t: {e}", algo.name()))
+            };
+            let (on, off) = (run(true), run(false));
+            let case = format!("{} {sched:?} {threads}t", algo.name());
+            assert!(
+                on.stats.dispatch.fallback == 0,
+                "{case}: {:?}",
+                on.stats.dispatch
+            );
+            for r in [&on, &off] {
+                validate(algo, &graph, 0, &|p| r.property_ints(p), &|p| {
+                    r.property_floats(p)
+                });
+            }
+            if threads == 1 || matches!(algo, Algorithm::Sssp | Algorithm::Cc | Algorithm::PageRank)
+            {
+                assert_eq!(result_bits(&on, algo), result_bits(&off, algo), "{case}");
             }
         }
     }
@@ -755,7 +752,7 @@ type Outcome = (Vec<Vec<u64>>, Vec<u32>, Vec<(usize, u32, i64)>);
 /// literal or a cell), an int literal widened against a float cell, an
 /// int cell widened against a float literal — each as the filter of every
 /// effect tail, on the source and on the destination side, through push,
-/// pull and cache-blocked push: the compiled operator leaves the cells,
+/// and pull: the compiled operator leaves the cells,
 /// enqueues and priority notifications the interpreter does.
 #[test]
 fn compiled_operators_match_the_interpreter_on_filter_corners() {
@@ -793,33 +790,21 @@ fn compiled_operators_match_the_interpreter_on_filter_corners() {
     let graph = b.into_graph();
     let members: Vec<u32> = (0..8).collect();
     let members = &members[..];
-    // `(pulls, the walk's calls)`: a cache-blocked push is one call per
-    // destination block.
+    // `(pulls, walk)`.
     let walks = [
         (
             false,
-            vec![Walk::Push {
+            Walk::Push {
                 members,
                 range: 0..8,
-            }],
+            },
         ),
         (
             true,
-            vec![Walk::Pull {
+            Walk::Pull {
                 membership: None,
                 range: 0..8,
-            }],
-        ),
-        (
-            false,
-            [(0, 3), (3, 8)]
-                .map(|(lo, hi)| Walk::Block {
-                    members,
-                    range: 0..8,
-                    lo,
-                    hi,
-                })
-                .to_vec(),
+            },
         ),
     ];
     let globals = GlobalTable::new();
@@ -857,9 +842,7 @@ fn compiled_operators_match_the_interpreter_on_filter_corners() {
                             graph.out_csr()
                         };
                         let mut out = BufferedOutput::default();
-                        for w in walk.clone() {
-                            k.run(&Io { ev: &ev, csr }, w, &mut out);
-                        }
+                        k.run(&Io { ev: &ev, csr }, walk.clone(), &mut out);
                         let cells = ids
                             .iter()
                             .map(|&p| (0..8).map(|v| props.read_bits(p, v)).collect())
@@ -871,7 +854,7 @@ fn compiled_operators_match_the_interpreter_on_filter_corners() {
                         run(false),
                         "{apply} filtered by {cell} == {literal:?} on the {} side, {:?}",
                         if on_src { "source" } else { "destination" },
-                        walk[0]
+                        walk
                     );
                 }
             }
