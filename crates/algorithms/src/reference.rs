@@ -164,8 +164,9 @@ pub fn bc_dependencies(g: &Graph, src: VertexId) -> Vec<f64> {
 /// directed edge `(s, d)` adds `|N_out(s) ∩ N_out(d)|` to `tri[d]`, via
 /// [`ugc_graph::Csr::intersect_count`]'s merge, which defines the count,
 /// duplicate-edge pairing included. The interpreter runs the same merge;
-/// the compiled CPU path runs [`ugc_graph::IntersectScratch`], a different
-/// algorithm checked against this one.
+/// the compiled CPU path counts each triangle once on a symmetric simple
+/// graph and runs [`ugc_graph::IntersectScratch`] per edge on any other —
+/// different algorithms, both checked against this one.
 pub fn triangle_counts(g: &Graph) -> Vec<i64> {
     let mut tri = vec![0i64; g.num_vertices()];
     for (s, d, _) in g.out_csr().iter_edges() {

@@ -5,12 +5,14 @@ use std::time::Instant;
 
 use ugc_graph::Csr;
 use ugc_graphir::ir::{EdgeSetIteratorData, Stmt};
+use ugc_graphir::keys;
 use ugc_graphir::types::Direction;
 use ugc_runtime::eval::{BufferedOutput, NullMemory};
 use ugc_runtime::interp::{filter_sweep, ExecError, OperatorExecutor, ProgramState};
 use ugc_runtime::pool::{
     parallel_for_chunks_with_local, parallel_for_with_local, SERIAL_DISPATCH_THRESHOLD,
 };
+use ugc_runtime::properties::PropId;
 use ugc_runtime::udf::{body_of, CompiledUdf, Frame};
 use ugc_runtime::vertexset::VertexSet;
 use ugc_runtime::{EdgeOp, UdfId};
@@ -32,6 +34,8 @@ struct CpuCounters {
     direction_switches: Counter,
     kernel_compiled: Counter,
     kernel_fallback: Counter,
+    intersect_oriented: Counter,
+    intersect_per_edge: Counter,
 }
 
 fn counters() -> &'static CpuCounters {
@@ -46,6 +50,8 @@ fn counters() -> &'static CpuCounters {
         direction_switches: Counter::new("cpu.direction_switches"),
         kernel_compiled: Counter::new("cpu.kernel.compiled"),
         kernel_fallback: Counter::new("cpu.kernel.fallback"),
+        intersect_oriented: Counter::new("cpu.intersect.oriented"),
+        intersect_per_edge: Counter::new("cpu.intersect.per_edge"),
     })
 }
 
@@ -82,15 +88,22 @@ impl CpuAttribution {
     }
 }
 
-/// The operators of one run by the tier that ran them: the per-run view of
-/// the `cpu.kernel.{compiled,fallback}` counters.
+/// The operators of one run by the tier that ran them, and the triangle
+/// counts the CPU pass marked by how they ran: the per-run view of the
+/// `cpu.kernel.{compiled,fallback}` and `cpu.intersect.{oriented,per_edge}`
+/// counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelDispatch {
-    /// Edge operators compiled whole, and vertex operators run by compiled
-    /// UDF bodies.
+    /// Edge operators compiled whole, oriented triangle counts, and vertex
+    /// operators run by compiled UDF bodies.
     pub compiled: u64,
     /// Edge and vertex operators run by the interpreter.
     pub fallback: u64,
+    /// Marked triangle counts run once per triangle.
+    pub oriented: u64,
+    /// Marked triangle counts run per edge because their graph is not
+    /// symmetric and simple.
+    pub per_edge: u64,
 }
 
 /// What the CPU counted in one run.
@@ -185,6 +198,27 @@ impl CpuExecutor {
         }
     }
 
+    /// The property a marked triangle count sums into, when this run counts
+    /// it once per triangle: kernels are on and the graph is symmetric and
+    /// simple. Counts the marked operators by how they run.
+    fn oriented_tc(&mut self, state: &ProgramState<'_>, stmt: &Stmt) -> Option<PropId> {
+        let prop = stmt.meta.get_str(keys::ORIENTED_TC)?;
+        if !self.use_kernels {
+            return None;
+        }
+        let c = counters();
+        if !state.graph.is_symmetric_simple() {
+            self.dispatch.per_edge += 1;
+            c.intersect_per_edge.incr();
+            return None;
+        }
+        let tri = state.props.id_of(prop)?;
+        self.dispatch.oriented += 1;
+        c.intersect_oriented.incr();
+        self.count(Tier::Compiled);
+        Some(tri)
+    }
+
     /// Resolves the traversal for one edge operator, counting its tier.
     fn resolve_kernel(
         &mut self,
@@ -264,6 +298,39 @@ impl CpuExecutor {
         }
     }
 
+    /// Charges the time since `t0` (when telemetry took it) to `direction`'s
+    /// edge phase.
+    fn charge_edges(&mut self, direction: Direction, t0: Option<Instant>) {
+        let Some(t0) = t0 else { return };
+        let ns = t0.elapsed().as_nanos() as u64;
+        let c = counters();
+        match direction {
+            Direction::Push => {
+                self.phase_ns.push += ns;
+                c.edge_push.record_ns(ns);
+            }
+            Direction::Pull => {
+                self.phase_ns.pull += ns;
+                c.edge_pull.record_ns(ns);
+            }
+        }
+    }
+
+    /// Splits `0..n` into ranges of roughly `grain` out-edges each, found by
+    /// binary search in the offsets.
+    fn vertex_chunks(csr: &Csr, grain: usize) -> Vec<std::ops::Range<usize>> {
+        let (n, offsets) = (csr.num_vertices(), csr.offsets());
+        let mut chunks = Vec::new();
+        let mut start = 0;
+        while start < n {
+            let goal = offsets[start].saturating_add(grain);
+            let end = offsets.partition_point(|&o| o < goal).clamp(start + 1, n);
+            chunks.push(start..end);
+            start = end;
+        }
+        chunks
+    }
+
     /// Splits `members` into chunks of roughly `grain` out-edges each.
     fn degree_chunks(csr: &Csr, members: &[u32], grain: usize) -> Vec<std::ops::Range<usize>> {
         let mut chunks = Vec::new();
@@ -292,8 +359,25 @@ impl OperatorExecutor for CpuExecutor {
         data: &EdgeSetIteratorData,
     ) -> Result<Option<VertexSet>, ExecError> {
         let t0 = ugc_telemetry::enabled().then(Instant::now);
-        let op = EdgeOp::resolve(state, stmt, data)?;
         let plan = Self::plan(stmt);
+        if let Some(tri) = self.oriented_tc(state, stmt) {
+            // Each triangle once, from its lowest vertex; the marked
+            // operator has no output.
+            self.note_direction(Direction::Push);
+            let csr = state.graph.out_csr();
+            let serial = csr.num_vertices() < plan.serial_threshold;
+            let props = &state.props;
+            parallel_for_chunks_with_local(
+                self.num_threads,
+                Self::vertex_chunks(csr, if serial { usize::MAX } else { 2048 }),
+                |_tid, range, marks: &mut Vec<u64>| {
+                    kernels::oriented_triangles(csr, props, tri, range, marks)
+                },
+            );
+            self.charge_edges(Direction::Push, t0);
+            return Ok(None);
+        }
+        let op = EdgeOp::resolve(state, stmt, data)?;
         let direction = op.direction;
         self.note_direction(direction);
 
@@ -358,20 +442,7 @@ impl OperatorExecutor for CpuExecutor {
             }
         };
         let out = state.finish_edge_op(&op, locals);
-        if let Some(t0) = t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
-            let c = counters();
-            match direction {
-                Direction::Push => {
-                    self.phase_ns.push += ns;
-                    c.edge_push.record_ns(ns);
-                }
-                Direction::Pull => {
-                    self.phase_ns.pull += ns;
-                    c.edge_pull.record_ns(ns);
-                }
-            }
-        }
+        self.charge_edges(direction, t0);
         Ok(out)
     }
 
@@ -535,6 +606,23 @@ end
                 .with_parallelization(ugc_schedule::Parallelization::EdgeAwareVertexBased)
                 .with_serial_threshold(0),
         )));
+    }
+
+    #[test]
+    fn vertex_chunks_tile_the_vertices_by_edges() {
+        let g = ugc_graph::generators::star(64);
+        let chunks = CpuExecutor::vertex_chunks(g.out_csr(), 16);
+        // The hub's 63 out-edges fill one chunk alone; every other chunk
+        // holds 16 single-edge leaves, the last one fewer.
+        assert_eq!(chunks.first(), Some(&(0..1)));
+        assert!(chunks.windows(2).all(|w| w[0].end == w[1].start));
+        assert_eq!(chunks.last().map(|c| c.end), Some(64));
+        assert!(chunks[1..].iter().all(|c| c.len() <= 16 && !c.is_empty()));
+        assert!(CpuExecutor::vertex_chunks(&ugc_graph::Csr::from_edges(0, &[]), 16).is_empty());
+        assert_eq!(
+            CpuExecutor::vertex_chunks(g.out_csr(), usize::MAX),
+            vec![0..64]
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use ugc_graph::Csr;
 use ugc_runtime::eval::{BufferedOutput, EdgeCtx, Evaluator, NullMemory};
-use ugc_runtime::properties::{GlobalTable, PropertyStorage};
+use ugc_runtime::properties::{GlobalTable, PropId, PropertyStorage};
 use ugc_runtime::udf::{CompiledOp, Frame};
 use ugc_runtime::value::Value;
 use ugc_runtime::vertexset::VertexSet;
@@ -272,6 +272,65 @@ impl EdgeKernel {
             EdgeKernel::Interpreted(op) => {
                 walk.over(io.csr, &mut Interpreted { op, ev: io.ev, out })
             }
+        }
+    }
+}
+
+/// Counts the triangles of a symmetric simple graph whose lowest vertex is
+/// in `range`, adding to `tri` what the marked per-edge operator
+/// `tri[v] += intersect_count(src, dst)` adds over the whole graph: 2 to
+/// each corner per triangle.
+///
+/// `N⁺(v)` is the suffix of `v`'s sorted list above `v`, so no second
+/// adjacency is built. For each `s`, `N⁺(s)` is marked in `marks` (this
+/// participant's `⌈n/64⌉` words, zero between calls), and each
+/// `d ∈ N⁺(s)` probes `N⁺(d)`: every marked `w` closes the triangle
+/// `s < d < w`, found from no other `(s, d)`. Credits go to the cells by
+/// relaxed atomic adds — `w` per triangle, `d` once per `(s, d)`, `s` once
+/// — and integer adds commute, so the counts are exact at any thread count.
+pub(crate) fn oriented_triangles(
+    csr: &Csr,
+    props: &PropertyStorage,
+    tri: PropId,
+    range: Range<usize>,
+    marks: &mut Vec<u64>,
+) {
+    let words = csr.num_vertices().div_ceil(64);
+    if marks.len() != words {
+        *marks = vec![0; words];
+    }
+    let above = |v: u32| {
+        let ns = csr.neighbors(v);
+        &ns[ns.partition_point(|&w| w <= v)..]
+    };
+    for s in range {
+        let s = s as u32;
+        let mine = above(s);
+        if mine.len() < 2 {
+            continue;
+        }
+        for &d in mine {
+            marks[d as usize >> 6] |= 1 << (d & 63);
+        }
+        let mut at_s = 0i64;
+        for &d in mine {
+            let mut at_d = 0i64;
+            for &w in above(d) {
+                if marks[w as usize >> 6] >> (w & 63) & 1 != 0 {
+                    at_d += 1;
+                    props.add_int(tri, w, 2);
+                }
+            }
+            if at_d > 0 {
+                props.add_int(tri, d, 2 * at_d);
+                at_s += at_d;
+            }
+        }
+        if at_s > 0 {
+            props.add_int(tri, s, 2 * at_s);
+        }
+        for &d in mine {
+            marks[d as usize >> 6] = 0;
         }
     }
 }

@@ -29,6 +29,7 @@
 pub mod emitter;
 pub mod executor;
 pub mod kernels;
+pub mod passes;
 pub mod schedule;
 pub mod vm;
 

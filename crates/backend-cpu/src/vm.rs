@@ -49,6 +49,11 @@ impl GraphVm for CpuGraphVm {
     type Executor = CpuExecutor;
     type Stats = CpuStats;
 
+    /// Oriented triangle-count marking.
+    fn passes(&self, prog: &mut Program) {
+        crate::passes::run(prog);
+    }
+
     fn executor(&self) -> CpuExecutor {
         CpuExecutor::new(self.num_threads, self.use_kernels)
     }

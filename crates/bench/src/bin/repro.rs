@@ -259,15 +259,20 @@ fn profile(targets: &[Target], scale: Scale) {
         ));
         lines.push_str(&delta.to_json_lines());
         if target == Target::Cpu {
-            // Operator tiers + pool chunk feedback: the two knobs the
-            // compiled path adds to the CPU hot loop. Pool counters live
-            // outside the `cpu.` prefix, so read them from a full
-            // collector delta spanning the same window.
+            // Operator tiers, how marked triangle counts ran, and pool
+            // chunk feedback: what the compiled path chose in the CPU hot
+            // loop. Pool counters live outside the `cpu.` prefix, so read
+            // them from a full collector delta spanning the same window.
             let pool = col.snapshot();
             println!(
                 "kernel dispatch: {} compiled, {} interpreter fallback",
                 delta.value("cpu.kernel.compiled"),
                 delta.value("cpu.kernel.fallback"),
+            );
+            println!(
+                "triangle counts: {} oriented, {} per edge (graph not symmetric simple)",
+                delta.value("cpu.intersect.oriented"),
+                delta.value("cpu.intersect.per_edge"),
             );
             if let Some(mean) = pool.histogram_mean("pool.chunk_size") {
                 println!(

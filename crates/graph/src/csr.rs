@@ -438,17 +438,16 @@ impl fmt::Debug for Csr {
 pub struct Graph {
     out: Csr,
     inn: OnceLock<Csr>,
+    /// [`Graph::is_symmetric_simple`], checked on first call.
+    symmetric_simple: OnceLock<bool>,
 }
 
 impl Clone for Graph {
     fn clone(&self) -> Self {
-        let inn = OnceLock::new();
-        if let Some(i) = self.inn.get() {
-            let _ = inn.set(i.clone());
-        }
         Graph {
             out: self.out.clone(),
-            inn,
+            inn: self.inn.clone(),
+            symmetric_simple: self.symmetric_simple.clone(),
         }
     }
 }
@@ -459,6 +458,7 @@ impl Graph {
         Graph {
             out,
             inn: OnceLock::new(),
+            symmetric_simple: OnceLock::new(),
         }
     }
 
@@ -515,6 +515,24 @@ impl Graph {
     /// `Arc<Graph>`, long after admission decisions were made.
     pub fn resident_bytes(&self) -> usize {
         2 * self.out.resident_bytes()
+    }
+
+    /// Whether the graph is an undirected simple graph stored in both
+    /// directions: every edge `(s, d)` has its reverse `(d, s)`, no list
+    /// repeats a target, and no vertex is its own neighbour. Checked on the
+    /// first call, by binary-searching each edge's reverse in the target's
+    /// sorted list, so the transpose is never materialized; later calls
+    /// read the cached answer.
+    pub fn is_symmetric_simple(&self) -> bool {
+        *self.symmetric_simple.get_or_init(|| {
+            let out = &self.out;
+            !out.has_repeated_targets()
+                && (0..out.num_vertices() as VertexId).all(|s| {
+                    out.neighbors(s)
+                        .iter()
+                        .all(|&d| d != s && out.neighbors(d).binary_search(&s).is_ok())
+                })
+        })
     }
 
     /// Out-degree of `v`.
@@ -660,6 +678,40 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_edge_panics() {
         let _ = Csr::from_edges(2, &[(0, 2)]);
+    }
+
+    #[test]
+    fn symmetric_simple_accepts_undirected_graphs() {
+        let tri = Graph::from_edges(3, &[(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]);
+        assert!(tri.is_symmetric_simple());
+        assert!(Graph::from_edges(4, &[]).is_symmetric_simple());
+        assert!(Graph::from_edges(0, &[]).is_symmetric_simple());
+    }
+
+    #[test]
+    fn symmetric_simple_rejects_each_failing_shape() {
+        let shapes: [(&str, Vec<(VertexId, VertexId)>); 3] = [
+            ("missing reverse", vec![(0, 1), (1, 0), (1, 2)]),
+            ("repeated target", vec![(0, 1), (0, 1), (1, 0), (1, 0)]),
+            ("self-loop", vec![(0, 1), (1, 0), (2, 2)]),
+        ];
+        for (shape, edges) in shapes {
+            let g = Graph::from_edges(3, &edges);
+            assert!(!g.is_symmetric_simple(), "{shape}");
+            // The answer is cached, and leaves the transpose unbuilt.
+            assert!(!g.is_symmetric_simple(), "{shape}");
+            assert!(g.inn.get().is_none(), "{shape}");
+        }
+    }
+
+    #[test]
+    fn symmetric_simple_survives_clone() {
+        let g = Graph::from_edges(2, &[(0, 1), (1, 0)]);
+        assert!(g.is_symmetric_simple());
+        let before = g.resident_bytes();
+        let g2 = g.clone();
+        assert_eq!(g2.symmetric_simple.get(), Some(&true));
+        assert_eq!(g2.resident_bytes(), before);
     }
 
     #[test]

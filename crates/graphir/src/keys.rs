@@ -44,6 +44,12 @@ pub const NEEDS_FUSION: &str = "needs_fusion";
 /// device-resident state.
 pub const HOISTED_VARS: &str = "hoisted_vars";
 
+/// On `EdgeSetIterator`: the int property a triangle count sums into. Set
+/// by the CPU GraphVM's pass on an all-edges operator whose whole effect is
+/// `p[v] += intersect_count(src, dst)`, so that its executor may count each
+/// triangle once on a symmetric simple graph.
+pub const ORIENTED_TC: &str = "oriented_tc";
+
 /// On `CompareAndSwap` / `Reduce` / `UpdatePriority*`: the operation needs
 /// hardware synchronization (set by the atomics-insertion pass).
 pub const IS_ATOMIC: &str = "is_atomic";

@@ -234,6 +234,16 @@ impl PropertyStorage {
         }
     }
 
+    /// Atomically adds `delta` to an int cell, wrapping: the `+=` of
+    /// [`Self::reduce`] on an int property, for callers whose adds commute
+    /// and that need neither the old value nor a change flag. Relaxed: the
+    /// cell publishes no other data, and the pool's join orders every add
+    /// before the cell is next read.
+    #[inline]
+    pub fn add_int(&self, id: PropId, idx: u32, delta: i64) {
+        self.arrays[id.0].data[idx as usize].fetch_add(delta as u64, Ordering::Relaxed);
+    }
+
     /// Non-atomic reduction (single-threaded backends); same result
     /// contract as [`PropertyStorage::reduce`].
     pub fn reduce_relaxed(&self, id: PropId, idx: u32, op: ReduceOp, v: Value) -> (bool, Value) {
@@ -421,6 +431,17 @@ mod tests {
         assert_eq!(p.ty(a), Type::Int);
         assert_eq!(p.name(a), "a");
         assert_eq!(p.read(a, 1), Value::Int(5));
+    }
+
+    #[test]
+    fn add_int_matches_sum_reduce() {
+        let mut p = PropertyStorage::new(2);
+        let a = p.add("a", Type::Int, Value::Int(i64::MAX - 1));
+        for d in [3, -7, 0, 12] {
+            p.add_int(a, 0, d);
+            p.reduce(a, 1, ReduceOp::Sum, Value::Int(d));
+        }
+        assert_eq!(p.read(a, 0), p.read(a, 1));
     }
 
     #[test]

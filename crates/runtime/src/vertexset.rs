@@ -4,6 +4,8 @@
 //! to the backend (Table II); this module provides all three choices with
 //! conversions, so schedules can pick per-operator representations.
 
+use std::cell::RefCell;
+
 use ugc_graphir::types::VertexSetRepr;
 
 /// A set of active vertices in one of three representations.
@@ -168,14 +170,33 @@ impl VertexSet {
 
     /// Removes duplicates from a sparse set, keeping first-arrival order
     /// (how real atomically-appended frontiers behave). No-op on map reprs.
+    ///
+    /// Seen members are marked in a per-thread bitmap of `⌈universe/64⌉`
+    /// words that is all zero between calls: each call clears only the
+    /// words of the members it kept, so its cost follows the set, not the
+    /// universe.
     pub fn dedup(&mut self) {
+        thread_local! {
+            static SEEN: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+        }
         if let VertexSet::Sparse { members, universe } = self {
-            let mut seen = vec![false; *universe];
+            // Taken out for the call: a panic inside drops the marks
+            // instead of leaving them set for the next call.
+            let mut seen = SEEN.with(RefCell::take);
+            let words = universe.div_ceil(64);
+            if seen.len() < words {
+                seen.resize(words, 0);
+            }
             members.retain(|&v| {
-                let s = seen[v as usize];
-                seen[v as usize] = true;
-                !s
+                let (w, bit) = (v as usize >> 6, 1u64 << (v & 63));
+                let fresh = seen[w] & bit == 0;
+                seen[w] |= bit;
+                fresh
             });
+            for &v in members.iter() {
+                seen[v as usize >> 6] = 0;
+            }
+            SEEN.with(|s| s.replace(seen));
         }
     }
 
@@ -264,6 +285,46 @@ mod tests {
         assert_eq!(s.iter(), vec![2, 4]);
         // Arrival order preserved.
         assert_eq!(s.members_in_order(), vec![4, 2]);
+    }
+
+    /// The flag-array deduplication `dedup` replaced: first arrival wins.
+    fn dedup_by_flags(universe: usize, members: &[u32]) -> Vec<u32> {
+        let mut seen = vec![false; universe];
+        members
+            .iter()
+            .copied()
+            .filter(|&v| !std::mem::replace(&mut seen[v as usize], true))
+            .collect()
+    }
+
+    #[test]
+    fn dedup_matches_flag_array_in_content_and_order() {
+        ugc_testkit::check(
+            "dedup_matches_flag_array_in_content_and_order",
+            ugc_testkit::Config::with_cases(256),
+            |rng: &mut ugc_testkit::Prng| {
+                let universe = rng.gen_range(1..300usize);
+                // Few distinct ids among many draws is duplicate-heavy;
+                // lengths 0 and 1 are empty and single-member sets.
+                let distinct = rng.gen_range(1..universe + 1) as u32;
+                let len = rng.gen_range(0..4 * universe);
+                let len = if rng.gen_bool(0.2) { len % 2 } else { len };
+                let members: Vec<u32> = (0..len)
+                    .map(|_| rng.gen_range(0..distinct) * (universe as u32 / distinct))
+                    .collect();
+                (universe, members)
+            },
+            |(universe, members)| {
+                let mut set = VertexSet::from_members(*universe, members.clone());
+                set.dedup();
+                assert_eq!(set.members_in_order(), dedup_by_flags(*universe, members));
+                // The per-thread marks are clear again for the next call,
+                // here on a larger universe.
+                let mut again = VertexSet::from_members(universe + 100, members.clone());
+                again.dedup();
+                assert_eq!(again.members_in_order(), dedup_by_flags(*universe, members));
+            },
+        );
     }
 
     #[test]

@@ -35,6 +35,18 @@ for _ in $(seq 20); do
   cargo test -q --release --offline -p ugc-integration --test pool_threads
 done
 
+echo "== oriented TC exactness, 20 release runs at 1 and 8 threads (atomic-credit interleavings)"
+# An oriented triangle count credits each corner from whichever worker
+# finds the triangle, by relaxed atomic adds; which worker claims which
+# chunk differs from run to run, so loop the random-graph and fallback
+# properties. The dataset-scale check runs once, in the plain test pass.
+for _ in $(seq 20); do
+  for threads in 1 8; do
+    UGC_THREADS=$threads cargo test -q --release --offline -p ugc-integration \
+      --test oriented_tc -- random_symmetric falls_back kernels_off
+  done
+done
+
 echo "== cargo test under UGC_TELEMETRY=0 (counters compiled to no-ops)"
 # Disabled telemetry must leave results identical and registries empty;
 # telemetry_invariants asserts both, the differential suite proves the
@@ -136,8 +148,8 @@ echo "== algorithm suite differential smoke (tc/kcore/lp across all four backend
 # backend at tiny scale: the triangle total, the maximum coreness, and the
 # number of label classes are all backend-independent facts about the
 # graph, so any divergence is a wrong answer, not noise. tc also runs on
-# PK, whose skewed degrees drive the compiled CPU path's intersection
-# through its bitmap probe and its binary search, and adds a fifth column:
+# PK, whose skewed degrees load the CPU's oriented count (each triangle
+# once; both graphs are symmetric and simple), and adds a fifth column:
 # the CPU forced onto the interpreter, which counts by the plain merge.
 for spec in "tc triangles RN" "tc triangles PK" "kcore max_coreness RN" "lp label_classes RN"; do
   read -r algo key graph <<<"$spec"

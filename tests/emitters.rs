@@ -56,6 +56,25 @@ fn cpu_emitter_markers() {
 }
 
 #[test]
+fn cpu_emitter_marks_oriented_tc() {
+    // The CPU pass marks TC's edge operator, and the emitter says so; no
+    // other algorithm's operator is marked.
+    let text = emit(Algorithm::Tc, Target::Cpu);
+    assert!(
+        text.contains("oriented: each triangle once into tri on a symmetric simple graph"),
+        "{text}"
+    );
+    for algo in Algorithm::ALL.into_iter().filter(|&a| a != Algorithm::Tc) {
+        assert!(
+            !emit(algo, Target::Cpu).contains("oriented:"),
+            "{}",
+            algo.name()
+        );
+    }
+    assert!(!emit(Algorithm::Tc, Target::Gpu).contains("oriented"));
+}
+
+#[test]
 fn cuda_emitter_markers() {
     let text = emit(Algorithm::Bfs, Target::Gpu);
     assert!(text.contains("__device__"), "{text}");

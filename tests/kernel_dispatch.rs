@@ -388,23 +388,32 @@ fn kernels_match_interpreter_under_threads() {
     // Triangle counts are integer sums and coreness is a fixpoint: both
     // are exact under any interleaving, so the compiled TC edge body and
     // the compiled k-core filter/applies must reproduce the interpreter.
-    // Compiled TC counts through each worker's `IntersectScratch`, the
-    // interpreter by the merge, so the inputs cover both walk orders, one
-    // and eight workers, the R-MAT graph (whose push walk takes the
-    // scratch's binary search), a star's hub, and a multigraph (on which
-    // the scratch must merge).
-    let out = graph.out_csr();
+    // Compiled TC counts each triangle once on the symmetric simple R-MAT
+    // graph and star, and per edge through each worker's `IntersectScratch`
+    // on the R-MAT graph less one edge (whose push walk takes the scratch's
+    // binary search) and on a multigraph (on which the scratch must merge);
+    // the interpreter counts by the merge. The inputs cover both walk
+    // orders and one and eight workers.
+    let edges: Vec<_> = graph
+        .out_csr()
+        .iter_edges()
+        .map(|(s, d, _)| (s, d))
+        .collect();
+    let one_way = ugc_graph::Graph::from_edges(graph.num_vertices(), &edges[1..]);
+    assert!(graph.is_symmetric_simple() && !one_way.is_symmetric_simple());
+    let out = one_way.out_csr();
     let mut scratch = ugc_graph::IntersectScratch::default();
     for (s, d, _) in out.iter_edges() {
         scratch.count(out, s, d);
     }
     assert!(scratch.paths().search > 0, "{:?}", scratch.paths());
-    let mut doubled: Vec<_> = out.iter_edges().map(|(s, d, _)| (s, d)).collect();
-    doubled.extend(doubled.clone().into_iter().step_by(7));
+    let mut doubled = edges.clone();
+    doubled.extend(edges.iter().copied().step_by(7));
     let multigraph = ugc_graph::Graph::from_edges(graph.num_vertices(), &doubled);
     assert!(multigraph.out_csr().has_repeated_targets());
     let graphs = [
         ("rmat", graph.clone()),
+        ("rmat less one edge", one_way),
         ("star", ugc_graph::generators::star(600)),
         ("multigraph", multigraph),
     ];
@@ -429,6 +438,10 @@ fn kernels_match_interpreter_under_threads() {
                     let ((compiled, on), (interpreted, off)) = (result_of(true), result_of(false));
                     let case = format!("{} {name} {direction:?} {threads}t", algo.name());
                     assert!(on.compiled > 0 && on.fallback == 0, "{case}: {on:?}");
+                    if algo == Algorithm::Tc {
+                        let oriented = u64::from(graph.is_symmetric_simple());
+                        assert_eq!(on.oriented, oriented, "{case}: {on:?}");
+                    }
                     assert_eq!(off.compiled, 0, "{case}: {off:?}");
                     assert_eq!(compiled, interpreted, "{case}: `{prop}` diverges");
                 }
