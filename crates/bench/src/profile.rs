@@ -6,12 +6,16 @@
 pub use ugc::Attribution;
 use ugc::{Algorithm, Target};
 use ugc_graph::{Dataset, Scale};
+use ugc_sim_gpu::GpuAttribution;
+use ugc_sim_hb::HbAttribution;
+use ugc_sim_swarm::SwarmAttribution;
 use ugc_telemetry::{Collector, Snapshot};
 
 use crate::{baseline_schedule, try_measure};
 
 /// The component counters of one target: `(label, registry key)`.
-/// The label order matches each simulator's `components()` accessor.
+/// The label order matches each simulator's `components()` accessor; the
+/// simulators' tables come from their cycle ledgers.
 #[must_use]
 pub fn component_keys(target: Target) -> &'static [(&'static str, &'static str)] {
     match target {
@@ -21,29 +25,9 @@ pub fn component_keys(target: Target) -> &'static [(&'static str, &'static str)]
             ("vertex_apply", "cpu.vertex_apply.ns"),
             ("other", "cpu.other.ns"),
         ],
-        Target::Gpu => &[
-            ("compute", "sim_gpu.cycles.compute"),
-            ("divergence", "sim_gpu.cycles.divergence"),
-            ("mem_stall", "sim_gpu.cycles.mem_stall"),
-            ("launch", "sim_gpu.cycles.launch"),
-            ("host", "sim_gpu.cycles.host"),
-        ],
-        Target::Swarm => &[
-            ("commit", "sim_swarm.cycles.commit"),
-            ("abort", "sim_swarm.cycles.abort"),
-            ("idle_no_task", "sim_swarm.cycles.idle_no_task"),
-            ("idle_cq_full", "sim_swarm.cycles.idle_cq_full"),
-            ("spill", "sim_swarm.cycles.spill"),
-            ("host", "sim_swarm.cycles.host"),
-        ],
-        Target::HammerBlade => &[
-            ("compute", "sim_hb.cycles.compute"),
-            ("llc_access", "sim_hb.cycles.llc_access"),
-            ("dram_stall", "sim_hb.cycles.dram_stall"),
-            ("bank", "sim_hb.cycles.bank"),
-            ("barrier", "sim_hb.cycles.barrier"),
-            ("host", "sim_hb.cycles.host"),
-        ],
+        Target::Gpu => &GpuAttribution::COMPONENT_KEYS,
+        Target::Swarm => &SwarmAttribution::COMPONENT_KEYS,
+        Target::HammerBlade => &HbAttribution::COMPONENT_KEYS,
     }
 }
 
@@ -52,9 +36,9 @@ pub fn component_keys(target: Target) -> &'static [(&'static str, &'static str)]
 pub fn total_key(target: Target) -> &'static str {
     match target {
         Target::Cpu => "cpu.elapsed.ns",
-        Target::Gpu => "sim_gpu.cycles.total",
-        Target::Swarm => "sim_swarm.cycles.total",
-        Target::HammerBlade => "sim_hb.cycles.total",
+        Target::Gpu => GpuAttribution::TOTAL_KEY,
+        Target::Swarm => SwarmAttribution::TOTAL_KEY,
+        Target::HammerBlade => HbAttribution::TOTAL_KEY,
     }
 }
 
@@ -63,9 +47,9 @@ pub fn total_key(target: Target) -> &'static str {
 pub fn counter_prefix(target: Target) -> &'static str {
     match target {
         Target::Cpu => "cpu.",
-        Target::Gpu => "sim_gpu.",
-        Target::Swarm => "sim_swarm.",
-        Target::HammerBlade => "sim_hb.",
+        Target::Gpu => GpuAttribution::COUNTER_PREFIX,
+        Target::Swarm => SwarmAttribution::COUNTER_PREFIX,
+        Target::HammerBlade => HbAttribution::COUNTER_PREFIX,
     }
 }
 
@@ -127,6 +111,44 @@ mod tests {
                 assert!(attr.summary().is_empty());
                 assert!(delta.is_empty());
             }
+        }
+    }
+
+    #[test]
+    fn simulator_keys_are_the_registry_names() {
+        // The benchmark reads these names; the ledgers must keep them.
+        let keys = |t| {
+            component_keys(t)
+                .iter()
+                .map(|&(l, k)| format!("{l}={k}"))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            keys(Target::Gpu).join(" "),
+            "compute=sim_gpu.cycles.compute divergence=sim_gpu.cycles.divergence \
+             mem_stall=sim_gpu.cycles.mem_stall launch=sim_gpu.cycles.launch \
+             host=sim_gpu.cycles.host"
+        );
+        assert_eq!(
+            keys(Target::Swarm).join(" "),
+            "commit=sim_swarm.cycles.commit abort=sim_swarm.cycles.abort \
+             idle_no_task=sim_swarm.cycles.idle_no_task \
+             idle_cq_full=sim_swarm.cycles.idle_cq_full spill=sim_swarm.cycles.spill \
+             host=sim_swarm.cycles.host"
+        );
+        assert_eq!(
+            keys(Target::HammerBlade).join(" "),
+            "compute=sim_hb.cycles.compute llc_access=sim_hb.cycles.llc_access \
+             dram_stall=sim_hb.cycles.dram_stall bank=sim_hb.cycles.bank \
+             barrier=sim_hb.cycles.barrier host=sim_hb.cycles.host"
+        );
+        for (target, ns) in [
+            (Target::Gpu, "sim_gpu"),
+            (Target::Swarm, "sim_swarm"),
+            (Target::HammerBlade, "sim_hb"),
+        ] {
+            assert_eq!(total_key(target), format!("{ns}.cycles.total"));
+            assert_eq!(counter_prefix(target), format!("{ns}."));
         }
     }
 

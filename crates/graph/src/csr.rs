@@ -21,13 +21,20 @@ use crate::{VertexId, Weight};
 /// assert_eq!(csr.degree(1), 0);
 /// assert_eq!(csr.num_edges(), 3);
 /// ```
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<usize>,
     targets: Vec<VertexId>,
     weights: Option<Vec<Weight>>,
     /// Whether some neighbor slice repeats a target (a multi-edge).
     repeats: bool,
+}
+
+/// The empty graph: zero vertices, so `offsets` is the single `[0]`.
+impl Default for Csr {
+    fn default() -> Self {
+        Csr::from_edges(0, &[])
+    }
 }
 
 impl Csr {
@@ -579,6 +586,18 @@ mod tests {
         assert_eq!(c.neighbors(3), &[] as &[VertexId]);
         assert_eq!(c.degree(0), 2);
         assert_eq!(c.offsets(), &[0, 2, 3, 4, 4]);
+    }
+
+    #[test]
+    fn default_graph_is_empty() {
+        let g = Graph::default();
+        assert_eq!(g.num_vertices(), 0);
+        assert_eq!(g.num_edges(), 0);
+        assert_eq!((0..g.num_vertices()).count(), 0);
+        assert_eq!(g.out_csr().iter_edges().count(), 0);
+        assert_eq!(g.in_csr().num_vertices(), 0);
+        assert_eq!(Csr::default(), Csr::from_edges(0, &[]));
+        assert_eq!(Csr::default().offsets(), &[0]);
     }
 
     #[test]

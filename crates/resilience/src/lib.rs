@@ -25,6 +25,11 @@
 //!   The supervisor arms them with a scope guard; the interpreter and the
 //!   simulators check them at loop/charge granularity.
 //!
+//! Beside them, [`sim_kit`] is the machine-model kit the three simulators
+//! share: one set-associative LRU cache, and the cycle ledger whose
+//! `charge` is the one place simulated time advances and the cycle
+//! watchdog runs.
+//!
 //! Telemetry: the injector and watchdogs publish
 //! `resilience.faults_injected`, `resilience.retries`,
 //! `resilience.fallbacks`, and `resilience.budget_kills` through
@@ -39,6 +44,7 @@ use ugc_telemetry::Counter;
 pub mod breaker;
 pub mod budget;
 pub mod fault;
+pub mod sim_kit;
 
 /// The workspace's standard 64-bit mixer (Steele et al.'s splitmix64
 /// finalizer). Shared by the fault injector's draw streams and the

@@ -40,61 +40,37 @@
 
 use std::sync::OnceLock;
 
-use ugc_resilience::{budget, fault};
+use ugc_resilience::fault;
+use ugc_resilience::sim_kit::{apportion, LruCache};
 use ugc_telemetry::Counter;
 
-/// Where the simulated cycles went, cumulatively per simulator instance.
-///
-/// The five components partition [`GpuSim::time_cycles`] exactly:
-/// `compute + divergence + mem_stall + launch + host == time_cycles()`
-/// at every instant (asserted by `tests/telemetry_invariants.rs`). The
-/// split classifies the existing timing math without changing it — each
-/// kernel's cycle charge is decomposed proportionally to the per-warp
-/// mean lane compute (compute), lockstep serialization above the mean
-/// plus atomic serialization (divergence), and coalescing/transaction
-/// cycles (mem_stall, which also absorbs any bandwidth-bound excess).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GpuAttribution {
-    /// Useful lane work: per-warp mean lane compute cycles.
-    pub compute: u64,
-    /// SIMT divergence serialization (slowest-lane excess over the mean)
-    /// plus same-address atomic serialization.
-    pub divergence: u64,
-    /// Memory-coalescing stalls: transaction issue + DRAM miss cycles,
-    /// plus bandwidth-roofline excess.
-    pub mem_stall: u64,
-    /// Kernel launch overhead and cooperative grid synchronizations.
-    pub launch: u64,
-    /// Host-side cycles between kernels.
-    pub host: u64,
-}
-
-impl GpuAttribution {
-    /// Sum of all components — always equals the simulator's total time.
-    pub fn total(&self) -> u64 {
-        self.compute + self.divergence + self.mem_stall + self.launch + self.host
-    }
-
-    /// Named components in display order.
-    pub fn components(&self) -> [(&'static str, u64); 5] {
-        [
-            ("compute", self.compute),
-            ("divergence", self.divergence),
-            ("mem_stall", self.mem_stall),
-            ("launch", self.launch),
-            ("host", self.host),
-        ]
+ugc_resilience::cycle_ledger! {
+    /// Where the simulated cycles went, cumulatively per simulator instance.
+    ///
+    /// [`GpuSim::time_cycles`] is the sum of the five components. The split
+    /// classifies the existing timing math without changing it — each
+    /// kernel's cycle charge is decomposed proportionally to the per-warp
+    /// mean lane compute (compute), lockstep serialization above the mean
+    /// plus atomic serialization (divergence), and coalescing/transaction
+    /// cycles (mem_stall, which also absorbs any bandwidth-bound excess).
+    pub struct GpuAttribution in "sim_gpu" {
+        /// Useful lane work: per-warp mean lane compute cycles.
+        compute,
+        /// SIMT divergence serialization (slowest-lane excess over the mean)
+        /// plus same-address atomic serialization.
+        divergence,
+        /// Memory-coalescing stalls: transaction issue + DRAM miss cycles,
+        /// plus bandwidth-roofline excess.
+        mem_stall,
+        /// Kernel launch overhead and cooperative grid synchronizations.
+        launch,
+        /// Host-side cycles between kernels.
+        host,
     }
 }
 
-/// Registry handles for the `sim_gpu.` counter namespace.
+/// Registry handles for the `sim_gpu.` counters beside the cycle ledger.
 struct Counters {
-    compute: Counter,
-    divergence: Counter,
-    mem_stall: Counter,
-    launch: Counter,
-    host: Counter,
-    total: Counter,
     kernels: Counter,
     warps: Counter,
     transactions: Counter,
@@ -107,12 +83,6 @@ struct Counters {
 fn counters() -> &'static Counters {
     static COUNTERS: OnceLock<Counters> = OnceLock::new();
     COUNTERS.get_or_init(|| Counters {
-        compute: Counter::new("sim_gpu.cycles.compute"),
-        divergence: Counter::new("sim_gpu.cycles.divergence"),
-        mem_stall: Counter::new("sim_gpu.cycles.mem_stall"),
-        launch: Counter::new("sim_gpu.cycles.launch"),
-        host: Counter::new("sim_gpu.cycles.host"),
-        total: Counter::new("sim_gpu.cycles.total"),
         kernels: Counter::new("sim_gpu.kernels"),
         warps: Counter::new("sim_gpu.warps"),
         transactions: Counter::new("sim_gpu.transactions"),
@@ -245,47 +215,6 @@ pub struct GpuStats {
     pub atomics: u64,
 }
 
-/// Segment-granular set-associative cache with LRU replacement: one flat
-/// `num_sets × ways` tag array, each set's occupied ways kept MRU-first.
-#[derive(Debug)]
-struct L2Cache {
-    tags: Vec<u64>,
-    lens: Vec<u32>,
-    ways: usize,
-    num_sets: u64,
-}
-
-impl L2Cache {
-    fn new(capacity_bytes: u64, txn_bytes: u64, ways: usize) -> Self {
-        let lines = (capacity_bytes / txn_bytes).max(1);
-        let num_sets = (lines / ways as u64).max(1);
-        L2Cache {
-            tags: vec![0; num_sets as usize * ways],
-            lens: vec![0; num_sets as usize],
-            ways,
-            num_sets,
-        }
-    }
-
-    /// Touches a segment; returns whether it hit.
-    fn access(&mut self, segment: u64) -> bool {
-        let s = (segment % self.num_sets) as usize;
-        let len = self.lens[s] as usize;
-        let set = &mut self.tags[s * self.ways..(s + 1) * self.ways];
-        if let Some(pos) = set[..len].iter().position(|&t| t == segment) {
-            set[..=pos].rotate_right(1);
-            true
-        } else {
-            // The LRU way falls off the end when the set is full.
-            let kept = len.min(self.ways - 1);
-            set.copy_within(..kept, 1);
-            set[0] = segment;
-            self.lens[s] = (kept + 1) as u32;
-            false
-        }
-    }
-}
-
 /// The GPU simulator: accumulates time and statistics across kernels.
 #[derive(Debug)]
 pub struct GpuSim {
@@ -293,10 +222,10 @@ pub struct GpuSim {
     pub cfg: GpuConfig,
     /// Aggregate statistics.
     pub stats: GpuStats,
-    /// Cycle attribution; components always sum to [`GpuSim::time_cycles`].
+    /// Cycle attribution; its total is [`GpuSim::time_cycles`].
     pub attr: GpuAttribution,
-    l2: L2Cache,
-    time: u64,
+    /// The segment-granular L2.
+    l2: LruCache,
     /// One warp's segments, then its atomic addresses: buffers reused
     /// across warps and kernels.
     segments: Vec<u64>,
@@ -306,43 +235,25 @@ pub struct GpuSim {
 impl GpuSim {
     /// Creates a simulator for the given configuration.
     pub fn new(cfg: GpuConfig) -> Self {
-        let l2 = L2Cache::new(cfg.l2_bytes, cfg.txn_bytes, cfg.l2_ways);
+        let l2 = LruCache::new(cfg.l2_bytes, cfg.txn_bytes, cfg.l2_ways);
         GpuSim {
             cfg,
             stats: GpuStats::default(),
             attr: GpuAttribution::default(),
             l2,
-            time: 0,
             segments: Vec::new(),
             atomic_addrs: Vec::new(),
         }
     }
 
-    /// Records an attribution increment in lockstep with `self.time` (the
-    /// caller adds the same total to `time`); mirrors into the registry.
-    fn attribute(&mut self, delta: GpuAttribution) {
-        self.attr.compute += delta.compute;
-        self.attr.divergence += delta.divergence;
-        self.attr.mem_stall += delta.mem_stall;
-        self.attr.launch += delta.launch;
-        self.attr.host += delta.host;
-        let c = counters();
-        c.compute.add(delta.compute);
-        c.divergence.add(delta.divergence);
-        c.mem_stall.add(delta.mem_stall);
-        c.launch.add(delta.launch);
-        c.host.add(delta.host);
-        c.total.add(delta.total());
-    }
-
     /// Total simulated cycles so far.
     pub fn time_cycles(&self) -> u64 {
-        self.time
+        self.attr.total()
     }
 
     /// Simulated time in milliseconds.
     pub fn time_ms(&self) -> f64 {
-        self.time as f64 / (self.cfg.clock_ghz * 1e6)
+        self.time_cycles() as f64 / (self.cfg.clock_ghz * 1e6)
     }
 
     /// Resets time and statistics (the L2 stays warm unless
@@ -350,12 +261,11 @@ impl GpuSim {
     pub fn reset(&mut self) {
         self.stats = GpuStats::default();
         self.attr = GpuAttribution::default();
-        self.time = 0;
     }
 
     /// Empties the L2 cache.
     pub fn flush_l2(&mut self) {
-        self.l2.lens.fill(0);
+        self.l2.flush();
     }
 
     /// Runs a kernel over the given warp traces, advancing simulated time.
@@ -376,8 +286,8 @@ impl GpuSim {
         let mut kernel_dram_bytes: u64 = 0;
         let mut num_warps: u64 = 0;
         // Raw attribution sums in warp-issue cycles; their total equals
-        // `total_warp_cycles`, so scaling them to the kernel's actual
-        // charge preserves the proportions the model computed.
+        // `total_warp_cycles`, so apportioning the kernel's work by them
+        // preserves the proportions the model computed.
         let mut compute_raw: u64 = 0;
         let mut divergence_raw: u64 = 0;
         let mut mem_raw: u64 = 0;
@@ -448,30 +358,20 @@ impl GpuSim {
         let issue = total_warp_cycles / self.cfg.num_sms;
         let bw = kernel_dram_bytes / self.cfg.dram_bytes_per_cycle;
         let work = issue.max(max_warp_cycles).max(bw);
-        let mut cycles = work;
         let launch = if fused {
-            self.stats.grid_syncs += 0; // syncs charged separately
             0
         } else {
             // Injected launch failure: fatal to this attempt, transported
             // as a typed payload and retried by the supervisor.
             fault::roll_fatal(fault::Domain::Gpu, fault::FaultKind::KernelLaunchFail);
             self.stats.kernels += 1;
-            cycles += self.cfg.kernel_launch_cycles;
             self.cfg.kernel_launch_cycles
         };
-        // Scale the raw per-warp classification to the kernel's actual
-        // charge. mem_stall takes the remainder, which also absorbs any
+        // Split the raw per-warp classification over the kernel's work.
+        // mem_stall takes the remainder, which also absorbs any
         // bandwidth-roofline excess over the issue/critical-path bounds.
-        let raw_total = compute_raw + divergence_raw + mem_raw;
-        let scale = |part: u64| {
-            if raw_total == 0 {
-                0
-            } else {
-                ((work as u128 * part as u128) / raw_total as u128) as u64
-            }
-        };
-        let (compute, divergence) = (scale(compute_raw), scale(divergence_raw));
+        let [compute, divergence, mem_stall] =
+            apportion(work, [compute_raw, divergence_raw, mem_raw], 2);
         // Injected memory-stall spike: the kernel completes, but pays a
         // launch-sized extra stall (degraded, absorbed as mem_stall).
         let spike = if fault::roll(fault::Domain::Gpu, fault::FaultKind::MemStallSpike) {
@@ -479,14 +379,6 @@ impl GpuSim {
         } else {
             0
         };
-        let cycles = cycles + spike;
-        self.attribute(GpuAttribution {
-            compute,
-            divergence,
-            mem_stall: work - compute - divergence + spike,
-            launch,
-            host: 0,
-        });
         let c = counters();
         c.kernels.add(u64::from(!fused));
         c.warps.add(num_warps);
@@ -497,9 +389,14 @@ impl GpuSim {
             .add(self.stats.l2_misses - stats_before.l2_misses);
         c.dram_bytes.add(kernel_dram_bytes);
         c.atomics.add(self.stats.atomics - stats_before.atomics);
-        self.time += cycles;
-        budget::check_cycles(self.time);
-        cycles
+        self.attr.charge(GpuAttribution {
+            compute,
+            divergence,
+            mem_stall: mem_stall + spike,
+            launch,
+            host: 0,
+        });
+        work + launch + spike
     }
 
     /// Charges a kernel launch with no work (the megakernel entry of a
@@ -509,12 +406,10 @@ impl GpuSim {
         fault::roll_fatal(fault::Domain::Gpu, fault::FaultKind::KernelLaunchFail);
         self.stats.kernels += 1;
         counters().kernels.incr();
-        self.attribute(GpuAttribution {
+        self.attr.charge(GpuAttribution {
             launch: self.cfg.kernel_launch_cycles,
             ..GpuAttribution::default()
         });
-        self.time += self.cfg.kernel_launch_cycles;
-        budget::check_cycles(self.time);
     }
 
     /// Charges one cooperative grid synchronization (fused kernels).
@@ -522,22 +417,18 @@ impl GpuSim {
     /// instead of per-operator launches.
     pub fn grid_sync(&mut self) {
         self.stats.grid_syncs += 1;
-        self.attribute(GpuAttribution {
+        self.attr.charge(GpuAttribution {
             launch: self.cfg.grid_sync_cycles,
             ..GpuAttribution::default()
         });
-        self.time += self.cfg.grid_sync_cycles;
-        budget::check_cycles(self.time);
     }
 
     /// Charges host-side work between kernels (e.g. swap/size checks).
     pub fn host_cycles(&mut self, cycles: u64) {
-        self.attribute(GpuAttribution {
+        self.attr.charge(GpuAttribution {
             host: cycles,
             ..GpuAttribution::default()
         });
-        self.time += cycles;
-        budget::check_cycles(self.time);
     }
 }
 

@@ -20,60 +20,36 @@
 
 use std::sync::OnceLock;
 
-use ugc_resilience::{budget, fault};
+use ugc_resilience::fault;
+use ugc_resilience::sim_kit::{apportion, LruCache};
 use ugc_telemetry::Counter;
 
-/// Where the simulated cycles went, cumulatively per simulator instance.
-///
-/// Components always sum to [`HbSim::time_cycles`]. Each phase's charge
-/// beyond the fixed barrier is split proportionally to the raw cycle
-/// classification accumulated while costing the traces (core compute,
-/// LLC access latency, DRAM stall, bank occupancy), so the model's
-/// timing math is classified, never changed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HbAttribution {
-    /// Core-local scalar work (including scratchpad/stream-buffer hits).
-    pub compute: u64,
-    /// LLC access latency (network hop + hit service).
-    pub llc_access: u64,
-    /// DRAM stalls (miss latency and bandwidth-roofline excess).
-    pub dram_stall: u64,
-    /// LLC bank occupancy/contention serialization.
-    pub bank: u64,
-    /// Per-phase SPMD barrier and dispatch.
-    pub barrier: u64,
-    /// Sequential host cycles.
-    pub host: u64,
-}
-
-impl HbAttribution {
-    /// Sum of all components — always equals the simulator's total time.
-    pub fn total(&self) -> u64 {
-        self.compute + self.llc_access + self.dram_stall + self.bank + self.barrier + self.host
-    }
-
-    /// Named components in display order.
-    pub fn components(&self) -> [(&'static str, u64); 6] {
-        [
-            ("compute", self.compute),
-            ("llc_access", self.llc_access),
-            ("dram_stall", self.dram_stall),
-            ("bank", self.bank),
-            ("barrier", self.barrier),
-            ("host", self.host),
-        ]
+ugc_resilience::cycle_ledger! {
+    /// Where the simulated cycles went, cumulatively per simulator instance.
+    ///
+    /// [`HbSim::time_cycles`] is the sum of the components. Each phase's
+    /// charge beyond the fixed barrier is split proportionally to the raw
+    /// cycle classification accumulated while costing the traces (core
+    /// compute, LLC access latency, DRAM stall, bank occupancy), so the
+    /// model's timing math is classified, never changed.
+    pub struct HbAttribution in "sim_hb" {
+        /// Core-local scalar work (including scratchpad/stream-buffer hits).
+        compute,
+        /// LLC access latency (network hop + hit service).
+        llc_access,
+        /// DRAM stalls (miss latency and bandwidth-roofline excess).
+        dram_stall,
+        /// LLC bank occupancy/contention serialization.
+        bank,
+        /// Per-phase SPMD barrier and dispatch.
+        barrier,
+        /// Sequential host cycles.
+        host,
     }
 }
 
-/// Registry handles for the `sim_hb.` counter namespace.
+/// Registry handles for the `sim_hb.` counters beside the cycle ledger.
 struct Counters {
-    compute: Counter,
-    llc_access: Counter,
-    dram_stall: Counter,
-    bank: Counter,
-    barrier: Counter,
-    host: Counter,
-    total: Counter,
     phases: Counter,
     network_hops: Counter,
     llc_hits: Counter,
@@ -85,13 +61,6 @@ struct Counters {
 fn counters() -> &'static Counters {
     static COUNTERS: OnceLock<Counters> = OnceLock::new();
     COUNTERS.get_or_init(|| Counters {
-        compute: Counter::new("sim_hb.cycles.compute"),
-        llc_access: Counter::new("sim_hb.cycles.llc_access"),
-        dram_stall: Counter::new("sim_hb.cycles.dram_stall"),
-        bank: Counter::new("sim_hb.cycles.bank"),
-        barrier: Counter::new("sim_hb.cycles.barrier"),
-        host: Counter::new("sim_hb.cycles.host"),
-        total: Counter::new("sim_hb.cycles.total"),
         phases: Counter::new("sim_hb.phases"),
         network_hops: Counter::new("sim_hb.network_hops"),
         llc_hits: Counter::new("sim_hb.llc_hits"),
@@ -241,47 +210,6 @@ impl HbStats {
     }
 }
 
-/// Line-granular set-associative LLC with LRU replacement: one flat
-/// `num_sets × ways` tag array, each set's occupied ways kept MRU-first.
-#[derive(Debug)]
-struct Llc {
-    tags: Vec<u64>,
-    lens: Vec<u32>,
-    ways: usize,
-    num_sets: u64,
-}
-
-impl Llc {
-    fn new(capacity: u64, line: u64, ways: usize) -> Self {
-        let lines = (capacity / line).max(1);
-        let num_sets = (lines / ways as u64).max(1);
-        Llc {
-            tags: vec![0; num_sets as usize * ways],
-            lens: vec![0; num_sets as usize],
-            ways,
-            num_sets,
-        }
-    }
-
-    /// Touches a line; returns whether it hit.
-    fn access(&mut self, line: u64) -> bool {
-        let s = (line % self.num_sets) as usize;
-        let len = self.lens[s] as usize;
-        let set = &mut self.tags[s * self.ways..(s + 1) * self.ways];
-        if let Some(pos) = set[..len].iter().position(|&l| l == line) {
-            set[..=pos].rotate_right(1);
-            true
-        } else {
-            // The LRU way falls off the end when the set is full.
-            let kept = len.min(self.ways - 1);
-            set.copy_within(..kept, 1);
-            set[0] = line;
-            self.lens[s] = (kept + 1) as u32;
-            false
-        }
-    }
-}
-
 /// The HammerBlade timing simulator.
 #[derive(Debug)]
 pub struct HbSim {
@@ -289,10 +217,10 @@ pub struct HbSim {
     pub cfg: HbConfig,
     /// Aggregate statistics.
     pub stats: HbStats,
-    /// Cycle attribution; components sum to [`HbSim::time_cycles`].
+    /// Cycle attribution; its total is [`HbSim::time_cycles`].
     pub attr: HbAttribution,
-    llc: Llc,
-    time: u64,
+    /// The line-granular LLC.
+    llc: LruCache,
     /// Per-phase buffers, reused across phases: occupancy per LLC bank,
     /// `(line, core)` pairs of demand accesses, one core's demand lines,
     /// and one core's per-array stream buffers `(array, line)`.
@@ -305,13 +233,12 @@ pub struct HbSim {
 impl HbSim {
     /// Creates a simulator.
     pub fn new(cfg: HbConfig) -> Self {
-        let llc = Llc::new(cfg.llc_bytes, cfg.line_bytes, cfg.llc_ways);
+        let llc = LruCache::new(cfg.llc_bytes, cfg.line_bytes, cfg.llc_ways);
         HbSim {
             cfg,
             stats: HbStats::default(),
             attr: HbAttribution::default(),
             llc,
-            time: 0,
             bank_load: Vec::new(),
             line_users: Vec::new(),
             core_lines: Vec::new(),
@@ -319,43 +246,22 @@ impl HbSim {
         }
     }
 
-    /// Records an attribution increment (the caller advances `time` by the
-    /// same total) and mirrors it into the telemetry registry.
-    fn attribute(&mut self, delta: HbAttribution) {
-        self.attr.compute += delta.compute;
-        self.attr.llc_access += delta.llc_access;
-        self.attr.dram_stall += delta.dram_stall;
-        self.attr.bank += delta.bank;
-        self.attr.barrier += delta.barrier;
-        self.attr.host += delta.host;
-        let c = counters();
-        c.compute.add(delta.compute);
-        c.llc_access.add(delta.llc_access);
-        c.dram_stall.add(delta.dram_stall);
-        c.bank.add(delta.bank);
-        c.barrier.add(delta.barrier);
-        c.host.add(delta.host);
-        c.total.add(delta.total());
-    }
-
     /// Total simulated cycles.
     pub fn time_cycles(&self) -> u64 {
-        self.time
+        self.attr.total()
     }
 
     /// Simulated milliseconds.
     pub fn time_ms(&self) -> f64 {
-        self.time as f64 / (self.cfg.clock_ghz * 1e6)
+        self.time_cycles() as f64 / (self.cfg.clock_ghz * 1e6)
     }
 
     /// Charges sequential host cycles.
     pub fn host_cycles(&mut self, cycles: u64) {
-        self.attribute(HbAttribution {
+        self.attr.charge(HbAttribution {
             host: cycles,
             ..HbAttribution::default()
         });
-        self.time += cycles;
-        budget::check_cycles(self.time);
     }
 
     fn line_of(&self, prop: u32, idx: u32) -> u64 {
@@ -373,7 +279,7 @@ impl HbSim {
         self.bank_load.resize(self.cfg.llc_banks, 0);
         let mut phase_dram_bytes: u64 = 0;
         // Raw attribution sums in core-cycles, classifying every addition
-        // to `core_time`; scaled to the phase's actual charge below.
+        // to `core_time`; the phase's work is apportioned by them below.
         let mut compute_raw: u64 = 0;
         let mut llc_raw: u64 = 0;
         let mut dram_raw: u64 = 0;
@@ -502,28 +408,11 @@ impl HbSim {
             0
         };
         self.stats.dram_stall_cycles += bit_error_retry;
-        let cycles = work + self.cfg.barrier_cycles + bit_error_retry;
-        // Scale the raw classification to the phase's actual charge;
-        // dram_stall takes the remainder (absorbing rounding and any
+        // Split the raw classification over the phase's work; dram_stall
+        // takes the remainder (absorbing rounding and any
         // bandwidth-roofline excess), the barrier is charged exactly.
-        let bank_raw = bank_bound;
-        let raw_total = compute_raw + llc_raw + dram_raw + bank_raw;
-        let scale = |part: u64| {
-            if raw_total == 0 {
-                0
-            } else {
-                ((work as u128 * part as u128) / raw_total as u128) as u64
-            }
-        };
-        let (compute, llc_access, bank) = (scale(compute_raw), scale(llc_raw), scale(bank_raw));
-        self.attribute(HbAttribution {
-            compute,
-            llc_access,
-            dram_stall: work - compute - llc_access - bank + bit_error_retry,
-            bank,
-            barrier: self.cfg.barrier_cycles,
-            host: 0,
-        });
+        let [compute, llc_access, dram_stall, bank] =
+            apportion(work, [compute_raw, llc_raw, dram_raw, bank_bound], 2);
         let c = counters();
         let hits = self.stats.llc_hits - stats_before.llc_hits;
         let misses = self.stats.llc_misses - stats_before.llc_misses;
@@ -533,9 +422,15 @@ impl HbSim {
         c.llc_misses.add(misses);
         c.scratchpad_hits.add(scratch_hits);
         c.dram_bytes.add(phase_dram_bytes);
-        self.time += cycles;
-        budget::check_cycles(self.time);
-        cycles
+        self.attr.charge(HbAttribution {
+            compute,
+            llc_access,
+            dram_stall: dram_stall + bit_error_retry,
+            bank,
+            barrier: self.cfg.barrier_cycles,
+            host: 0,
+        });
+        work + self.cfg.barrier_cycles + bit_error_retry
     }
 }
 

@@ -35,60 +35,37 @@ use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
-use ugc_resilience::{budget, fault};
+use ugc_resilience::fault;
+use ugc_resilience::sim_kit::apportion;
 use ugc_telemetry::{Counter, Histogram};
 
-/// Where the simulated wall-clock cycles went, cumulatively per simulator.
-///
-/// Components always sum to [`SwarmSim::time_cycles`]. Each phase's
-/// elapsed time is split proportionally to the phase's per-core cycle
-/// categories (Fig. 11's breakdown), so the attribution reflects what the
-/// cores were doing while the clock advanced without changing the timing
-/// model itself.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SwarmAttribution {
-    /// Time dominated by committed work.
-    pub commit: u64,
-    /// Time dominated by aborted/re-executed work (plus penalties).
-    pub abort: u64,
-    /// Time cores idled with no ready task.
-    pub idle_no_task: u64,
-    /// Time cores stalled on a full commit queue.
-    pub idle_cq_full: u64,
-    /// Time spent spilling overflowing task queues.
-    pub spill: u64,
-    /// Sequential host cycles between phases.
-    pub host: u64,
-}
-
-impl SwarmAttribution {
-    /// Sum of all components — always equals the simulator's total time.
-    pub fn total(&self) -> u64 {
-        self.commit + self.abort + self.idle_no_task + self.idle_cq_full + self.spill + self.host
-    }
-
-    /// Named components in display order.
-    pub fn components(&self) -> [(&'static str, u64); 6] {
-        [
-            ("commit", self.commit),
-            ("abort", self.abort),
-            ("idle_no_task", self.idle_no_task),
-            ("idle_cq_full", self.idle_cq_full),
-            ("spill", self.spill),
-            ("host", self.host),
-        ]
+ugc_resilience::cycle_ledger! {
+    /// Where the simulated wall-clock cycles went, cumulatively per
+    /// simulator.
+    ///
+    /// [`SwarmSim::time_cycles`] is the sum of the components. Each phase's
+    /// elapsed time is split proportionally to the phase's per-core cycle
+    /// categories (Fig. 11's breakdown), so the attribution reflects what
+    /// the cores were doing while the clock advanced without changing the
+    /// timing model itself.
+    pub struct SwarmAttribution in "sim_swarm" {
+        /// Time dominated by committed work.
+        commit,
+        /// Time dominated by aborted/re-executed work (plus penalties).
+        abort,
+        /// Time cores idled with no ready task.
+        idle_no_task,
+        /// Time cores stalled on a full commit queue.
+        idle_cq_full,
+        /// Time spent spilling overflowing task queues.
+        spill,
+        /// Sequential host cycles between phases.
+        host,
     }
 }
 
-/// Registry handles for the `sim_swarm.` counter namespace.
+/// Registry handles for the `sim_swarm.` counters beside the cycle ledger.
 struct Counters {
-    commit: Counter,
-    abort: Counter,
-    idle_no_task: Counter,
-    idle_cq_full: Counter,
-    spill: Counter,
-    host: Counter,
-    total: Counter,
     tasks_spawned: Counter,
     commits: Counter,
     aborts: Counter,
@@ -99,13 +76,6 @@ struct Counters {
 fn counters() -> &'static Counters {
     static COUNTERS: OnceLock<Counters> = OnceLock::new();
     COUNTERS.get_or_init(|| Counters {
-        commit: Counter::new("sim_swarm.cycles.commit"),
-        abort: Counter::new("sim_swarm.cycles.abort"),
-        idle_no_task: Counter::new("sim_swarm.cycles.idle_no_task"),
-        idle_cq_full: Counter::new("sim_swarm.cycles.idle_cq_full"),
-        spill: Counter::new("sim_swarm.cycles.spill"),
-        host: Counter::new("sim_swarm.cycles.host"),
-        total: Counter::new("sim_swarm.cycles.total"),
         tasks_spawned: Counter::new("sim_swarm.tasks_spawned"),
         commits: Counter::new("sim_swarm.commits"),
         aborts: Counter::new("sim_swarm.aborts"),
@@ -440,9 +410,8 @@ pub struct SwarmSim {
     pub cfg: SwarmConfig,
     /// Statistics accumulated across [`SwarmSim::simulate`] calls.
     pub stats: SwarmStats,
-    /// Wall-clock attribution; components sum to [`SwarmSim::time_cycles`].
+    /// Wall-clock attribution; its total is [`SwarmSim::time_cycles`].
     pub attr: SwarmAttribution,
-    time: u64,
 }
 
 impl SwarmSim {
@@ -452,47 +421,25 @@ impl SwarmSim {
             cfg,
             stats: SwarmStats::default(),
             attr: SwarmAttribution::default(),
-            time: 0,
         }
-    }
-
-    /// Records an attribution increment (the caller advances `time` by the
-    /// same total) and mirrors it into the telemetry registry.
-    fn attribute(&mut self, delta: SwarmAttribution) {
-        self.attr.commit += delta.commit;
-        self.attr.abort += delta.abort;
-        self.attr.idle_no_task += delta.idle_no_task;
-        self.attr.idle_cq_full += delta.idle_cq_full;
-        self.attr.spill += delta.spill;
-        self.attr.host += delta.host;
-        let c = counters();
-        c.commit.add(delta.commit);
-        c.abort.add(delta.abort);
-        c.idle_no_task.add(delta.idle_no_task);
-        c.idle_cq_full.add(delta.idle_cq_full);
-        c.spill.add(delta.spill);
-        c.host.add(delta.host);
-        c.total.add(delta.total());
     }
 
     /// Total simulated cycles so far.
     pub fn time_cycles(&self) -> u64 {
-        self.time
+        self.attr.total()
     }
 
     /// Simulated milliseconds.
     pub fn time_ms(&self) -> f64 {
-        self.time as f64 / (self.cfg.clock_ghz * 1e6)
+        self.time_cycles() as f64 / (self.cfg.clock_ghz * 1e6)
     }
 
     /// Charges sequential host cycles (setup between task phases).
     pub fn host_cycles(&mut self, cycles: u64) {
-        self.attribute(SwarmAttribution {
+        self.attr.charge(SwarmAttribution {
             host: cycles,
             ..SwarmAttribution::default()
         });
-        self.time += cycles;
-        budget::check_cycles(self.time);
     }
 
     /// Simulates a task graph. `roots` are initially ready; other tasks
@@ -800,28 +747,6 @@ impl SwarmSim {
         }
 
         let elapsed = now;
-        self.time += elapsed;
-        // Attribute this phase's elapsed wall-clock proportionally to its
-        // per-core cycle categories; the commit component takes the
-        // integer-division remainder so the parts sum to `elapsed` exactly.
-        let core_total = stats.total_core_cycles();
-        let scale = |part: u64| {
-            if core_total == 0 {
-                0
-            } else {
-                ((elapsed as u128 * part as u128) / core_total as u128) as u64
-            }
-        };
-        let mut delta = SwarmAttribution {
-            commit: 0,
-            abort: scale(stats.abort_cycles),
-            idle_no_task: scale(stats.idle_no_task_cycles),
-            idle_cq_full: scale(stats.idle_cq_full_cycles),
-            spill: scale(stats.spill_cycles),
-            host: 0,
-        };
-        delta.commit = elapsed - delta.total();
-        self.attribute(delta);
         let c = counters();
         c.commits.add(stats.commits);
         c.aborts.add(stats.aborts);
@@ -832,7 +757,28 @@ impl SwarmSim {
         self.stats.spill_cycles += stats.spill_cycles;
         self.stats.commits += stats.commits;
         self.stats.aborts += stats.aborts;
-        budget::check_cycles(self.time);
+        // Attribute this phase's elapsed wall-clock proportionally to its
+        // per-core cycle categories; the commit component takes the
+        // integer-division remainder so the parts sum to `elapsed` exactly.
+        let [commit, abort, idle_no_task, idle_cq_full, spill] = apportion(
+            elapsed,
+            [
+                stats.commit_cycles,
+                stats.abort_cycles,
+                stats.idle_no_task_cycles,
+                stats.idle_cq_full_cycles,
+                stats.spill_cycles,
+            ],
+            0,
+        );
+        self.attr.charge(SwarmAttribution {
+            commit,
+            abort,
+            idle_no_task,
+            idle_cq_full,
+            spill,
+            host: 0,
+        });
         elapsed
     }
 }

@@ -115,6 +115,14 @@ if grep -rn --include='*.rs' 'static .*AtomicU64' crates | grep -v '^crates/tele
   echo "telemetry gate: raw static AtomicU64 counter outside crates/telemetry" >&2
   exit 1
 fi
+# Cycle-attribution counters (`sim_<x>.cycles.*`) come only from the
+# cycle ledger in ugc_resilience::sim_kit, whose `charge` keeps them equal
+# to the simulator's time; a simulator registering one itself is a second
+# copy of that bookkeeping.
+if grep -rn --include='*.rs' 'Counter::new("sim_[a-z]*\.cycles\.' crates/sim-*; then
+  echo "telemetry gate: a simulator registers a cycle counter outside sim_kit's ledger" >&2
+  exit 1
+fi
 
 echo "== chaos smoke (seeded faults; supervised runs must stay reference-equal)"
 # A deterministic fault schedule across all three simulator domains. The
