@@ -31,7 +31,7 @@
 //! feed the paper's Fig. 11.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
@@ -69,7 +69,6 @@ struct Counters {
     tasks_spawned: Counter,
     commits: Counter,
     aborts: Counter,
-    commit_order_merges: Counter,
     queue_occupancy: Histogram,
 }
 
@@ -79,7 +78,6 @@ fn counters() -> &'static Counters {
         tasks_spawned: Counter::new("sim_swarm.tasks_spawned"),
         commits: Counter::new("sim_swarm.commits"),
         aborts: Counter::new("sim_swarm.aborts"),
-        commit_order_merges: Counter::new("sim_swarm.commit_order_merges"),
         queue_occupancy: Histogram::new("sim_swarm.queue_occupancy"),
     })
 }
@@ -87,10 +85,10 @@ fn counters() -> &'static Counters {
 /// Identifier of a task within one simulation.
 pub type TaskId = usize;
 
-/// A hasher for the simulator's `u64` keys (cache lines, hints): one
-/// multiply and a fold, where the default SipHash costs tens of cycles per
-/// lookup. The maps it serves are only ever probed by key — their
-/// iteration order is never observed — so the hash cannot move a cycle.
+/// A hasher for the `u64` keys (cache lines, hints) interned on entry to
+/// [`SwarmSim::simulate`]: one multiply and a fold, where the default
+/// SipHash costs tens of cycles per lookup. The maps it serves are only
+/// ever probed by key, so the hash cannot move a cycle.
 #[derive(Default)]
 struct KeyHasher(u64);
 
@@ -111,16 +109,234 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// A map keyed by cache line or hint.
-type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
+/// Dense ids for `keys`, numbered in order of first appearance.
+#[derive(Default)]
+struct Interner(HashMap<u64, u32, BuildHasherDefault<KeyHasher>>);
 
-/// A runnable entry: `(timestamp, task)`, dispatched lowest first.
-type Entry = (u64, TaskId);
+impl Interner {
+    fn id(&mut self, key: u64) -> u32 {
+        let next = self.0.len() as u32;
+        *self.0.entry(key).or_insert(next)
+    }
+}
+
+/// A task's hint id when it has none.
+const NO_HINT: u32 = u32::MAX;
+
+/// A set of commit positions: a bitset with a summary level, whose bit `w`
+/// is set while word `w` is nonzero. Insert and remove are O(1); the
+/// highest member and the lowest from a position skip 4 096 positions per
+/// summary bit.
+struct PosSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl PosSet {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        PosSet {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, p: u32) {
+        let w = p as usize / 64;
+        self.words[w] |= 1 << (p % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    fn remove(&mut self, p: u32) {
+        let w = p as usize / 64;
+        self.words[w] &= !(1 << (p % 64));
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+    }
+
+    /// The highest member.
+    fn max(&self) -> Option<u32> {
+        let s = self.summary.iter().rposition(|&s| s != 0)?;
+        let w = s * 64 + 63 - self.summary[s].leading_zeros() as usize;
+        Some((w * 64 + 63 - self.words[w].leading_zeros() as usize) as u32)
+    }
+
+    /// The lowest member at or above `from`.
+    fn first_from(&self, from: usize) -> Option<u32> {
+        let mut w = from / 64;
+        let bits = self.words.get(w)? & (!0u64 << (from % 64));
+        if bits != 0 {
+            return Some((w * 64 + bits.trailing_zeros() as usize) as u32);
+        }
+        w += 1;
+        let mut s = w / 64;
+        let mut live = self.summary.get(s)? & (!0u64 << (w % 64));
+        while live == 0 {
+            s += 1;
+            live = *self.summary.get(s)?;
+        }
+        let w = s * 64 + live.trailing_zeros() as usize;
+        Some((w * 64 + self.words[w].trailing_zeros() as usize) as u32)
+    }
+}
+
+/// A multiset of commit positions: the [`PosSet`] of positions held, and
+/// how many copies of each.
+struct PosBag {
+    set: PosSet,
+    copies: Vec<u32>,
+    len: usize,
+    /// No member is below `low`.
+    low: u32,
+}
+
+impl PosBag {
+    fn new(n: usize) -> Self {
+        PosBag {
+            set: PosSet::new(n),
+            copies: vec![0; n],
+            len: 0,
+            low: 0,
+        }
+    }
+
+    fn push(&mut self, p: u32) {
+        if self.copies[p as usize] == 0 {
+            self.set.insert(p);
+        }
+        self.copies[p as usize] += 1;
+        self.len += 1;
+        self.low = self.low.min(p);
+    }
+
+    /// The lowest member.
+    fn peek(&self) -> Option<u32> {
+        self.set.first_from(self.low as usize)
+    }
+
+    /// Removes one copy of the lowest member, `p`.
+    fn pop(&mut self, p: u32) {
+        self.low = p;
+        self.copies[p as usize] -= 1;
+        self.len -= 1;
+        if self.copies[p as usize] == 0 {
+            self.set.remove(p);
+        }
+    }
+
+    /// Removes every copy of `p`, returning how many.
+    fn take(&mut self, p: u32) -> u32 {
+        let n = std::mem::take(&mut self.copies[p as usize]);
+        if n > 0 {
+            self.set.remove(p);
+            self.len -= n as usize;
+        }
+        n
+    }
+}
+
+/// A line-list entry: a task and the dispatch generation that added it.
+#[derive(Clone, Copy)]
+struct Slot {
+    task: u32,
+    gen: u32,
+}
+
+/// Each task's cache lines as dense ids, and for each line the tasks that
+/// touch it, in the order they were dispatched.
+///
+/// Removing a task bumps its generation, which kills every entry it has in
+/// O(1); scans skip dead entries, and a list is compacted (its live entries
+/// kept in order) once its dead entries outnumber its live ones. The live
+/// entries are exactly those a `retain` on every removal would leave, in
+/// the same order.
+struct LineIndex {
+    /// Task `t`'s reads then writes are `ids[start[t]..start[t + 1]]`; its
+    /// writes begin at `writes_at[t]`.
+    ids: Vec<u32>,
+    start: Vec<u32>,
+    writes_at: Vec<u32>,
+    lists: Vec<Vec<Slot>>,
+    /// Live entries per line.
+    live: Vec<u32>,
+    /// Current generation per task.
+    gen: Vec<u32>,
+}
+
+impl LineIndex {
+    fn new(tasks: &[TaskSpec]) -> Self {
+        let mut lines = Interner::default();
+        let total = tasks.iter().map(|s| s.reads.len() + s.writes.len()).sum();
+        let mut ids = Vec::with_capacity(total);
+        let mut start = Vec::with_capacity(tasks.len() + 1);
+        let mut writes_at = Vec::with_capacity(tasks.len());
+        start.push(0);
+        for s in tasks {
+            ids.extend(s.reads.iter().map(|&l| lines.id(l)));
+            writes_at.push(ids.len() as u32);
+            ids.extend(s.writes.iter().map(|&l| lines.id(l)));
+            start.push(ids.len() as u32);
+        }
+        let n = lines.0.len();
+        LineIndex {
+            ids,
+            start,
+            writes_at,
+            lists: vec![Vec::new(); n],
+            live: vec![0; n],
+            gen: vec![0; tasks.len()],
+        }
+    }
+
+    /// Where task `t`'s lines sit in `ids`.
+    fn span(&self, t: TaskId) -> std::ops::Range<usize> {
+        self.start[t] as usize..self.start[t + 1] as usize
+    }
+
+    fn writes(&self, t: TaskId) -> &[u32] {
+        &self.ids[self.writes_at[t] as usize..self.start[t + 1] as usize]
+    }
+
+    /// Adds a dispatched task to the lists of its lines.
+    fn add(&mut self, t: TaskId) {
+        let slot = Slot {
+            task: t as u32,
+            gen: self.gen[t],
+        };
+        for i in self.span(t) {
+            let l = self.ids[i] as usize;
+            self.lists[l].push(slot);
+            self.live[l] += 1;
+        }
+    }
+
+    /// Removes a committed or squashed task from the lists of its lines.
+    fn remove(&mut self, t: TaskId) {
+        self.gen[t] = self.gen[t].wrapping_add(1);
+        for i in self.span(t) {
+            let l = self.ids[i] as usize;
+            let (list, live, gen) = (&mut self.lists[l], &mut self.live[l], &self.gen);
+            *live -= 1;
+            if list.len() - *live as usize > *live as usize {
+                list.retain(|s| s.gen == gen[s.task as usize]);
+            }
+        }
+    }
+
+    /// The tasks with a live entry for line `l`, in list order.
+    fn tasks_on(&self, l: u32) -> impl Iterator<Item = TaskId> + '_ {
+        self.lists[l as usize]
+            .iter()
+            .filter(|s| s.gen == self.gen[s.task as usize])
+            .map(|s| s.task as TaskId)
+    }
+}
 
 /// Runnable entries found hint-blocked, parked until their hint frees.
 ///
-/// Each event's dispatch walk visits runnable entries in `(ts, id)` order.
-/// A hint-blocked entry it reaches stays runnable and is a no-op, so
+/// Each event's dispatch walk visits runnable entries in commit order. A
+/// hint-blocked entry it reaches stays runnable and is a no-op, so
 /// re-examining every blocked entry on every event is pure host cost.
 /// Parked entries are skipped instead, which is exact because reaching one
 /// matters in only two ways, both kept:
@@ -131,90 +347,61 @@ type Entry = (u64, TaskId);
 ///
 /// (A barrier never stops the walk at one: it passed the barrier when it
 /// was parked, and the barrier only moves later.) Every parked entry is
-/// blocked and its task ready. Entries return to the runnable heap, where
-/// the walk treats them as before, when their hint frees — before any walk
+/// blocked and its task ready. Entries become runnable again, and the walk
+/// treats them as before, when their hint frees — before any walk
 /// could dispatch their task through another entry — or when an abort
 /// squashes their task back to waiting.
 struct Parked {
-    /// Parked keys; `copies[t]` counts task `t`'s parked entries (a task
-    /// spawned twice can have two).
-    keys: BTreeSet<Entry>,
-    copies: Vec<u32>,
-    len: usize,
-    /// Parked tasks by hint. A hint with parked tasks has one wake-up
+    /// Parked commit positions (a task spawned twice can have two
+    /// entries).
+    entries: PosBag,
+    /// Parked tasks by hint id. A hint with parked tasks has one wake-up
     /// `(time, hint)` pending.
-    by_hint: KeyMap<Vec<TaskId>>,
-    wakeups: BinaryHeap<Reverse<(u64, u64)>>,
+    by_hint: Vec<Vec<TaskId>>,
+    wakeups: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl Parked {
-    fn new(num_tasks: usize) -> Self {
+    fn new(num_tasks: usize, num_hints: usize) -> Self {
         Parked {
-            keys: BTreeSet::new(),
-            copies: vec![0; num_tasks],
-            len: 0,
-            by_hint: KeyMap::default(),
+            entries: PosBag::new(num_tasks),
+            by_hint: vec![Vec::new(); num_hints],
             wakeups: BinaryHeap::new(),
         }
     }
 
-    /// Parks `entry`, blocked on `hint` until `busy_until`.
-    fn park(&mut self, entry: Entry, hint: u64, busy_until: u64) {
-        self.keys.insert(entry);
-        self.copies[entry.1] += 1;
-        self.len += 1;
-        let waiting = self.by_hint.entry(hint).or_default();
+    /// Parks task `t`'s entry at commit position `pos`, blocked on `hint`
+    /// until `busy_until`.
+    fn park(&mut self, pos: u32, t: TaskId, hint: u32, busy_until: u64) {
+        self.entries.push(pos);
+        let waiting = &mut self.by_hint[hint as usize];
         if waiting.is_empty() {
             self.wakeups.push(Reverse((busy_until, hint)));
         }
-        waiting.push(entry.1);
-    }
-
-    /// Removes task `entry.1`'s parked entries, returning how many.
-    fn take(&mut self, entry: Entry) -> u32 {
-        let n = std::mem::take(&mut self.copies[entry.1]);
-        if n > 0 {
-            self.keys.remove(&entry);
-            self.len -= n as usize;
-        }
-        n
-    }
-
-    /// The first parked entry after `after` (from the start on `None`).
-    fn first_after(&self, after: Option<Entry>) -> Option<Entry> {
-        use std::ops::Bound::{Excluded, Unbounded};
-        match after {
-            Some(a) => self.keys.range((Excluded(a), Unbounded)).next(),
-            None => self.keys.first(),
-        }
-        .copied()
+        waiting.push(t);
     }
 
     /// Returns the entries of every hint free at `now` to `runnable`.
-    fn wake(
-        &mut self,
-        now: u64,
-        hint_busy: &KeyMap<u64>,
-        tasks: &[TaskSpec],
-        runnable: &mut BinaryHeap<Reverse<Entry>>,
-    ) {
+    fn wake(&mut self, now: u64, hint_busy: &[u64], order_pos: &[u32], runnable: &mut PosBag) {
         while let Some(&Reverse((at, hint))) = self.wakeups.peek() {
             if at > now {
                 break;
             }
             self.wakeups.pop();
-            let busy = hint_busy.get(&hint).copied().unwrap_or(0);
+            let busy = hint_busy[hint as usize];
             if busy > now {
                 // Taken again since: wake when that task finishes.
                 self.wakeups.push(Reverse((busy, hint)));
                 continue;
             }
-            for t in self.by_hint.remove(&hint).unwrap_or_default() {
-                let entry = (tasks[t].ts, t);
-                for _ in 0..self.take(entry) {
-                    runnable.push(Reverse(entry));
+            let mut waiting = std::mem::take(&mut self.by_hint[hint as usize]);
+            for t in waiting.drain(..) {
+                let pos = order_pos[t];
+                for _ in 0..self.entries.take(pos) {
+                    runnable.push(pos);
                 }
             }
+            self.by_hint[hint as usize] = waiting;
         }
     }
 
@@ -224,18 +411,18 @@ impl Parked {
     fn release(
         &mut self,
         reset: &mut Vec<TaskId>,
-        tasks: &[TaskSpec],
-        passed: Option<Entry>,
-        runnable: &mut BinaryHeap<Reverse<Entry>>,
-        stash: &mut Vec<Entry>,
+        order_pos: &[u32],
+        passed: Option<u32>,
+        runnable: &mut PosBag,
+        stash: &mut Vec<u32>,
     ) {
         for c in reset.drain(..) {
-            let entry = (tasks[c].ts, c);
-            for _ in 0..self.take(entry) {
-                if passed.is_some_and(|p| entry <= p) {
-                    stash.push(entry);
+            let pos = order_pos[c];
+            for _ in 0..self.entries.take(pos) {
+                if passed.is_some_and(|p| pos <= p) {
+                    stash.push(pos);
                 } else {
-                    runnable.push(Reverse(entry));
+                    runnable.push(pos);
                 }
             }
         }
@@ -307,57 +494,17 @@ pub struct TaskSpec {
     pub children: Vec<TaskId>,
 }
 
-/// Task graphs below this size are sorted serially (pool dispatch and the
-/// merge pass would cost more than the sort).
-const PARALLEL_SORT_MIN: usize = 1 << 14;
-
-/// The commit order `(ts, id)` of a task graph. Large graphs are sorted
-/// as per-worker runs on the persistent pool followed by a serial k-way
-/// merge; keys are unique, so the result is deterministic and identical
-/// to a serial sort.
-fn sorted_commit_order(tasks: &[TaskSpec]) -> Vec<TaskId> {
-    sorted_commit_order_on(tasks, ugc_runtime::pool::default_threads())
-}
-
-fn sorted_commit_order_on(tasks: &[TaskSpec], threads: usize) -> Vec<TaskId> {
-    let n = tasks.len();
-    let mut order: Vec<TaskId> = (0..n).collect();
-    if n < PARALLEL_SORT_MIN || threads < 2 {
-        order.sort_unstable_by_key(|&t| (tasks[t].ts, t));
-        return order;
-    }
-    counters().commit_order_merges.incr();
-    let runs = threads.min(8);
-    let run_len = n.div_ceil(runs);
-    let mut slices: Vec<&mut [TaskId]> = order.chunks_mut(run_len).collect();
-    ugc_runtime::pool::parallel_for_each_mut(threads, &mut slices, 1, |_tid, _start, window| {
-        for run in window {
-            run.sort_unstable_by_key(|&t| (tasks[t].ts, t));
-        }
-    });
-    // Serial k-way merge of the sorted runs.
-    let bounds: Vec<(usize, usize)> = (0..slices.len())
-        .map(|r| (r * run_len, (r * run_len + slices[r].len())))
+/// Task ids in commit order: `(ts, id)` ascending, sorted as packed keys.
+/// Ids fit in 32 bits, as every dense index of [`SwarmSim::simulate`]
+/// assumes.
+fn sorted_commit_order(tasks: &[TaskSpec]) -> Vec<u32> {
+    let mut keys: Vec<u128> = tasks
+        .iter()
+        .enumerate()
+        .map(|(t, s)| (u128::from(s.ts) << 32) | t as u128)
         .collect();
-    drop(slices);
-    let mut cursors: Vec<usize> = bounds.iter().map(|&(s, _)| s).collect();
-    let mut heap: BinaryHeap<Reverse<((u64, TaskId), usize)>> = BinaryHeap::new();
-    for (r, &(s, e)) in bounds.iter().enumerate() {
-        if s < e {
-            let t = order[s];
-            heap.push(Reverse(((tasks[t].ts, t), r)));
-        }
-    }
-    let mut merged = Vec::with_capacity(n);
-    while let Some(Reverse(((_, t), r))) = heap.pop() {
-        merged.push(t);
-        cursors[r] += 1;
-        if cursors[r] < bounds[r].1 {
-            let nt = order[cursors[r]];
-            heap.push(Reverse(((tasks[nt].ts, nt), r)));
-        }
-    }
-    merged
+    keys.sort_unstable();
+    keys.into_iter().map(|k| k as u32).collect()
 }
 
 /// Aggregate statistics of one simulation (Fig. 11's categories).
@@ -459,31 +606,37 @@ impl SwarmSim {
         counters().tasks_spawned.add(tasks.len() as u64);
         let n = tasks.len();
         let mut state = vec![TaskState::Waiting; n];
-        // Commit order: (ts, id).
+        // Every index below is dense: tasks by id or by commit position,
+        // lines and hints by the ids interned here.
         let commit_order = sorted_commit_order(tasks);
-        let order_pos: Vec<usize> = {
-            let mut p = vec![0usize; n];
-            for (i, &t) in commit_order.iter().enumerate() {
-                p[t] = i;
-            }
-            p
-        };
+        let mut order_pos = vec![0u32; n];
+        for (p, &t) in commit_order.iter().enumerate() {
+            order_pos[t as usize] = p as u32;
+        }
         let mut next_commit = 0usize; // index into commit_order
+        let mut lines = LineIndex::new(tasks);
+        let (hint, num_hints) = {
+            let mut hints = Interner::default();
+            let hint: Vec<u32> = tasks
+                .iter()
+                .map(|s| s.hint.map_or(NO_HINT, |h| hints.id(h)))
+                .collect();
+            (hint, hints.0.len())
+        };
+        let mut hint_busy = vec![0u64; num_hints];
 
-        // `runnable`: available now, ordered by (ts, id). `pending`:
-        // spawned but not yet available, ordered by availability time.
-        let mut runnable: BinaryHeap<Reverse<(u64, TaskId)>> = BinaryHeap::new();
+        // `runnable`: available now, by commit position. `pending`: spawned
+        // but not yet available, ordered by availability time.
+        let mut runnable = PosBag::new(n);
         let mut pending: BinaryHeap<Reverse<(u64, TaskId)>> = BinaryHeap::new();
         for &r in roots {
             state[r] = TaskState::Ready(0);
-            runnable.push(Reverse((tasks[r].ts, r)));
+            runnable.push(order_pos[r]);
         }
         let mut finish_events: BinaryHeap<Reverse<(u64, TaskId)>> = BinaryHeap::new();
-        let mut line_index: KeyMap<Vec<TaskId>> = KeyMap::default();
-        let mut hint_busy: KeyMap<u64> = KeyMap::default();
-        // Started (running or finished) uncommitted tasks by commit order —
-        // the hardware commit queue.
-        let mut window: BTreeSet<(usize, TaskId)> = BTreeSet::new();
+        // Started (running or finished) uncommitted tasks by commit
+        // position — the hardware commit queue.
+        let mut window = PosSet::new(n);
 
         let mut now = 0u64;
         let mut idle_cores = self.cfg.num_cores;
@@ -493,18 +646,19 @@ impl SwarmSim {
 
         let mut stats = SwarmStats::default();
 
-        // Entries the current walk found hint-blocked (parked after it), and
-        // tasks an abort squashed back to waiting.
-        let mut stash: Vec<Entry> = Vec::new();
-        let mut parked = Parked::new(n);
+        // Entries the current walk found hint-blocked (parked after it),
+        // tasks an abort squashed back to waiting, and a commit's victims.
+        let mut stash: Vec<u32> = Vec::new();
+        let mut parked = Parked::new(n, num_hints);
         let mut reset: Vec<TaskId> = Vec::new();
+        let mut victims: Vec<TaskId> = Vec::new();
 
         loop {
             // One histogram sample of task-queue pressure per event-loop
             // iteration (deterministic: the event loop is single-threaded).
             counters()
                 .queue_occupancy
-                .record((runnable.len() + parked.len + pending.len()) as u64);
+                .record((runnable.len + parked.entries.len + pending.len()) as u64);
             // Promote pending tasks that became available.
             while let Some(&Reverse((avail, t))) = pending.peek() {
                 if avail > now {
@@ -512,44 +666,48 @@ impl SwarmSim {
                 }
                 pending.pop();
                 if matches!(state[t], TaskState::Ready(a) if a <= now) {
-                    runnable.push(Reverse((tasks[t].ts, t)));
+                    runnable.push(order_pos[t]);
                 }
             }
-            parked.wake(now, &hint_busy, tasks, &mut runnable);
+            parked.wake(now, &hint_busy, &order_pos, &mut runnable);
             // Dispatch phase at `now`: walk the runnable entries in order.
             // Parked entries at or before `passed` are behind the walk.
             let barrier_ts = if barrier {
-                commit_order.get(next_commit).map(|&t| tasks[t].ts)
+                commit_order.get(next_commit).map(|&t| tasks[t as usize].ts)
             } else {
                 None
             };
             let window_full =
                 |started: usize, cfg: &SwarmConfig| started >= cfg.commit_queue_capacity;
             stash.clear();
-            let mut passed: Option<Entry> = None;
+            let mut passed: Option<u32> = None;
             while idle_cores > 0 {
                 let full = window_full(uncommitted_started, &self.cfg);
-                let top = runnable.peek().map(|&Reverse(e)| e);
+                let top = runnable.peek();
                 // The walk reaches a parked entry before `top` only to
                 // evict for it: a parked entry passed the barrier once,
                 // and the barrier only ever moves later.
                 let parked_next = full
-                    .then(|| parked.first_after(passed))
+                    .then(|| {
+                        let from = passed.map_or(0, |p| p as usize + 1);
+                        parked.entries.set.first_from(from)
+                    })
                     .flatten()
                     .filter(|&p| top.is_none_or(|a| p < a));
-                let Some((ts, t)) = parked_next.or(top) else {
+                let Some(pos) = parked_next.or(top) else {
                     break;
                 };
+                let t = commit_order[pos as usize] as TaskId;
                 if parked_next.is_none() {
                     let TaskState::Ready(avail) = state[t] else {
-                        runnable.pop();
-                        passed = Some((ts, t));
-                        continue; // stale heap entry
+                        runnable.pop(pos);
+                        passed = Some(pos);
+                        continue; // stale entry
                     };
                     if avail > now {
-                        runnable.pop();
+                        runnable.pop(pos);
                         pending.push(Reverse((avail, t)));
-                        passed = Some((ts, t));
+                        passed = Some(pos);
                         continue; // re-aborted with a delay; requeue
                     }
                 }
@@ -559,24 +717,23 @@ impl SwarmSim {
                     // speculative task; otherwise dispatch stalls.
                     // (Cascaded aborts can leave stale window entries;
                     // drop them before picking a victim.)
-                    while let Some(&(opos, cand)) = window.iter().next_back() {
+                    while let Some(latest) = window.max() {
                         if matches!(
-                            state[cand],
+                            state[commit_order[latest as usize] as usize],
                             TaskState::Running(..) | TaskState::Finished(..)
                         ) {
                             break;
                         }
-                        window.remove(&(opos, cand));
+                        window.remove(latest);
                     }
-                    let evict = window.iter().next_back().copied();
-                    match evict {
-                        Some((opos, victim)) if order_pos[t] < opos => {
-                            window.remove(&(opos, victim));
+                    match window.max() {
+                        Some(latest) if pos < latest => {
+                            window.remove(latest);
                             abort_recursive(
-                                victim,
+                                commit_order[latest as usize] as TaskId,
                                 tasks,
                                 &mut state,
-                                &mut line_index,
+                                &mut lines,
                                 &mut pending,
                                 &mut idle_cores,
                                 &mut uncommitted_started,
@@ -585,7 +742,13 @@ impl SwarmSim {
                                 now,
                                 self.cfg.abort_penalty_cycles,
                             );
-                            parked.release(&mut reset, tasks, passed, &mut runnable, &mut stash);
+                            parked.release(
+                                &mut reset,
+                                &order_pos,
+                                passed,
+                                &mut runnable,
+                                &mut stash,
+                            );
                             // Retry this candidate with a free slot.
                             continue;
                         }
@@ -593,41 +756,39 @@ impl SwarmSim {
                     }
                 }
                 if let Some(bts) = barrier_ts {
-                    if ts > bts {
+                    if tasks[t].ts > bts {
                         break; // barrier: later rounds must wait
                     }
                 }
-                passed = Some((ts, t));
+                passed = Some(pos);
                 // Hint serialization.
-                if let Some(h) = tasks[t].hint {
-                    if hint_busy.get(&h).copied().unwrap_or(0) > now {
-                        runnable.pop();
-                        stash.push((ts, t));
-                        continue;
-                    }
+                let h = hint[t];
+                if h != NO_HINT && hint_busy[h as usize] > now {
+                    runnable.pop(pos);
+                    stash.push(pos);
+                    continue;
                 }
-                runnable.pop();
+                runnable.pop(pos);
                 let finish = now + self.cfg.dispatch_cycles + tasks[t].duration;
                 state[t] = TaskState::Running(now, finish);
-                if let Some(h) = tasks[t].hint {
-                    hint_busy.insert(h, finish);
+                if h != NO_HINT {
+                    hint_busy[h as usize] = finish;
                 }
-                for &l in tasks[t].reads.iter().chain(tasks[t].writes.iter()) {
-                    line_index.entry(l).or_default().push(t);
-                }
+                lines.add(t);
                 finish_events.push(Reverse((finish, t)));
-                window.insert((order_pos[t], t));
+                window.insert(pos);
                 idle_cores -= 1;
                 uncommitted_started += 1;
             }
             // Blocked entries of ready tasks wait for their hint; the rest
             // (squashed during the walk) are stale and go back as they are.
-            for &(ts, t) in &stash {
-                match (state[t], tasks[t].hint) {
-                    (TaskState::Ready(a), Some(h)) if a <= now => {
-                        parked.park((ts, t), h, hint_busy.get(&h).copied().unwrap_or(0));
+            for &pos in &stash {
+                let t = commit_order[pos as usize] as TaskId;
+                match (state[t], hint[t]) {
+                    (TaskState::Ready(a), h) if h != NO_HINT && a <= now => {
+                        parked.park(pos, t, h, hint_busy[h as usize]);
                     }
-                    _ => runnable.push(Reverse((ts, t))),
+                    _ => runnable.push(pos),
                 }
             }
             window_was_full = window_full(uncommitted_started, &self.cfg) && idle_cores > 0;
@@ -667,8 +828,9 @@ impl SwarmSim {
                 state[t] = TaskState::Finished(start, finish);
                 idle_cores += 1;
                 // Spawn children.
-                let spill = tasks[t].children.len() + runnable.len() + parked.len + pending.len()
-                    > self.cfg.task_queue_capacity;
+                let spill =
+                    tasks[t].children.len() + runnable.len + parked.entries.len + pending.len()
+                        > self.cfg.task_queue_capacity;
                 for &c in &tasks[t].children {
                     if state[c] == TaskState::Waiting {
                         let avail = if spill {
@@ -679,7 +841,7 @@ impl SwarmSim {
                         };
                         state[c] = TaskState::Ready(avail);
                         if avail <= now {
-                            runnable.push(Reverse((tasks[c].ts, c)));
+                            runnable.push(order_pos[c]);
                         } else {
                             pending.push(Reverse((avail, c)));
                         }
@@ -688,60 +850,52 @@ impl SwarmSim {
             }
 
             // Commit in order; abort conflicting later tasks.
-            while next_commit < commit_order.len() {
-                let t = commit_order[next_commit];
-                match state[t] {
-                    TaskState::Finished(start, finish) => {
-                        state[t] = TaskState::Committed;
-                        next_commit += 1;
-                        uncommitted_started -= 1;
-                        window.remove(&(order_pos[t], t));
-                        stats.commits += 1;
-                        stats.commit_cycles += finish - start;
-                        // Conflict detection on written lines.
-                        let mut victims: Vec<TaskId> = Vec::new();
-                        for &l in &tasks[t].writes {
-                            if let Some(list) = line_index.get(&l) {
-                                for &o in list {
-                                    if o == t || order_pos[o] < order_pos[t] {
-                                        continue;
-                                    }
-                                    let overlapped = match state[o] {
-                                        TaskState::Running(s, _) => s < finish,
-                                        TaskState::Finished(s, _) => s < finish,
-                                        _ => false,
-                                    };
-                                    if overlapped {
-                                        victims.push(o);
-                                    }
-                                }
-                            }
-                            // Committed task's lines leave the index.
+            while next_commit < n {
+                let t = commit_order[next_commit] as TaskId;
+                let TaskState::Finished(start, finish) = state[t] else {
+                    break;
+                };
+                state[t] = TaskState::Committed;
+                window.remove(next_commit as u32);
+                next_commit += 1;
+                uncommitted_started -= 1;
+                stats.commits += 1;
+                stats.commit_cycles += finish - start;
+                // Conflict detection on written lines.
+                victims.clear();
+                for &l in lines.writes(t) {
+                    for o in lines.tasks_on(l) {
+                        if o == t || order_pos[o] < order_pos[t] {
+                            continue;
                         }
-                        for &l in tasks[t].reads.iter().chain(tasks[t].writes.iter()) {
-                            if let Some(list) = line_index.get_mut(&l) {
-                                list.retain(|&o| o != t);
-                            }
-                        }
-                        for v in victims {
-                            window.remove(&(order_pos[v], v));
-                            abort_recursive(
-                                v,
-                                tasks,
-                                &mut state,
-                                &mut line_index,
-                                &mut pending,
-                                &mut idle_cores,
-                                &mut uncommitted_started,
-                                &mut stats,
-                                &mut reset,
-                                now,
-                                self.cfg.abort_penalty_cycles,
-                            );
-                            parked.release(&mut reset, tasks, None, &mut runnable, &mut stash);
+                        let overlapped = match state[o] {
+                            TaskState::Running(s, _) => s < finish,
+                            TaskState::Finished(s, _) => s < finish,
+                            _ => false,
+                        };
+                        if overlapped {
+                            victims.push(o);
                         }
                     }
-                    _ => break,
+                }
+                // Committed task's lines leave the index.
+                lines.remove(t);
+                for &v in &victims {
+                    window.remove(order_pos[v]);
+                    abort_recursive(
+                        v,
+                        tasks,
+                        &mut state,
+                        &mut lines,
+                        &mut pending,
+                        &mut idle_cores,
+                        &mut uncommitted_started,
+                        &mut stats,
+                        &mut reset,
+                        now,
+                        self.cfg.abort_penalty_cycles,
+                    );
+                    parked.release(&mut reset, &order_pos, None, &mut runnable, &mut stash);
                 }
             }
         }
@@ -788,7 +942,7 @@ fn abort_recursive(
     t: TaskId,
     tasks: &[TaskSpec],
     state: &mut [TaskState],
-    line_index: &mut KeyMap<Vec<TaskId>>,
+    lines: &mut LineIndex,
     pending: &mut BinaryHeap<Reverse<(u64, TaskId)>>,
     idle_cores: &mut usize,
     uncommitted_started: &mut usize,
@@ -811,7 +965,7 @@ fn abort_recursive(
                         c,
                         tasks,
                         state,
-                        line_index,
+                        lines,
                         pending,
                         idle_cores,
                         uncommitted_started,
@@ -829,11 +983,7 @@ fn abort_recursive(
     stats.aborts += 1;
     stats.abort_cycles += wasted + penalty;
     *uncommitted_started -= 1;
-    for &l in tasks[t].reads.iter().chain(tasks[t].writes.iter()) {
-        if let Some(list) = line_index.get_mut(&l) {
-            list.retain(|&o| o != t);
-        }
-    }
+    lines.remove(t);
     // Children of a squashed finished task go back to Waiting.
     for &c in &tasks[t].children {
         if matches!(state[c], TaskState::Ready(_)) {
@@ -848,24 +998,6 @@ fn abort_recursive(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_commit_order_matches_serial_sort() {
-        // Big enough to take the parallel run-sort + merge path.
-        let n = PARALLEL_SORT_MIN + 123;
-        let tasks: Vec<TaskSpec> = (0..n)
-            .map(|i| TaskSpec {
-                // Scrambled, heavily duplicated timestamps.
-                ts: ((i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 56) % 97,
-                ..Default::default()
-            })
-            .collect();
-        let mut expect: Vec<TaskId> = (0..n).collect();
-        expect.sort_unstable_by_key(|&t| (tasks[t].ts, t));
-        // Force the parallel run-sort + merge path regardless of host CPUs.
-        assert_eq!(sorted_commit_order_on(&tasks, 4), expect);
-        assert_eq!(sorted_commit_order(&tasks), expect);
-    }
 
     fn task(ts: u64, duration: u64) -> TaskSpec {
         TaskSpec {

@@ -35,6 +35,15 @@ for _ in $(seq 20); do
   cargo test -q --release --offline -p ugc-integration --test pool_threads
 done
 
+echo "== Swarm oracle over 16 seeds (release)"
+# Each seed draws new forests for the Swarm simulator and its reference
+# model, the at-scale one included (over 4 096 tasks, a long shared line,
+# a full commit queue, spills); cycles, statistics and attribution must
+# agree on every one. The binary finishes in well under a second.
+for s in $(seq 1 16); do
+  UGC_TESTKIT_SEED=$s cargo test -q --release --offline -p ugc-integration --test sim_oracles -- swarm_
+done
+
 echo "== oriented TC exactness, 20 release runs at 1 and 8 threads (atomic-credit interleavings)"
 # An oriented triangle count credits each corner from whichever worker
 # finds the triangle, by relaxed atomic adds; which worker claims which

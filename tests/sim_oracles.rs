@@ -1134,3 +1134,87 @@ fn oracle_traces_reach_the_corners() {
         assert!(n >= 8, "{what}: only {n} of 64 cases");
     }
 }
+
+/// A forest at the scale the recorded phases reach, where the small
+/// forests above never go: more than 4 096 tasks (commit positions past a
+/// bitset summary word), one line read by about a quarter of them and
+/// written by some (a list long enough to be compacted), hints, and enough
+/// roots that spawns spill from the task queue. Task 0 commits first and
+/// runs long, as does one task in 256 elsewhere, so the commit queue fills
+/// behind them, at low and at high commit positions, and earlier-ordered
+/// children squash the latest speculation; squashed tasks run again under
+/// a new generation. Timestamps only move forward from parent to child, so
+/// every forest finishes.
+fn swarm_scale_phase(rng: &mut Prng, barrier: bool) -> SwarmPhase {
+    let n = rng.gen_range(4_500..5_500usize);
+    let mut tasks: Vec<TaskSpec> = Vec::with_capacity(n);
+    let mut roots = Vec::new();
+    for i in 0..n {
+        let parent = (i > 0 && rng.gen_bool(0.5)).then(|| rng.gen_range(i.saturating_sub(64)..i));
+        let ts = match parent {
+            Some(p) => tasks[p].ts + rng.gen_range(0..=1u64),
+            None if i == 0 => 0,
+            None => rng.gen_range(0..32u64),
+        };
+        match parent {
+            Some(p) => tasks[p].children.push(i),
+            None => roots.push(i),
+        }
+        let mut reads = gen::vec_of(rng, 0..3, |rng| rng.gen_range(1..2_000u64));
+        let mut writes = gen::vec_of(rng, 0..3, |rng| rng.gen_range(1..2_000u64));
+        if rng.gen_bool(0.25) {
+            reads.push(0);
+        }
+        if rng.gen_bool(1.0 / 64.0) {
+            writes.push(0);
+        }
+        for lines in [&mut reads, &mut writes] {
+            lines.sort_unstable();
+            lines.dedup();
+        }
+        tasks.push(TaskSpec {
+            ts,
+            duration: if i == 0 {
+                20_000
+            } else if rng.gen_bool(1.0 / 256.0) {
+                5_000
+            } else {
+                rng.gen_range(1..80u64)
+            },
+            reads,
+            writes,
+            hint: rng.gen_bool(0.5).then(|| rng.gen_range(0..64u64)),
+            children: Vec::new(),
+        });
+    }
+    (tasks, roots, barrier)
+}
+
+#[test]
+fn swarm_simulate_at_scale_matches_the_reference() {
+    check(
+        "swarm_simulate_at_scale_matches_the_reference",
+        Config::with_cases(8),
+        |rng| NoShrink([false, true].map(|barrier| swarm_scale_phase(rng, barrier))),
+        |NoShrink(phases)| {
+            let cfg = SwarmConfig::default().with_cores(16);
+            let mut sim = SwarmSim::new(cfg.clone());
+            let mut reference = swarm_ref::RefSwarm::new(cfg);
+            for (i, (tasks, roots, barrier)) in phases.iter().enumerate() {
+                let want = reference.simulate(tasks, roots, *barrier, usize::MAX);
+                assert_eq!(
+                    Some(sim.simulate(tasks, roots, *barrier)),
+                    want,
+                    "phase {i}"
+                );
+                assert_eq!(sim.stats, reference.stats, "phase {i}");
+                assert_eq!(sim.attr, reference.attr, "phase {i}");
+            }
+            let s = reference.stats;
+            assert!(
+                s.spill_cycles > 0 && s.aborts > 0 && s.idle_cq_full_cycles > 0,
+                "{s:?}"
+            );
+        },
+    );
+}
